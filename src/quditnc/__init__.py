@@ -9,16 +9,12 @@ parameter space from the command line.
 from .fock import (
     FockVector,
     MomentTable,
-    binomial,
     build_moment_table,
-    double_factorial,
-    falling_factorial,
     fock_state,
     mean_photon,
     normal_moment,
     number_moment,
     photon_probabilities,
-    stirling2,
 )
 from .measures import (
     MeasureReport,
@@ -30,12 +26,6 @@ from .measures import (
     log_negativity_exact,
     measure_report,
     negativity_potential_closed_form,
-)
-from .oracle import (
-    central_quadrature_moment,
-    displacement_exponential,
-    ladder_matrix,
-    normal_ordered_expectation,
 )
 from .states import (
     HermiteRootSet,
@@ -88,15 +78,10 @@ __all__ = [
     "agarwal_tara",
     "anticlassicality",
     "beamsplit",
-    "binomial",
     "build_moment_table",
     "build_state",
-    "central_quadrature_moment",
     "concurrence_closed_form",
     "concurrence_exact",
-    "displacement_exponential",
-    "double_factorial",
-    "falling_factorial",
     "fock_state",
     "he_eval",
     "he_roots",
@@ -106,7 +91,6 @@ __all__ = [
     "hosps",
     "klyshko",
     "klyshko_bars",
-    "ladder_matrix",
     "linear_qcs",
     "log_negativity_exact",
     "mean_photon",
@@ -114,12 +98,10 @@ __all__ = [
     "negativity_potential_closed_form",
     "nonlinear_qcs",
     "normal_moment",
-    "normal_ordered_expectation",
     "number_moment",
     "period",
     "photon_probabilities",
     "run_sweep",
-    "stirling2",
     "table1_search",
     "witness_report",
 ]

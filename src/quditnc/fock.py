@@ -1,64 +1,15 @@
-"""States with finite Fock support and the combinatorial moment machinery on them."""
+"""States with finite Fock support and the photon-number moments on them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 #: Constructors renormalize amplitude vectors whose norm is off by less than
 #: this and reject anything worse as a probable construction bug.
 NORM_TOL = 1e-6
-
-
-def falling_factorial(j: int, k: int) -> float:
-    """j(j-1)...(j-k+1): the number of ways to remove k quanta from j.
-
-    Equals 1 for k = 0 and 0 whenever k > j.
-    """
-    if j < 0 or k < 0:
-        raise ValueError("falling_factorial expects non-negative integers")
-    return float(math.perm(j, k))
-
-
-def binomial(n: int, j: int) -> float:
-    """Exact binomial coefficient C(n, j) as a float."""
-    if n < 0 or j < 0:
-        raise ValueError("binomial expects non-negative integers")
-    if j > n:
-        raise ValueError(f"binomial requires j <= n, got n={n}, j={j}")
-    return float(math.comb(n, j))
-
-
-@lru_cache(maxsize=None)
-def _stirling2_int(r: int, k: int) -> int:
-    if k > r:
-        return 0
-    if r == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * _stirling2_int(r - 1, k) + _stirling2_int(r - 1, k - 1)
-
-
-def stirling2(r: int, k: int) -> float:
-    """Stirling number of the second kind: partitions of an r-set into k blocks."""
-    if r < 0 or k < 0:
-        raise ValueError("stirling2 expects non-negative integers")
-    return float(_stirling2_int(r, k))
-
-
-def double_factorial(n: int) -> float:
-    """n!! with the conventions (-1)!! = 1 and 0!! = 1."""
-    if n < -1:
-        raise ValueError("double_factorial requires n >= -1")
-    out = 1.0
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 class FockVector:
@@ -114,33 +65,29 @@ def mean_photon(state: FockVector) -> float:
     return float(np.dot(np.arange(state.dim), p))
 
 
+def factorial_moment(state: FockVector, k: int) -> float:
+    """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j."""
+    p = photon_probabilities(state)
+    return float(sum(math.perm(j, k) * p[j] for j in range(state.dim)))
+
+
 def normal_moment(state: FockVector, n: int) -> float:
-    """Normal-ordered moment <a+^n a^n>, a sum of falling factorials.
+    """Normal-ordered moment <a+^n a^n>, the n-th factorial moment.
 
     Orders 1 through 4 are supported, which is all the moment-matrix
     criteria downstream require.
     """
     if not 1 <= n <= 4:
         raise ValueError("normal_moment supports orders 1..4")
-    p = photon_probabilities(state)
-    return float(sum(falling_factorial(j, n) * p[j] for j in range(state.dim)))
+    return factorial_moment(state, n)
 
 
 def number_moment(state: FockVector, n: int) -> float:
-    """Photon-number moment <N^n>, expanded over normal-ordered moments.
-
-    Uses the Stirling-number expansion N^n = sum_k S2(n, k) a+^k a^k.
-    """
+    """Photon-number moment <N^n> = sum_j j^n p_j, for orders 1 through 4."""
     if not 1 <= n <= 4:
         raise ValueError("number_moment supports orders 1..4")
     p = photon_probabilities(state)
-    total = 0.0
-    for k in range(1, n + 1):
-        s2 = stirling2(n, k)
-        if s2 == 0.0:
-            continue
-        total += s2 * sum(falling_factorial(j, k) * p[j] for j in range(state.dim))
-    return total
+    return float(np.dot(np.arange(state.dim, dtype=float) ** n, p))
 
 
 @dataclass(frozen=True)

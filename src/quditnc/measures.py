@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, binomial, photon_probabilities
+from .fock import FockVector, photon_probabilities
 
 TWO_MODE_NORM_TOL = 1e-9
 
@@ -46,7 +46,7 @@ class TwoModeAmplitudes:
 def beamsplit(state: FockVector) -> TwoModeAmplitudes:
     """Send the state through a balanced splitter with vacuum in port two.
 
-    |n> splits into a binomial superposition over (j, n-j) with amplitude
+    |n> splits into a superposition over (j, n-j) with amplitude
     2^(-n/2) sqrt(C(n, j)).
     """
     d = state.dim
@@ -54,7 +54,7 @@ def beamsplit(state: FockVector) -> TwoModeAmplitudes:
     for n in range(d):
         scale = state.amps[n] * 2.0 ** (-0.5 * n)
         for j in range(n + 1):
-            out[j, n - j] = scale * math.sqrt(binomial(n, j))
+            out[j, n - j] = scale * math.sqrt(math.comb(n, j))
     return TwoModeAmplitudes(dim=d, amps=out)
 
 
@@ -67,7 +67,7 @@ def negativity_potential_closed_form(state: FockVector) -> float:
     """
     total = 0.0
     for n in range(state.dim):
-        row = sum(math.sqrt(binomial(n, j)) for j in range(n + 1))
+        row = sum(math.sqrt(math.comb(n, j)) for j in range(n + 1))
         total += abs(state.amps[n]) * 2.0 ** (-0.5 * n) * row
     return 2.0 * math.log2(total)
 
@@ -84,11 +84,11 @@ def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
 
 
 def _purity_proxy(state: FockVector) -> float:
-    # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2.
+    # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2,
+    # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).
     total = 0.0
     for n in range(state.dim):
-        row = sum(binomial(n, j) ** 2 for j in range(n + 1))
-        total += abs(state.amps[n]) ** 4 * 4.0 ** (-n) * row
+        total += abs(state.amps[n]) ** 4 * 4.0 ** (-n) * math.comb(2 * n, n)
     return total
 
 

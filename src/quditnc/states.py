@@ -17,7 +17,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .fock import FockVector
@@ -86,9 +85,9 @@ def he_roots(d: int) -> HermiteRootSet:
     """
     if not 1 <= d <= MAX_ROOT_DEGREE:
         raise ValueError(f"root degree must be within 1..{MAX_ROOT_DEGREE}")
-    diag = np.zeros(d)
-    offdiag = np.sqrt(np.arange(1.0, d))
-    x = eigh_tridiagonal(diag, offdiag, eigvals_only=True)
+    # eigvalsh reads only the lower triangle, so the subdiagonal suffices.
+    jacobi = np.diag(np.sqrt(np.arange(1.0, d)), k=-1)
+    x = np.linalg.eigvalsh(jacobi)
     x = x - _he_values(d, x) / (d * _he_values(d - 1, x))
     x = 0.5 * (x - x[::-1])
     x.setflags(write=False)

@@ -25,28 +25,30 @@ from quditnc import (
     beamsplit,
     build_moment_table,
     build_state,
-    central_quadrature_moment,
     concurrence_closed_form,
     concurrence_exact,
-    displacement_exponential,
     fock_state,
     hm_quadrature_moment,
     hoa,
     hosps,
     hos_witness,
     klyshko,
-    ladder_matrix,
     linear_qcs,
     log_negativity_exact,
     mean_photon,
     negativity_potential_closed_form,
     nonlinear_qcs,
-    normal_ordered_expectation,
     period,
     run_sweep,
     table1_search,
 )
 from quditnc.cli import main as cli_main
+from quditnc.oracle import (
+    central_quadrature_moment,
+    displacement_exponential,
+    ladder_matrix,
+    normal_ordered_expectation,
+)
 from quditnc.sweep import write_rows_csv
 
 

@@ -1,9 +1,14 @@
 """Command-line behavior: verbs, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quditnc
 from quditnc.cli import main
 from quditnc.sweep import QUANTITIES, Quantity
 
@@ -163,3 +168,14 @@ def test_klyshko_verb(capsys):
 
 def test_klyshko_verb_requires_amplitudes():
     assert main(["klyshko", "--kind", "linear", "--d", "3", "--amplitudes", " "]) == 2
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # The dense oracle is the only user of scipy.linalg; the CLI must not pay for it.
+    src = str(Path(quditnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, quditnc.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,4 @@
-"""Combinatorics helpers and the FockVector state container."""
-
-import math
+"""The FockVector state container and its photon-number moments."""
 
 import numpy as np
 import pytest
@@ -9,91 +7,14 @@ from hypothesis import strategies as st
 
 from quditnc import (
     FockVector,
-    binomial,
     build_moment_table,
-    double_factorial,
-    falling_factorial,
     fock_state,
     linear_qcs,
     mean_photon,
     normal_moment,
     number_moment,
     photon_probabilities,
-    stirling2,
 )
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 2) == 20.0
-    assert falling_factorial(5, 5) == 120.0
-    assert falling_factorial(3, 0) == 1.0
-    assert falling_factorial(0, 0) == 1.0
-
-
-def test_falling_factorial_vanishes_past_support():
-    assert falling_factorial(3, 5) == 0.0
-    assert falling_factorial(0, 1) == 0.0
-
-
-def test_falling_factorial_rejects_negatives():
-    with pytest.raises(ValueError):
-        falling_factorial(-1, 2)
-    with pytest.raises(ValueError):
-        falling_factorial(2, -1)
-
-
-def test_binomial_values():
-    assert binomial(30, 15) == 155117520.0
-    assert binomial(4, 2) == 6.0
-    assert binomial(7, 0) == 1.0
-    assert binomial(7, 7) == 1.0
-
-
-def test_binomial_domain():
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
-
-def _stirling2_by_inclusion_exclusion(r, k):
-    # Surjection count over k!, written out directly.
-    if k == 0:
-        return 1.0 if r == 0 else 0.0
-    total = sum(
-        (-1) ** i * math.comb(k, i) * (k - i) ** r for i in range(k + 1)
-    )
-    return total / math.factorial(k)
-
-
-def test_stirling2_against_inclusion_exclusion():
-    for r in range(9):
-        for k in range(9):
-            assert stirling2(r, k) == pytest.approx(
-                _stirling2_by_inclusion_exclusion(r, k), abs=1e-9
-            )
-
-
-def test_stirling2_landmarks():
-    assert stirling2(4, 2) == 7.0
-    assert stirling2(5, 3) == 25.0
-    assert stirling2(6, 1) == 1.0
-    assert stirling2(3, 5) == 0.0
-    with pytest.raises(ValueError):
-        stirling2(-1, 0)
-
-
-def test_double_factorial():
-    assert double_factorial(-1) == 1.0
-    assert double_factorial(0) == 1.0
-    assert double_factorial(1) == 1.0
-    assert double_factorial(5) == 15.0
-    assert double_factorial(6) == 48.0
-    assert double_factorial(7) == 105.0
-    with pytest.raises(ValueError):
-        double_factorial(-2)
 
 
 def test_fockvector_accepts_tiny_norm_drift():

@@ -7,12 +7,14 @@ import pytest
 
 from quditnc import (
     FockVector,
-    central_quadrature_moment,
-    displacement_exponential,
     fock_state,
-    ladder_matrix,
     linear_qcs,
     mean_photon,
+)
+from quditnc.oracle import (
+    central_quadrature_moment,
+    displacement_exponential,
+    ladder_matrix,
     normal_ordered_expectation,
 )
 

@@ -28,6 +28,7 @@ from quditnc import (
     period,
     witness_report,
 )
+from quditnc.oracle import central_quadrature_moment
 
 NL_D3 = nonlinear_qcs(3, 0.7)
 
@@ -97,6 +98,18 @@ def test_quadrature_moment_order_domain():
         hm_quadrature_moment(NL_D3, 3)
     with pytest.raises(ValueError):
         hm_quadrature_moment(NL_D3, 10)
+
+
+def test_quadrature_moment_matches_oracle_up_to_d60():
+    # Criterion 1's tolerance, relative with a unit floor, at the largest d.
+    for d in (20, 40, 60):
+        amps = set(np.linspace(0.0, period(d) / 2.0, 7).tolist()) | {1.0, 3.0, 6.0}
+        for amp in sorted(amps):
+            for state in (linear_qcs(d, amp), nonlinear_qcs(d, amp)):
+                for n in range(2, 9, 2):
+                    dense = central_quadrature_moment(state, n)
+                    ours = hm_quadrature_moment(state, n)
+                    assert abs(ours - dense) <= 1e-8 * max(1.0, abs(dense)), (d, amp, n)
 
 
 def test_hos_witness_frozen_value():
