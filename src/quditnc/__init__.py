@@ -32,6 +32,7 @@ from .states import (
     QcsSpec,
     StateKind,
     build_state,
+    build_states,
     he_eval,
     he_roots,
     linear_qcs,
@@ -80,6 +81,7 @@ __all__ = [
     "beamsplit",
     "build_moment_table",
     "build_state",
+    "build_states",
     "concurrence_closed_form",
     "concurrence_exact",
     "fock_state",

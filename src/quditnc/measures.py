@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,41 @@ class TwoModeAmplitudes:
         object.__setattr__(self, "amps", a)
 
 
+@dataclass(frozen=True)
+class _SplitTable:
+    """The splitter's factors on d levels, over the entries (j, n - j), n < d.
+
+    ``level``, ``left`` and ``right`` index n, j and n - j of each entry and
+    ``sqrt_binomial`` holds its sqrt(C(n, j)); ``row_sums`` is that summed
+    over j (left to right) and ``scale`` is 2^(-n/2), both per level n.
+    """
+
+    level: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sqrt_binomial: np.ndarray
+    row_sums: np.ndarray
+    scale: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _split_table(d: int) -> _SplitTable:
+    rows = [[math.sqrt(math.comb(n, j)) for j in range(n + 1)] for n in range(d)]
+    level = np.repeat(np.arange(d), np.arange(1, d + 1))
+    left = np.concatenate([np.arange(n + 1) for n in range(d)])
+    table = _SplitTable(
+        level=level,
+        left=left,
+        right=level - left,
+        sqrt_binomial=np.array([v for row in rows for v in row]),
+        row_sums=np.array([sum(row) for row in rows]),
+        scale=np.array([2.0 ** (-0.5 * n) for n in range(d)]),
+    )
+    for arr in vars(table).values():
+        arr.setflags(write=False)
+    return table
+
+
 def beamsplit(state: FockVector) -> TwoModeAmplitudes:
     """Send the state through a balanced splitter with vacuum in port two.
 
@@ -50,11 +86,10 @@ def beamsplit(state: FockVector) -> TwoModeAmplitudes:
     2^(-n/2) sqrt(C(n, j)).
     """
     d = state.dim
+    table = _split_table(d)
+    scaled = state.amps * table.scale
     out = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        scale = state.amps[n] * 2.0 ** (-0.5 * n)
-        for j in range(n + 1):
-            out[j, n - j] = scale * math.sqrt(math.comb(n, j))
+    out[table.left, table.right] = scaled[table.level] * table.sqrt_binomial
     return TwoModeAmplitudes(dim=d, amps=out)
 
 
@@ -65,10 +100,10 @@ def negativity_potential_closed_form(state: FockVector) -> float:
     states; an upper bound on superpositions (the absolute entry sum
     dominates the trace norm).
     """
+    table = _split_table(state.dim)
     total = 0.0
-    for n in range(state.dim):
-        row = sum(math.sqrt(math.comb(n, j)) for j in range(n + 1))
-        total += abs(state.amps[n]) * 2.0 ** (-0.5 * n) * row
+    for amp, scale, row in zip(state.amps, table.scale, table.row_sums):
+        total += abs(amp) * scale * row
     return 2.0 * math.log2(total)
 
 

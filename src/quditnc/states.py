@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammaln
@@ -73,7 +74,6 @@ def he_eval(n: int, x: float) -> float:
     return float(_he_values(n, np.asarray([x], dtype=float))[0])
 
 
-@lru_cache(maxsize=None)
 def he_roots(d: int) -> HermiteRootSet:
     """All d roots of He_d, ascending, polished to near machine precision.
 
@@ -94,8 +94,40 @@ def he_roots(d: int) -> HermiteRootSet:
     return HermiteRootSet(degree=d, roots=x)
 
 
-def _nonlinear_coefficients(d: int, alpha: complex) -> np.ndarray:
-    """Raw spectral-sum amplitudes, before the normalization safety net.
+@dataclass(frozen=True)
+class _SpectralBasis:
+    """Everything in the nonlinear spectral sum that depends on d alone."""
+
+    roots: np.ndarray  # x_k, shape (d,)
+    weights: np.ndarray  # w_k, shape (d,)
+    he_table: np.ndarray  # He_n(x_k), shape (d, d), row n
+    inv_sqrt_factorial: np.ndarray  # (n!)^{-1/2}, shape (d,)
+
+
+@lru_cache(maxsize=None)
+def _spectral_basis(d: int) -> _SpectralBasis:
+    x = np.asarray(he_roots(d).roots, dtype=float)
+    log_w = gammaln(d) - math.log(d) - 2.0 * np.log(np.abs(_he_values(d - 1, x)))
+    table = np.empty((d, d))
+    table[0] = 1.0
+    h_prev = np.ones_like(x)
+    h = x.copy()
+    for n in range(1, d):
+        table[n] = h
+        h, h_prev = x * h - n * h_prev, h
+    basis = _SpectralBasis(
+        roots=x,
+        weights=np.exp(log_w),
+        he_table=table,
+        inv_sqrt_factorial=np.exp(-0.5 * gammaln(np.arange(d) + 1.0)),
+    )
+    for arr in vars(basis).values():
+        arr.setflags(write=False)
+    return basis
+
+
+def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
+    """Raw spectral-sum amplitudes, one row per amplitude, before renormalizing.
 
     The truncated displacement generator is a Jacobi matrix whose spectrum
     is the He_d root set; expanding the vacuum column of its exponential in
@@ -105,27 +137,23 @@ def _nonlinear_coefficients(d: int, alpha: complex) -> np.ndarray:
               * sum_k w_k He_n(x_k) e^{i x_k |alpha|},
 
     with weights w_k = (d-1)! / (d * He_{d-1}(x_k)^2) that sum to one.
+    Each level is reduced on its own row of He_n(x_k), so every amplitude
+    sees the same summation order as a single-state evaluation.
     """
-    alpha = complex(alpha)
-    root_set = he_roots(d)
-    x = np.asarray(root_set.roots, dtype=float)
-    h_top = _he_values(d - 1, x)
-    log_w = gammaln(d) - math.log(d) - 2.0 * np.log(np.abs(h_top))
-    weighted_phase = np.exp(log_w) * np.exp(1j * x * abs(alpha))
+    basis = _spectral_basis(d)
+    alphas = [complex(a) for a in np.atleast_1d(alphas)]
+    moduli = np.array([abs(a) for a in alphas])
+    phi0 = np.array([math.atan2(a.imag, a.real) for a in alphas])
+    weighted_phase = basis.weights * np.exp(1j * basis.roots * moduli[:, None])
 
-    c = np.empty(d, dtype=complex)
-    c[0] = weighted_phase.sum()
-    if d > 1:
-        h_prev = np.ones_like(x)
-        h = x.copy()
-        for n in range(1, d):
-            c[n] = np.sum(h * weighted_phase)
-            h, h_prev = x * h - n * h_prev, h
+    c = np.empty((len(alphas), d), dtype=complex)
+    c[:, 0] = weighted_phase.sum(axis=1)
+    for n in range(1, d):
+        c[:, n] = (basis.he_table[n] * weighted_phase).sum(axis=1)
 
-    phi0 = math.atan2(alpha.imag, alpha.real)
     levels = np.arange(d)
-    c *= np.exp(-0.5 * gammaln(levels + 1.0))
-    c *= np.exp(1j * levels * (phi0 - 0.5 * math.pi))
+    c *= basis.inv_sqrt_factorial
+    c *= np.exp(1j * levels * (phi0[:, None] - 0.5 * math.pi))
     return c
 
 
@@ -138,7 +166,7 @@ def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     """
     if d < 2:
         raise ValueError("dim must be at least 2")
-    return FockVector(_nonlinear_coefficients(d, alpha))
+    return FockVector(_nonlinear_coefficients(d, alpha)[0])
 
 
 def linear_qcs(d: int, beta: complex) -> FockVector:
@@ -187,3 +215,32 @@ def build_state(spec: QcsSpec) -> FockVector:
     if spec.kind is StateKind.LINEAR:
         return linear_qcs(spec.dim, spec.amplitude)
     return nonlinear_qcs(spec.dim, spec.amplitude)
+
+
+#: Amplitudes whose nonlinear coefficients build_states computes together;
+#: bounds the (block, d) complex temporaries of a long amplitude grid.
+STATE_BLOCK = 256
+
+
+def build_states(
+    kind: StateKind | str, d: int, amplitudes: Iterable[complex]
+) -> Iterator[FockVector]:
+    """The states of one family and level count, one per amplitude, lazily.
+
+    Nonlinear states are built STATE_BLOCK amplitudes at a time over the
+    cached spectral basis of d; each equals ``nonlinear_qcs(d, amplitude)``
+    bit for bit.  Linear states are built one by one.
+    """
+    kind = StateKind(kind)
+    if d < 2:
+        raise ValueError("dim must be at least 2")
+    amps = [complex(a) for a in amplitudes]
+    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
+        raise ValueError("amplitude must be finite")
+    if kind is StateKind.LINEAR:
+        for amp in amps:
+            yield linear_qcs(d, amp)
+        return
+    for first in range(0, len(amps), STATE_BLOCK):
+        for row in _nonlinear_coefficients(d, amps[first : first + STATE_BLOCK]):
+            yield FockVector(row)

@@ -19,7 +19,7 @@ from .measures import (
     log_negativity_exact,
     negativity_potential_closed_form,
 )
-from .states import QcsSpec, StateKind, build_state, period
+from .states import QcsSpec, StateKind, build_state, build_states, period
 from .witnesses import (
     SingularMomentMatrix,
     agarwal_tara,
@@ -158,7 +158,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
     The singular moment-matrix ratio becomes the string sentinel; any other
-    non-finite value aborts with NumericalError.
+    non-finite value, or an overflow inside a quantity, aborts with
+    NumericalError.
     """
     spec.validate()
     rows: list[SweepRow] = []
@@ -167,8 +168,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         stop = resolve_amplitude(spec.amp_stop, d)
         if start > stop:
             raise ValueError("amplitude range must be non-decreasing")
-        for amp in np.linspace(start, stop, spec.steps):
-            state = build_state(QcsSpec(spec.state_kind, d, complex(amp)))
+        amps = np.linspace(start, stop, spec.steps).tolist()
+        for amp, state in zip(amps, build_states(spec.state_kind, d, amps)):
             values: dict[str, float | str] = {}
             for ident, order in spec.quantities:
                 col = column_name(ident, order)
@@ -177,6 +178,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 except SingularMomentMatrix:
                     values[col] = SINGULAR_SENTINEL
                     continue
+                except OverflowError:
+                    # The value left the double range: report it as non-finite.
+                    val = math.inf
                 if not math.isfinite(val):
                     raise NumericalError(
                         f"{col} is non-finite at kind={spec.state_kind.value} "
@@ -184,7 +188,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     )
                 values[col] = val
             rows.append(
-                SweepRow(kind=spec.state_kind.value, d=d, amplitude=float(amp), values=values)
+                SweepRow(kind=spec.state_kind.value, d=d, amplitude=amp, values=values)
             )
     return rows
 
@@ -285,9 +289,8 @@ def klyshko_bars(
     """
     state_kind = StateKind(state_kind)
     entries = []
-    for raw in amplitudes:
-        amp = resolve_amplitude(raw, d)
-        state = build_state(QcsSpec(state_kind, d, amp))
+    amps = [resolve_amplitude(raw, d) for raw in amplitudes]
+    for raw, amp, state in zip(amplitudes, amps, build_states(state_kind, d, amps)):
         bars = [
             {"n": n, "value": klyshko(state, n)} for n in range(max(d - 2, 1))
         ]

@@ -140,6 +140,19 @@ def test_non_finite_value_exits_three(monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "d,window,quantity,column",
+    [("5", "0:1", "hosps:1100", "hosps_1100"), ("10", "3:3.5", "hoa:1000", "hoa_1000")],
+)
+def test_overflow_inside_a_quantity_exits_three(capsys, d, window, quantity, column):
+    args = ["sweep", "--kind", "linear", "--d", d, "--range", window, "--steps", "2"]
+    assert main([*args, "--quantities", quantity]) == 3
+    err = capsys.readouterr().err
+    start = window.split(":")[0]
+    assert f"{column} is non-finite at kind=linear d={d} amplitude={float(start)!r}" in err
+    assert "Traceback" not in err
+
+
 def test_report_verb_emits_full_payload(capsys):
     args = ["report", "--kind", "nonlinear", "--d", "3", "--amplitude", "Td/4"]
     assert main(args) == 0

@@ -180,3 +180,30 @@ def test_negativity_grows_with_level_count():
         negativity_potential_closed_form(nonlinear_qcs(d, 1.0)) for d in range(2, 7)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _split_by_loop(state):
+    out = np.zeros((state.dim, state.dim), dtype=complex)
+    for n in range(state.dim):
+        scale = state.amps[n] * 2.0 ** (-0.5 * n)
+        for j in range(n + 1):
+            out[j, n - j] = scale * math.sqrt(math.comb(n, j))
+    return out
+
+
+def _closed_form_by_loop(state):
+    total = 0.0
+    for n in range(state.dim):
+        row = sum(math.sqrt(math.comb(n, j)) for j in range(n + 1))
+        total += abs(state.amps[n]) * 2.0 ** (-0.5 * n) * row
+    return 2.0 * math.log2(total)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 20, 41, 60])
+def test_cached_split_table_reproduces_the_per_entry_loop(d):
+    amplitudes = [0.0, 0.9, 3.3, 6.0, 1.7 * np.exp(2.1j)]
+    states = [fock_state(d - 1)]
+    states += [family(d, a) for family in (linear_qcs, nonlinear_qcs) for a in amplitudes]
+    for state in states:
+        assert beamsplit(state).amps.tobytes() == _split_by_loop(state).tobytes()
+        assert negativity_potential_closed_form(state) == _closed_form_by_loop(state)

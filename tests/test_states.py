@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from quditnc import (
+    FockVector,
     QcsSpec,
     StateKind,
     build_state,
+    build_states,
     he_eval,
     he_roots,
     linear_qcs,
@@ -19,7 +22,7 @@ from quditnc import (
     period,
     photon_probabilities,
 )
-from quditnc.states import _nonlinear_coefficients
+from quditnc.states import STATE_BLOCK, _nonlinear_coefficients
 
 
 def _physicists_hermite(n, x):
@@ -206,3 +209,69 @@ def test_mean_photon_stays_below_top_level():
             top = max(top, value)
         # The sweep should come close to filling the top level.
         assert top >= 0.75 * (d - 1)
+
+
+def _per_state_coefficients(d, alpha):
+    # The spectral sum evaluated one amplitude at a time, every d-only
+    # factor recomputed: the arithmetic the batched build must reproduce.
+    alpha = complex(alpha)
+    x = np.asarray(he_roots(d).roots, dtype=float)
+    h_top = np.array([he_eval(d - 1, xk) for xk in x])
+    log_w = gammaln(d) - math.log(d) - 2.0 * np.log(np.abs(h_top))
+    weighted_phase = np.exp(log_w) * np.exp(1j * x * abs(alpha))
+    c = np.empty(d, dtype=complex)
+    c[0] = weighted_phase.sum()
+    h_prev = np.ones_like(x)
+    h = x.copy()
+    for n in range(1, d):
+        c[n] = np.sum(h * weighted_phase)
+        h, h_prev = x * h - n * h_prev, h
+    phi0 = math.atan2(alpha.imag, alpha.real)
+    levels = np.arange(d)
+    c *= np.exp(-0.5 * gammaln(levels + 1.0))
+    c *= np.exp(1j * levels * (phi0 - 0.5 * math.pi))
+    return c
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 61))
+def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    real = [0.0, 0.3, period(d) / 4.0, period(d) / 2.0, 11.7, -2.5]
+    cplx = list(rng.uniform(0.0, 8.0, 6) * np.exp(1j * rng.uniform(-math.pi, math.pi, 6)))
+    amplitudes = real + cplx
+    expected = [FockVector(_per_state_coefficients(d, a)).amps for a in amplitudes]
+    built = list(build_states(StateKind.NONLINEAR, d, amplitudes))
+    assert len(built) == len(amplitudes)
+    for amp, want, got in zip(amplitudes, expected, built):
+        assert _same_bits(got.amps, want), (d, amp)
+        assert _same_bits(nonlinear_qcs(d, amp).amps, want), (d, amp)
+
+
+def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
+    d = 9
+    amplitudes = np.linspace(-0.4, 2.0 * period(d), STATE_BLOCK + 5)
+    built = list(build_states("nonlinear", d, amplitudes))
+    assert len(built) == len(amplitudes)
+    for amp, state in zip(amplitudes, built):
+        assert _same_bits(state.amps, FockVector(_per_state_coefficients(d, amp)).amps), amp
+
+
+def test_build_states_linear_family_matches_linear_qcs():
+    amplitudes = [0.0, 0.7, 2.5 * np.exp(0.4j), 9.0]
+    built = list(build_states(StateKind.LINEAR, 12, amplitudes))
+    for amp, state in zip(amplitudes, built):
+        assert _same_bits(state.amps, linear_qcs(12, amp).amps)
+
+
+def test_build_states_validates_like_a_spec():
+    with pytest.raises(ValueError):
+        list(build_states(StateKind.NONLINEAR, 1, [0.5]))
+    with pytest.raises(ValueError):
+        list(build_states(StateKind.NONLINEAR, 4, [0.5, float("inf")]))
+    with pytest.raises(ValueError):
+        list(build_states("squeezed", 4, [0.5]))
+    assert list(build_states(StateKind.LINEAR, 4, [])) == []

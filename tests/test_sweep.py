@@ -4,21 +4,26 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from quditnc import (
     NumericalError,
+    QcsSpec,
     StateKind,
     SweepSpec,
+    build_state,
     klyshko_bars,
     period,
     run_sweep,
     table1_search,
 )
+from quditnc.states import STATE_BLOCK
 from quditnc.sweep import (
     SINGULAR_SENTINEL,
     Quantity,
     QUANTITIES,
+    SweepRow,
     column_name,
     resolve_amplitude,
     rows_as_dicts,
@@ -127,6 +132,32 @@ def test_run_sweep_raises_on_non_finite_values(monkeypatch):
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     with pytest.raises(NumericalError):
         run_sweep(_spec())
+
+
+def test_run_sweep_csv_equals_a_loop_over_build_state():
+    # Crosses a block boundary of the batched nonlinear build.
+    quantities = (("anticlassicality", None), ("klyshko", 1), ("hoa", 2))
+    spec = _spec(
+        state_kind=StateKind.NONLINEAR,
+        d_list=(12, 3),
+        amp_start=0.05,
+        amp_stop="Td/2",
+        steps=STATE_BLOCK + 3,
+        quantities=quantities,
+    )
+    expected = []
+    for d in (3, 12):
+        for amp in np.linspace(0.05, period(d) / 2.0, spec.steps):
+            state = build_state(QcsSpec(StateKind.NONLINEAR, d, complex(amp)))
+            values = {
+                column_name(ident, order): float(QUANTITIES[ident].fn(state, order))
+                for ident, order in quantities
+            }
+            expected.append(SweepRow("nonlinear", d, float(amp), values))
+    got, want = io.StringIO(), io.StringIO()
+    write_rows_csv(run_sweep(spec), got)
+    write_rows_csv(expected, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_csv_round_trips_doubles():
