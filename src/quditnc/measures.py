@@ -16,9 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, photon_probabilities
+from .fock import FockVector, StateBlock, libm_pow
 
 TWO_MODE_NORM_TOL = 1e-9
+
+#: Complex entries in one stack of two-mode amplitude matrices that the exact
+#: measures build at a time (at least one state per stack), which bounds
+#: their memory on long grids at large d.
+TWO_MODE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,43 @@ def _split_table(d: int) -> _SplitTable:
     return table
 
 
+def _split_stack(amps: np.ndarray) -> np.ndarray:
+    """Two-mode amplitudes after the splitter for each row of an (S, d) array.
+
+    |n> splits into a superposition over (j, n-j) with amplitude
+    2^(-n/2) sqrt(C(n, j)); the result has shape (S, d, d).
+    """
+    d = amps.shape[1]
+    table = _split_table(d)
+    scaled = amps * table.scale
+    out = np.zeros((amps.shape[0], d, d), dtype=complex)
+    out[:, table.left, table.right] = scaled[:, table.level] * table.sqrt_binomial
+    return out
+
+
 def beamsplit(state: FockVector) -> TwoModeAmplitudes:
     """Send the state through a balanced splitter with vacuum in port two.
 
     |n> splits into a superposition over (j, n-j) with amplitude
     2^(-n/2) sqrt(C(n, j)).
     """
-    d = state.dim
-    table = _split_table(d)
-    scaled = state.amps * table.scale
-    out = np.zeros((d, d), dtype=complex)
-    out[table.left, table.right] = scaled[table.level] * table.sqrt_binomial
-    return TwoModeAmplitudes(dim=d, amps=out)
+    return TwoModeAmplitudes(dim=state.dim, amps=_split_stack(state.amps[None, :])[0])
+
+
+def _moduli(block: StateBlock) -> np.ndarray:
+    # |c_n| as abs() gives it for one amplitude (libm hypot); np.abs on a
+    # complex array takes a SIMD route that differs in the last bit.
+    return block.memo("moduli", lambda: np.hypot(block.amps.real, block.amps.imag))
+
+
+def negativity_closed_form_block(block: StateBlock) -> np.ndarray:
+    """``negativity_potential_closed_form`` of every state of the block."""
+    table = _split_table(block.dim)
+    moduli = _moduli(block)
+    total = np.zeros(len(block))
+    for n in range(block.dim):
+        total = total + moduli[:, n] * table.scale[n] * table.row_sums[n]
+    return np.array([2.0 * math.log2(t) for t in total.tolist()])
 
 
 def negativity_potential_closed_form(state: FockVector) -> float:
@@ -100,11 +130,13 @@ def negativity_potential_closed_form(state: FockVector) -> float:
     states; an upper bound on superpositions (the absolute entry sum
     dominates the trace norm).
     """
-    table = _split_table(state.dim)
-    total = 0.0
-    for amp, scale, row in zip(state.amps, table.scale, table.row_sums):
-        total += abs(amp) * scale * row
-    return 2.0 * math.log2(total)
+    return float(negativity_closed_form_block(StateBlock.of(state))[0])
+
+
+def _log_negativity_stack(stack: np.ndarray) -> list[float]:
+    # 2 log2 of the singular-value sum of each amplitude matrix.
+    sigma_sums = np.linalg.svd(stack, compute_uv=False).sum(axis=1)
+    return [2.0 * math.log2(s) for s in sigma_sums.tolist()]
 
 
 def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
@@ -114,17 +146,22 @@ def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
     the squared sum of Schmidt coefficients, i.e. of singular values of the
     amplitude matrix.
     """
-    sigma = np.linalg.svd(two_mode.amps, compute_uv=False)
-    return 2.0 * math.log2(float(sigma.sum()))
+    return _log_negativity_stack(two_mode.amps[None])[0]
 
 
-def _purity_proxy(state: FockVector) -> float:
+def _purity_proxy(block: StateBlock) -> np.ndarray:
     # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2,
     # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).
-    total = 0.0
-    for n in range(state.dim):
-        total += abs(state.amps[n]) ** 4 * 4.0 ** (-n) * math.comb(2 * n, n)
+    fourth = libm_pow(_moduli(block), 4)
+    total = np.zeros(len(block))
+    for n in range(block.dim):
+        total = total + fourth[:, n] * 4.0 ** (-n) * float(math.comb(2 * n, n))
     return total
+
+
+def concurrence_closed_form_block(block: StateBlock) -> np.ndarray:
+    """``concurrence_closed_form`` of every state of the block."""
+    return np.sqrt(np.maximum(2.0 * (1.0 - _purity_proxy(block)), 0.0))
 
 
 def concurrence_closed_form(state: FockVector) -> float:
@@ -133,14 +170,56 @@ def concurrence_closed_form(state: FockVector) -> float:
     sqrt(2 (1 - T)) where T keeps only the diagonal-in-n part of the
     reduced purity; exact on number states, an overestimate otherwise.
     """
-    return math.sqrt(max(2.0 * (1.0 - _purity_proxy(state)), 0.0))
+    return float(concurrence_closed_form_block(StateBlock.of(state))[0])
+
+
+def _concurrence_stack(stack: np.ndarray) -> list[float]:
+    # From the exact reduced purity of one output mode of each matrix.
+    rho = stack @ stack.conj().transpose(0, 2, 1)
+    purity = (np.abs(rho) ** 2).reshape(len(stack), -1).sum(axis=1)
+    return np.sqrt(np.maximum(2.0 * (1.0 - purity), 0.0)).tolist()
 
 
 def concurrence_exact(two_mode: TwoModeAmplitudes) -> float:
     """Concurrence from the exact reduced purity of one output mode."""
-    rho = two_mode.amps @ two_mode.amps.conj().T
-    purity = float(np.sum(np.abs(rho) ** 2))
-    return math.sqrt(max(2.0 * (1.0 - purity), 0.0))
+    return _concurrence_stack(two_mode.amps[None])[0]
+
+
+def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
+    """The exact measures of the split states among the sweep quantity ids
+    ``idents`` ("negativity_exact", "concurrence_exact"), for every row.
+
+    The values are kept on the block.  Those not kept yet are computed
+    together, at most TWO_MODE_CHUNK two-mode amplitudes at a time: each
+    chunk's amplitudes are built once and serve every measure asked for.
+    """
+    kernels = {"negativity_exact": _log_negativity_stack, "concurrence_exact": _concurrence_stack}
+    names = [ident for ident in dict.fromkeys(idents) if ident in kernels]
+    missing = [name for name in names if ("exact", name) not in block.kept]
+    if missing:
+        rows = max(1, TWO_MODE_CHUNK // block.dim**2)
+        values: dict[str, list] = {name: [] for name in missing}
+        for first in range(0, len(block), rows):
+            stack = _split_stack(block.amps[first : first + rows])
+            for name in missing:
+                values[name].extend(kernels[name](stack))
+        for name in missing:
+            block.kept["exact", name] = np.array(values[name])
+    return {name: block.kept["exact", name] for name in names}
+
+
+def anticlassicality_block(
+    block: StateBlock, exclude_vacuum: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``anticlassicality`` of every state of the block, as two arrays."""
+    p = block.probabilities
+    if exclude_vacuum:
+        if block.dim < 2:
+            raise ValueError("excluding the vacuum needs at least two levels")
+        idx = 1 + p[:, 1:].argmax(axis=1)
+    else:
+        idx = p.argmax(axis=1)
+    return p[np.arange(len(block)), idx], idx
 
 
 def anticlassicality(state: FockVector, exclude_vacuum: bool) -> tuple[float, int]:
@@ -149,14 +228,8 @@ def anticlassicality(state: FockVector, exclude_vacuum: bool) -> tuple[float, in
     With exclude_vacuum the search starts at level 1 (the vacuum population
     is not counted as nonclassical).  Ties resolve to the smaller level.
     """
-    p = photon_probabilities(state)
-    if exclude_vacuum:
-        if state.dim < 2:
-            raise ValueError("excluding the vacuum needs at least two levels")
-        idx = 1 + int(np.argmax(p[1:]))
-    else:
-        idx = int(np.argmax(p))
-    return float(p[idx]), idx
+    value, idx = anticlassicality_block(StateBlock.of(state), exclude_vacuum)
+    return float(value[0]), int(idx[0])
 
 
 @dataclass(frozen=True)

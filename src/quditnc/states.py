@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import FockVector
+from .fock import FockVector, StateBlock, normalized_rows, row_dots
 
 MAX_HERMITE_DEGREE = 200
 MAX_ROOT_DEGREE = 60
@@ -157,6 +157,48 @@ def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
     return c
 
 
+def _linear_coefficients(d: int, betas: list[complex]) -> np.ndarray:
+    """Unit rows proportional to beta^n / sqrt(n!), one per amplitude.
+
+    Magnitudes are evaluated in the log domain so large |beta| stays
+    well-conditioned; beta = 0 gives the vacuum.
+    """
+    levels = np.arange(d)
+    c = np.zeros((len(betas), d), dtype=complex)
+    c[:, 0] = 1.0
+    rows = [i for i, beta in enumerate(betas) if beta != 0]
+    if rows:
+        log_modulus = np.array([math.log(abs(betas[i])) for i in rows])
+        phase = np.array([math.atan2(betas[i].imag, betas[i].real) for i in rows])
+        log_mag = levels * log_modulus[:, None] - 0.5 * gammaln(levels + 1.0)
+        log_mag -= log_mag.max(axis=1, keepdims=True)
+        mag = np.exp(log_mag)
+        mag /= np.sqrt(row_dots(mag, mag))[:, None]
+        c[rows] = mag * np.exp(1j * levels * phase[:, None])
+    return c
+
+
+def state_block(
+    kind: StateKind | str, d: int, amplitudes: Iterable[complex]
+) -> StateBlock:
+    """The normalized states of one family and level count, one row per amplitude.
+
+    Each row equals the single state ``nonlinear_qcs(d, amplitude)`` or
+    ``linear_qcs(d, amplitude)`` bit for bit.
+    """
+    kind = StateKind(kind)
+    if d < 2:
+        raise ValueError("dim must be at least 2")
+    amps = [complex(a) for a in amplitudes]
+    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
+        raise ValueError("amplitude must be finite")
+    if kind is StateKind.LINEAR:
+        raw = _linear_coefficients(d, amps)
+    else:
+        raw = _nonlinear_coefficients(d, amps)
+    return StateBlock(normalized_rows(raw))
+
+
 def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     """Truncated-displacement coherent state on d levels.
 
@@ -164,9 +206,7 @@ def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     first d levels, to the vacuum.  At alpha = 0 this is the vacuum; for
     d = 2 and d = 3 the amplitude dependence is exactly periodic.
     """
-    if d < 2:
-        raise ValueError("dim must be at least 2")
-    return FockVector(_nonlinear_coefficients(d, alpha)[0])
+    return FockVector._of_normalized(state_block(StateKind.NONLINEAR, d, [alpha]).amps[0])
 
 
 def linear_qcs(d: int, beta: complex) -> FockVector:
@@ -176,22 +216,7 @@ def linear_qcs(d: int, beta: complex) -> FockVector:
     levels.  Magnitudes are evaluated in the log domain so large |beta|
     stays well-conditioned.
     """
-    if d < 2:
-        raise ValueError("dim must be at least 2")
-    beta = complex(beta)
-    if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
-        raise ValueError("amplitude must be finite")
-    if beta == 0:
-        amps = np.zeros(d, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(amps)
-    levels = np.arange(d)
-    log_mag = levels * math.log(abs(beta)) - 0.5 * gammaln(levels + 1.0)
-    log_mag -= log_mag.max()
-    mag = np.exp(log_mag)
-    mag /= np.linalg.norm(mag)
-    phase = math.atan2(beta.imag, beta.real)
-    return FockVector(mag * np.exp(1j * levels * phase))
+    return FockVector._of_normalized(state_block(StateKind.LINEAR, d, [beta]).amps[0])
 
 
 def period(d: int) -> float:
@@ -217,9 +242,18 @@ def build_state(spec: QcsSpec) -> FockVector:
     return nonlinear_qcs(spec.dim, spec.amplitude)
 
 
-#: Amplitudes whose nonlinear coefficients build_states computes together;
-#: bounds the (block, d) complex temporaries of a long amplitude grid.
+#: Amplitudes whose states state_blocks builds together; bounds the (block, d)
+#: arrays of a long amplitude grid.
 STATE_BLOCK = 256
+
+
+def state_blocks(
+    kind: StateKind | str, d: int, amplitudes: Iterable[complex]
+) -> Iterator[StateBlock]:
+    """``state_block`` over STATE_BLOCK amplitudes at a time, in order."""
+    amps = list(amplitudes)
+    for first in range(0, len(amps), STATE_BLOCK):
+        yield state_block(kind, d, amps[first : first + STATE_BLOCK])
 
 
 def build_states(
@@ -227,20 +261,9 @@ def build_states(
 ) -> Iterator[FockVector]:
     """The states of one family and level count, one per amplitude, lazily.
 
-    Nonlinear states are built STATE_BLOCK amplitudes at a time over the
-    cached spectral basis of d; each equals ``nonlinear_qcs(d, amplitude)``
-    bit for bit.  Linear states are built one by one.
+    Each is a row of ``state_blocks``, so it equals ``nonlinear_qcs(d,
+    amplitude)`` or ``linear_qcs(d, amplitude)`` bit for bit.
     """
-    kind = StateKind(kind)
-    if d < 2:
-        raise ValueError("dim must be at least 2")
-    amps = [complex(a) for a in amplitudes]
-    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
-        raise ValueError("amplitude must be finite")
-    if kind is StateKind.LINEAR:
-        for amp in amps:
-            yield linear_qcs(d, amp)
-        return
-    for first in range(0, len(amps), STATE_BLOCK):
-        for row in _nonlinear_coefficients(d, amps[first : first + STATE_BLOCK]):
-            yield FockVector(row)
+    for block in state_blocks(kind, d, amplitudes):
+        for row in block.amps:
+            yield FockVector._of_normalized(row)

@@ -10,23 +10,21 @@ from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .fock import FockVector
+from .fock import StateBlock
 from .measures import (
-    anticlassicality,
-    beamsplit,
-    concurrence_closed_form,
-    concurrence_exact,
-    log_negativity_exact,
-    negativity_potential_closed_form,
+    anticlassicality_block,
+    concurrence_closed_form_block,
+    exact_measures,
+    negativity_closed_form_block,
 )
-from .states import QcsSpec, StateKind, build_state, build_states, period
+from .states import StateKind, period, state_block, state_blocks
 from .witnesses import (
-    SingularMomentMatrix,
-    agarwal_tara,
-    hoa,
-    hos_witness,
-    hosps,
-    klyshko,
+    A3_SINGULAR_TOL,
+    agarwal_tara_block,
+    hoa_block,
+    hos_block,
+    hosps_block,
+    klyshko_block,
 )
 
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
@@ -60,48 +58,52 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 @dataclass(frozen=True)
 class Quantity:
+    """A sweep column: ``fn(block, order)`` gives one cell per state of the
+    block, a float or the singular sentinel."""
+
     ident: str
     needs_order: bool
     check_order: Callable[[int], bool]
-    fn: Callable[[FockVector, int | None], float]
+    fn: Callable[[StateBlock, int | None], Sequence[float | str]]
 
 
 def _any_order(_: int) -> bool:
     return True
 
 
+def _ordered(ident: str, check_order: Callable[[int], bool], kernel) -> Quantity:
+    return Quantity(ident, True, check_order, lambda b, o: kernel(b, o).tolist())
+
+
+def _plain(ident: str, kernel) -> Quantity:
+    return Quantity(ident, False, _any_order, lambda b, _: kernel(b).tolist())
+
+
+def _a3_cells(block: StateBlock, _: None) -> list[float | str]:
+    value, denom = agarwal_tara_block(block)
+    singular = np.abs(denom) <= A3_SINGULAR_TOL
+    return [SINGULAR_SENTINEL if s else v for v, s in zip(value.tolist(), singular.tolist())]
+
+
+def _exact(ident: str) -> Quantity:
+    return _plain(ident, lambda b: exact_measures(b, [ident])[ident])
+
+
 QUANTITIES: dict[str, Quantity] = {
-    "hoa": Quantity("hoa", True, lambda o: o >= 1, lambda s, o: hoa(s, o)),
-    "hos": Quantity(
-        "hos", True, lambda o: o % 2 == 0 and 2 <= o <= 8, lambda s, o: hos_witness(s, o)
-    ),
-    "hosps": Quantity("hosps", True, lambda o: o >= 1, lambda s, o: hosps(s, o)),
-    "a3": Quantity("a3", False, _any_order, lambda s, _: agarwal_tara(s)),
-    "klyshko": Quantity("klyshko", True, lambda o: o >= 0, lambda s, o: klyshko(s, o)),
-    "negativity_closed_form": Quantity(
-        "negativity_closed_form",
-        False,
-        _any_order,
-        lambda s, _: negativity_potential_closed_form(s),
-    ),
-    "negativity_exact": Quantity(
-        "negativity_exact", False, _any_order, lambda s, _: log_negativity_exact(beamsplit(s))
-    ),
-    "concurrence_closed_form": Quantity(
-        "concurrence_closed_form", False, _any_order, lambda s, _: concurrence_closed_form(s)
-    ),
-    "concurrence_exact": Quantity(
-        "concurrence_exact", False, _any_order, lambda s, _: concurrence_exact(beamsplit(s))
-    ),
-    "anticlassicality": Quantity(
-        "anticlassicality", False, _any_order, lambda s, _: anticlassicality(s, False)[0]
-    ),
-    "anticlassicality_excl_vacuum": Quantity(
-        "anticlassicality_excl_vacuum",
-        False,
-        _any_order,
-        lambda s, _: anticlassicality(s, True)[0],
-    ),
+    q.ident: q
+    for q in (
+        _ordered("hoa", lambda o: o >= 1, hoa_block),
+        _ordered("hos", lambda o: o % 2 == 0 and 2 <= o <= 8, hos_block),
+        _ordered("hosps", lambda o: o >= 1, hosps_block),
+        Quantity("a3", False, _any_order, _a3_cells),
+        _ordered("klyshko", lambda o: o >= 0, lambda b, o: klyshko_block(b, [o])[:, 0]),
+        _plain("negativity_closed_form", negativity_closed_form_block),
+        _exact("negativity_exact"),
+        _plain("concurrence_closed_form", concurrence_closed_form_block),
+        _exact("concurrence_exact"),
+        _plain("anticlassicality", lambda b: anticlassicality_block(b, False)[0]),
+        _plain("anticlassicality_excl_vacuum", lambda b: anticlassicality_block(b, True)[0]),
+    )
 }
 
 
@@ -154,14 +156,28 @@ class SweepRow:
     values: dict[str, float | str] = field(default_factory=dict)
 
 
+def _cells(ident: str, order: int | None, block: StateBlock) -> Sequence[float | str]:
+    try:
+        return QUANTITIES[ident].fn(block, order)
+    except OverflowError:
+        # A coefficient left the double range, whatever the state: every row
+        # of the column is non-finite.
+        return [math.inf] * len(block)
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
-    The singular moment-matrix ratio becomes the string sentinel; any other
-    non-finite value, or an overflow inside a quantity, aborts with
-    NumericalError.
+    Each column is computed once per block of states of one d (see
+    ``states.state_blocks``).  The singular moment-matrix ratio becomes the
+    string sentinel; any other non-finite value, or an overflow inside a
+    quantity, aborts with NumericalError naming the first such cell, row by
+    row and in column order within a row.
     """
     spec.validate()
+    kind = spec.state_kind.value
+    names = [column_name(ident, order) for ident, order in spec.quantities]
+    idents = [ident for ident, _ in spec.quantities]
     rows: list[SweepRow] = []
     for d in sorted(set(spec.d_list)):
         start = resolve_amplitude(spec.amp_start, d)
@@ -169,27 +185,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if start > stop:
             raise ValueError("amplitude range must be non-decreasing")
         amps = np.linspace(start, stop, spec.steps).tolist()
-        for amp, state in zip(amps, build_states(spec.state_kind, d, amps)):
-            values: dict[str, float | str] = {}
-            for ident, order in spec.quantities:
-                col = column_name(ident, order)
-                try:
-                    val = float(QUANTITIES[ident].fn(state, order))
-                except SingularMomentMatrix:
-                    values[col] = SINGULAR_SENTINEL
-                    continue
-                except OverflowError:
-                    # The value left the double range: report it as non-finite.
-                    val = math.inf
-                if not math.isfinite(val):
-                    raise NumericalError(
-                        f"{col} is non-finite at kind={spec.state_kind.value} "
-                        f"d={d} amplitude={amp!r}"
-                    )
-                values[col] = val
-            rows.append(
-                SweepRow(kind=spec.state_kind.value, d=d, amplitude=amp, values=values)
-            )
+        first = 0
+        for block in state_blocks(spec.state_kind, d, amps):
+            # The exact measures share each chunk of two-mode amplitudes.
+            exact_measures(block, idents)
+            columns = [_cells(ident, order, block) for ident, order in spec.quantities]
+            for amp, cells in zip(amps[first : first + len(block)], zip(*columns)):
+                for col, val in zip(names, cells):
+                    if val != SINGULAR_SENTINEL and not math.isfinite(val):
+                        raise NumericalError(
+                            f"{col} is non-finite at kind={kind} d={d} amplitude={amp!r}"
+                        )
+                rows.append(SweepRow(kind, d, amp, dict(zip(names, cells))))
+            first += len(block)
     return rows
 
 
@@ -240,24 +248,24 @@ def table1_search(tolerance: float) -> dict:
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    tokens = [token for token, _ in TABLE1_TARGETS]
+    points: dict[tuple[str, str], list[dict]] = {}
+    for kind in (StateKind.NONLINEAR, StateKind.LINEAR):
+        for d in TABLE1_D_RANGE:
+            amps = [resolve_amplitude(token, d) for token in tokens]
+            values, levels = anticlassicality_block(state_block(kind, d, amps), True)
+            for token, amp, value, argmax_n in zip(tokens, amps, values.tolist(), levels.tolist()):
+                points.setdefault((token, kind.value), []).append(
+                    {"d": d, "amplitude": amp, "value": value, "argmax_n": argmax_n}
+                )
     cells = []
     for token, targets in TABLE1_TARGETS:
         for kind in (StateKind.NONLINEAR, StateKind.LINEAR):
             target = targets[kind.value]
-            grid = []
-            for d in TABLE1_D_RANGE:
-                amp = resolve_amplitude(token, d)
-                state = build_state(QcsSpec(kind, d, amp))
-                value, argmax_n = anticlassicality(state, exclude_vacuum=True)
-                grid.append(
-                    {
-                        "d": d,
-                        "amplitude": amp,
-                        "value": value,
-                        "argmax_n": argmax_n,
-                        "abs_error": abs(value - target),
-                    }
-                )
+            grid = [
+                {**point, "abs_error": abs(point["value"] - target)}
+                for point in points[token, kind.value]
+            ]
             matches = [g for g in grid if g["abs_error"] <= tolerance]
             nearest = min(grid, key=lambda g: g["abs_error"])
             cells.append(
@@ -288,11 +296,19 @@ def klyshko_bars(
     two-level family still produces a bar.
     """
     state_kind = StateKind(state_kind)
-    entries = []
     amps = [resolve_amplitude(raw, d) for raw in amplitudes]
-    for raw, amp, state in zip(amplitudes, amps, build_states(state_kind, d, amps)):
-        bars = [
-            {"n": n, "value": klyshko(state, n)} for n in range(max(d - 2, 1))
-        ]
-        entries.append({"amplitude_token": str(raw), "amplitude": amp, "bars": bars})
+    levels = range(max(d - 2, 1))
+    values = [
+        row
+        for block in state_blocks(state_kind, d, amps)
+        for row in klyshko_block(block, levels).tolist()
+    ]
+    entries = [
+        {
+            "amplitude_token": str(raw),
+            "amplitude": amp,
+            "bars": [{"n": n, "value": v} for n, v in zip(levels, row)],
+        }
+        for raw, amp, row in zip(amplitudes, amps, values)
+    ]
     return {"kind": state_kind.value, "d": d, "entries": entries}

@@ -134,23 +134,39 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_non_finite_value_exits_three(monkeypatch, capsys):
-    bad = Quantity("hoa", True, lambda o: True, lambda s, o: float("nan"))
+    bad = Quantity("hoa", True, lambda o: True, lambda block, o: [float("nan")] * len(block))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     assert main(SWEEP_ARGS) == 3
     assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "d,window,quantity,column",
-    [("5", "0:1", "hosps:1100", "hosps_1100"), ("10", "3:3.5", "hoa:1000", "hoa_1000")],
+    "d,window,quantity,column,steps,amplitude",
+    [
+        pytest.param(
+            "5", "0:1", "hosps:1100", "hosps_1100", 2, 0.0, id="5-0:1-hosps:1100-hosps_1100"
+        ),
+        pytest.param(
+            "10", "3:3.5", "hoa:1000", "hoa_1000", 2, 3.0, id="10-3:3.5-hoa:1000-hoa_1000"
+        ),
+        # The mean photon number to the power 401 leaves the double range from
+        # amplitude 2.75 on, to the powers 501 and 511 from 2.25 on: the first
+        # non-finite cell, row by row and then in column order, is hoa_500.
+        pytest.param("10", "0.5:3", "hoa:400", "hoa_400", 11, 2.75, id="mid-grid"),
+        pytest.param(
+            "10", "0.5:3", "hoa:400,hoa:500,hoa:510", "hoa_500", 11, 2.25, id="mid-grid-row-order"
+        ),
+    ],
 )
-def test_overflow_inside_a_quantity_exits_three(capsys, d, window, quantity, column):
-    args = ["sweep", "--kind", "linear", "--d", d, "--range", window, "--steps", "2"]
+def test_overflow_inside_a_quantity_exits_three(
+    capsys, d, window, quantity, column, steps, amplitude
+):
+    args = ["sweep", "--kind", "linear", "--d", d, "--range", window, "--steps", str(steps)]
     assert main([*args, "--quantities", quantity]) == 3
     err = capsys.readouterr().err
-    start = window.split(":")[0]
-    assert f"{column} is non-finite at kind=linear d={d} amplitude={float(start)!r}" in err
+    assert f"{column} is non-finite at kind=linear d={d} amplitude={amplitude!r}" in err
     assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 def test_report_verb_emits_full_payload(capsys):

@@ -12,7 +12,10 @@ from quditnc import (
     QcsSpec,
     StateKind,
     SweepSpec,
+    anticlassicality,
     build_state,
+    hoa,
+    klyshko,
     klyshko_bars,
     period,
     run_sweep,
@@ -128,7 +131,7 @@ def test_run_sweep_emits_singular_sentinel():
 
 
 def test_run_sweep_raises_on_non_finite_values(monkeypatch):
-    bad = Quantity("hoa", True, lambda o: True, lambda s, o: float("inf"))
+    bad = Quantity("hoa", True, lambda o: True, lambda block, o: [float("inf")] * len(block))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     with pytest.raises(NumericalError):
         run_sweep(_spec())
@@ -137,6 +140,11 @@ def test_run_sweep_raises_on_non_finite_values(monkeypatch):
 def test_run_sweep_csv_equals_a_loop_over_build_state():
     # Crosses a block boundary of the batched nonlinear build.
     quantities = (("anticlassicality", None), ("klyshko", 1), ("hoa", 2))
+    per_state = {
+        "anticlassicality": lambda state, _: anticlassicality(state, False)[0],
+        "klyshko": klyshko,
+        "hoa": hoa,
+    }
     spec = _spec(
         state_kind=StateKind.NONLINEAR,
         d_list=(12, 3),
@@ -150,7 +158,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
         for amp in np.linspace(0.05, period(d) / 2.0, spec.steps):
             state = build_state(QcsSpec(StateKind.NONLINEAR, d, complex(amp)))
             values = {
-                column_name(ident, order): float(QUANTITIES[ident].fn(state, order))
+                column_name(ident, order): float(per_state[ident](state, order))
                 for ident, order in quantities
             }
             expected.append(SweepRow("nonlinear", d, float(amp), values))
