@@ -32,7 +32,6 @@ from .states import (
     QcsSpec,
     StateKind,
     build_state,
-    build_states,
     he_eval,
     he_roots,
     linear_qcs,
@@ -81,7 +80,6 @@ __all__ = [
     "beamsplit",
     "build_moment_table",
     "build_state",
-    "build_states",
     "concurrence_closed_form",
     "concurrence_exact",
     "fock_state",

@@ -82,36 +82,39 @@ def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
 
 def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     cfg = _load_config(args.config)
-    kind = args.kind if args.kind is not None else cfg.get("state_kind")
-    if kind is None:
-        raise ValueError("a state kind is required (--kind or config)")
-    d_list = _parse_d_list(args.d) if args.d is not None else tuple(cfg.get("d_list", ()))
-    if args.range is not None:
-        amp_start, amp_stop = _parse_range(args.range)
-    else:
-        amp_start = cfg.get("amp_start")
-        amp_stop = cfg.get("amp_stop")
-        if amp_start is None or amp_stop is None:
-            raise ValueError("an amplitude range is required (--range or config)")
-    steps = args.steps if args.steps is not None else cfg.get("steps")
-    if steps is None:
-        raise ValueError("a step count is required (--steps or config)")
-    if args.quantities is not None:
-        quantities = _parse_quantities(args.quantities)
-    elif "quantities" in cfg:
-        quantities = _config_quantities(cfg["quantities"])
-    else:
-        raise ValueError("quantities are required (--quantities or config)")
-    fmt = args.format if args.format is not None else cfg.get("format", "csv")
-    return SweepSpec(
-        state_kind=StateKind(kind),
-        d_list=tuple(int(d) for d in d_list),
-        amp_start=amp_start,
-        amp_stop=amp_stop,
-        steps=int(steps),
-        quantities=quantities,
-        output_format=fmt,
-    )
+    try:
+        kind = args.kind if args.kind is not None else cfg.get("state_kind")
+        if kind is None:
+            raise ValueError("a state kind is required (--kind or config)")
+        d_list = _parse_d_list(args.d) if args.d is not None else tuple(cfg.get("d_list", ()))
+        if args.range is not None:
+            amp_start, amp_stop = _parse_range(args.range)
+        else:
+            amp_start = cfg.get("amp_start")
+            amp_stop = cfg.get("amp_stop")
+            if amp_start is None or amp_stop is None:
+                raise ValueError("an amplitude range is required (--range or config)")
+        steps = args.steps if args.steps is not None else cfg.get("steps")
+        if steps is None:
+            raise ValueError("a step count is required (--steps or config)")
+        if args.quantities is not None:
+            quantities = _parse_quantities(args.quantities)
+        elif "quantities" in cfg:
+            quantities = _config_quantities(cfg["quantities"])
+        else:
+            raise ValueError("quantities are required (--quantities or config)")
+        fmt = args.format if args.format is not None else cfg.get("format", "csv")
+        return SweepSpec(
+            state_kind=StateKind(kind),
+            d_list=tuple(int(d) for d in d_list),
+            amp_start=amp_start,
+            amp_stop=amp_stop,
+            steps=int(steps),
+            quantities=quantities,
+            output_format=fmt,
+        )
+    except TypeError as exc:  # a config value of the wrong JSON type, e.g. "steps": [3]
+        raise ValueError(f"malformed config: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

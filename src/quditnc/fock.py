@@ -27,22 +27,6 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def libm_pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k for each non-negative element, through the C pow that Python floats use.
-
-    numpy's array power takes a SIMD route that differs from it in the last
-    bit.  A power beyond the double range reads inf where Python would raise.
-    """
-
-    def one(v: float) -> float:
-        try:
-            return v**k
-        except OverflowError:
-            return math.inf
-
-    return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of a complex (S, d) array divided by its norm, read-only.
 
@@ -130,7 +114,8 @@ class StateBlock:
         )
 
     def mean_power(self, k: int) -> np.ndarray:
-        return self.memo(("mean_power", k), lambda: libm_pow(self.mean, k))
+        # float_power runs Python's C pow; np.power's SIMD route differs in the last bit.
+        return self.memo(("mean_power", k), lambda: np.float_power(self.mean, k))
 
     def factorial_moment(self, k: int) -> np.ndarray:
         """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j, left to right."""

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, StateBlock, libm_pow
+from .fock import FockVector, StateBlock
 
 TWO_MODE_NORM_TOL = 1e-9
 
@@ -152,7 +152,7 @@ def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
 def _purity_proxy(block: StateBlock) -> np.ndarray:
     # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2,
     # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).
-    fourth = libm_pow(_moduli(block), 4)
+    fourth = np.float_power(_moduli(block), 4)
     total = np.zeros(len(block))
     for n in range(block.dim):
         total = total + fourth[:, n] * 4.0 ** (-n) * float(math.comb(2 * n, n))

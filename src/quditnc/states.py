@@ -18,12 +18,37 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import FockVector, StateBlock, normalized_rows, row_dots
 
 MAX_HERMITE_DEGREE = 200
 MAX_ROOT_DEGREE = 60
+
+# Cephes lgam (Moshier, Methods and Programs for Mathematical Functions, 1989): log sqrt(2 pi)
+# and the correction to Stirling's series, a polynomial in 1/x^2, highest power first. Cephes
+# sums a shorter one from x = 1000; up to its next branch, x = 1e8, both round alike.
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(d: int) -> np.ndarray:
+    """log n! for n = 0 .. d-1, read-only, bit for bit as cephes lgam(n + 1): the log of
+    the exact product below 13, then (x - 1/2) log x - x + log sqrt(2 pi) + poly(1/x^2) / x."""
+    out = np.empty(d)
+    for n in range(d):
+        x = n + 1.0
+        if x < 13.0:
+            out[n] = math.log(math.factorial(n))
+            continue
+        p = 1.0 / (x * x)
+        poly = 0.0
+        for coef in _STIRLING:
+            poly = poly * p + coef
+        out[n] = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + poly / x
+    out.setflags(write=False)
+    return out
 
 
 class StateKind(str, Enum):
@@ -107,7 +132,8 @@ class _SpectralBasis:
 @lru_cache(maxsize=None)
 def _spectral_basis(d: int) -> _SpectralBasis:
     x = np.asarray(he_roots(d).roots, dtype=float)
-    log_w = gammaln(d) - math.log(d) - 2.0 * np.log(np.abs(_he_values(d - 1, x)))
+    log_f = _log_factorials(d)
+    log_w = log_f[d - 1] - math.log(d) - 2.0 * np.log(np.abs(_he_values(d - 1, x)))
     table = np.empty((d, d))
     table[0] = 1.0
     h_prev = np.ones_like(x)
@@ -119,7 +145,7 @@ def _spectral_basis(d: int) -> _SpectralBasis:
         roots=x,
         weights=np.exp(log_w),
         he_table=table,
-        inv_sqrt_factorial=np.exp(-0.5 * gammaln(np.arange(d) + 1.0)),
+        inv_sqrt_factorial=np.exp(-0.5 * log_f),
     )
     for arr in vars(basis).values():
         arr.setflags(write=False)
@@ -170,7 +196,7 @@ def _linear_coefficients(d: int, betas: list[complex]) -> np.ndarray:
     if rows:
         log_modulus = np.array([math.log(abs(betas[i])) for i in rows])
         phase = np.array([math.atan2(betas[i].imag, betas[i].real) for i in rows])
-        log_mag = levels * log_modulus[:, None] - 0.5 * gammaln(levels + 1.0)
+        log_mag = levels * log_modulus[:, None] - 0.5 * _log_factorials(d)
         log_mag -= log_mag.max(axis=1, keepdims=True)
         mag = np.exp(log_mag)
         mag /= np.sqrt(row_dots(mag, mag))[:, None]
@@ -255,15 +281,3 @@ def state_blocks(
     for first in range(0, len(amps), STATE_BLOCK):
         yield state_block(kind, d, amps[first : first + STATE_BLOCK])
 
-
-def build_states(
-    kind: StateKind | str, d: int, amplitudes: Iterable[complex]
-) -> Iterator[FockVector]:
-    """The states of one family and level count, one per amplitude, lazily.
-
-    Each is a row of ``state_blocks``, so it equals ``nonlinear_qcs(d,
-    amplitude)`` or ``linear_qcs(d, amplitude)`` bit for bit.
-    """
-    for block in state_blocks(kind, d, amplitudes):
-        for row in block.amps:
-            yield FockVector._of_normalized(row)

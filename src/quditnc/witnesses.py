@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, StateBlock, libm_pow, row_dots
+from .fock import FockVector, StateBlock, row_dots
 
 #: Below this the difference of moment-matrix determinants counts as singular.
 A3_SINGULAR_TOL = 1e-12
@@ -170,7 +170,7 @@ def klyshko_block(block: StateBlock, levels) -> np.ndarray:
     def at(i: np.ndarray) -> np.ndarray:
         return np.where(i < block.dim, p[:, np.minimum(i, block.dim - 1)], 0.0)
 
-    return (n + 2) * at(n) * at(n + 2) - (n + 1) * libm_pow(at(n + 1), 2)
+    return (n + 2) * at(n) * at(n + 2) - (n + 1) * np.float_power(at(n + 1), 2)
 
 
 def klyshko(state: FockVector, n: int) -> float:

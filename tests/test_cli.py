@@ -88,6 +88,26 @@ def test_bad_config_json_is_usage_error(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"d_list": 5}, {"quantities": [5]}, {"steps": [3]}],
+    ids=["d_list", "quantities", "steps"],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
+    spec = {
+        "state_kind": "linear",
+        "d_list": [3],
+        "amp_start": 0.5,
+        "amp_stop": 2.0,
+        "steps": 3,
+        "quantities": "hoa:1",
+    }
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**spec, **field}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed config")
+
+
 def test_argparse_rejects_unknown_verb():
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])
@@ -199,12 +219,16 @@ def test_klyshko_verb_requires_amplitudes():
     assert main(["klyshko", "--kind", "linear", "--d", "3", "--amplitudes", " "]) == 2
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # The dense oracle is the only user of scipy.linalg; the CLI must not pay for it.
+@pytest.mark.parametrize("prefix", ["scipy.linalg", "scipy"])
+def test_cli_import_leaves_scipy_linalg_unloaded(prefix):
+    # scipy serves the tests and the dense oracle only; the CLI runs on numpy alone.
     src = str(Path(quditnc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, quditnc.cli; print('scipy.linalg' in sys.modules)"
+    code = (
+        "import sys, quditnc.cli; "
+        f"print([m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

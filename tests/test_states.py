@@ -13,7 +13,6 @@ from quditnc import (
     QcsSpec,
     StateKind,
     build_state,
-    build_states,
     he_eval,
     he_roots,
     linear_qcs,
@@ -22,7 +21,7 @@ from quditnc import (
     period,
     photon_probabilities,
 )
-from quditnc.states import STATE_BLOCK, _nonlinear_coefficients
+from quditnc.states import STATE_BLOCK, _log_factorials, _nonlinear_coefficients, state_blocks
 
 
 def _physicists_hermite(n, x):
@@ -233,8 +232,21 @@ def _per_state_coefficients(d, alpha):
     return c
 
 
+def test_log_factorials_equal_gammaln_bit_for_bit():
+    # n = 0..1999 covers the exact products below 13, the Stirling series, and
+    # the range from n = 999 where cephes switches to a shorter polynomial.
+    table = _log_factorials(2000)
+    assert _same_bits(table, gammaln(np.arange(2000) + 1.0))
+    assert not table.flags.writeable
+    assert _same_bits(_log_factorials(7), table[:7])
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _block_rows(kind, d, amplitudes):
+    return [row for block in state_blocks(kind, d, amplitudes) for row in block.amps]
 
 
 @pytest.mark.parametrize("d", range(2, 61))
@@ -244,34 +256,34 @@ def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
     cplx = list(rng.uniform(0.0, 8.0, 6) * np.exp(1j * rng.uniform(-math.pi, math.pi, 6)))
     amplitudes = real + cplx
     expected = [FockVector(_per_state_coefficients(d, a)).amps for a in amplitudes]
-    built = list(build_states(StateKind.NONLINEAR, d, amplitudes))
+    built = _block_rows(StateKind.NONLINEAR, d, amplitudes)
     assert len(built) == len(amplitudes)
     for amp, want, got in zip(amplitudes, expected, built):
-        assert _same_bits(got.amps, want), (d, amp)
+        assert _same_bits(got, want), (d, amp)
         assert _same_bits(nonlinear_qcs(d, amp).amps, want), (d, amp)
 
 
 def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
     d = 9
     amplitudes = np.linspace(-0.4, 2.0 * period(d), STATE_BLOCK + 5)
-    built = list(build_states("nonlinear", d, amplitudes))
+    built = _block_rows("nonlinear", d, amplitudes)
     assert len(built) == len(amplitudes)
-    for amp, state in zip(amplitudes, built):
-        assert _same_bits(state.amps, FockVector(_per_state_coefficients(d, amp)).amps), amp
+    for amp, row in zip(amplitudes, built):
+        assert _same_bits(row, FockVector(_per_state_coefficients(d, amp)).amps), amp
 
 
-def test_build_states_linear_family_matches_linear_qcs():
+def test_state_blocks_linear_family_matches_linear_qcs():
     amplitudes = [0.0, 0.7, 2.5 * np.exp(0.4j), 9.0]
-    built = list(build_states(StateKind.LINEAR, 12, amplitudes))
-    for amp, state in zip(amplitudes, built):
-        assert _same_bits(state.amps, linear_qcs(12, amp).amps)
+    built = _block_rows(StateKind.LINEAR, 12, amplitudes)
+    for amp, row in zip(amplitudes, built):
+        assert _same_bits(row, linear_qcs(12, amp).amps)
 
 
-def test_build_states_validates_like_a_spec():
+def test_state_blocks_validates_like_a_spec():
     with pytest.raises(ValueError):
-        list(build_states(StateKind.NONLINEAR, 1, [0.5]))
+        _block_rows(StateKind.NONLINEAR, 1, [0.5])
     with pytest.raises(ValueError):
-        list(build_states(StateKind.NONLINEAR, 4, [0.5, float("inf")]))
+        _block_rows(StateKind.NONLINEAR, 4, [0.5, float("inf")])
     with pytest.raises(ValueError):
-        list(build_states("squeezed", 4, [0.5]))
-    assert list(build_states(StateKind.LINEAR, 4, [])) == []
+        _block_rows("squeezed", 4, [0.5])
+    assert _block_rows(StateKind.LINEAR, 4, []) == []
