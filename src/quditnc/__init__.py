@@ -40,7 +40,7 @@ from .states import (
 )
 from .sweep import (
     NumericalError,
-    SweepRow,
+    SweepResult,
     SweepSpec,
     klyshko_bars,
     run_sweep,
@@ -70,7 +70,7 @@ __all__ = [
     "QcsSpec",
     "SingularMomentMatrix",
     "StateKind",
-    "SweepRow",
+    "SweepResult",
     "SweepSpec",
     "TwoModeAmplitudes",
     "WitnessEntry",

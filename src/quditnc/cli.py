@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -66,6 +67,13 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+def _integer(value, name: str) -> int:
+    # int() would truncate 3.9 and accept true: a config number must be a JSON integer.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
     # Accepts "hoa:1,a3", ["hoa:1", "a3"], or [["hoa", 1], ["a3", null]].
     if isinstance(value, str):
@@ -76,7 +84,7 @@ def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
             out.extend(_parse_quantities(item))
         else:
             ident, order = item
-            out.append((str(ident), None if order is None else int(order)))
+            out.append((str(ident), None if order is None else _integer(order, "order")))
     return tuple(out)
 
 
@@ -106,10 +114,10 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         fmt = args.format if args.format is not None else cfg.get("format", "csv")
         return SweepSpec(
             state_kind=StateKind(kind),
-            d_list=tuple(int(d) for d in d_list),
+            d_list=tuple(_integer(d, "d") for d in d_list),
             amp_start=amp_start,
             amp_stop=amp_stop,
-            steps=int(steps),
+            steps=_integer(steps, "steps"),
             quantities=quantities,
             output_format=fmt,
         )
@@ -126,14 +134,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
-    rows = run_sweep(spec)
-    import io
-
+    result = run_sweep(spec)
     buf = io.StringIO()
-    if spec.output_format == "csv":
-        write_rows_csv(rows, buf)
-    else:
-        write_rows_json(rows, buf)
+    (write_rows_csv if spec.output_format == "csv" else write_rows_json)(result, buf)
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -159,11 +159,6 @@ def mean_photon(state: FockVector) -> float:
     return float(StateBlock.of(state).mean[0])
 
 
-def factorial_moment(state: FockVector, k: int) -> float:
-    """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j."""
-    return float(StateBlock.of(state).factorial_moment(k)[0])
-
-
 def normal_moment(state: FockVector, n: int) -> float:
     """Normal-ordered moment <a+^n a^n>, the n-th factorial moment.
 
@@ -172,7 +167,7 @@ def normal_moment(state: FockVector, n: int) -> float:
     """
     if not 1 <= n <= 4:
         raise ValueError("normal_moment supports orders 1..4")
-    return factorial_moment(state, n)
+    return float(StateBlock.of(state).factorial_moment(n)[0])
 
 
 def number_moment(state: FockVector, n: int) -> float:

@@ -11,7 +11,7 @@ states and upper-bound them on superpositions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -245,15 +245,7 @@ class MeasureReport:
     argmax_n: int
 
     def as_dict(self) -> dict:
-        return {
-            "negativity_closed_form": self.negativity_closed_form,
-            "negativity_exact": self.negativity_exact,
-            "concurrence_closed_form": self.concurrence_closed_form,
-            "concurrence_exact": self.concurrence_exact,
-            "anticlassicality": self.anticlassicality,
-            "anticlassicality_excl_vacuum": self.anticlassicality_excl_vacuum,
-            "argmax_n": self.argmax_n,
-        }
+        return asdict(self)
 
 
 def measure_report(state: FockVector) -> MeasureReport:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, IO, Sequence
+from dataclasses import dataclass
+from typing import Callable, IO, Iterator, Sequence
 
 import numpy as np
 
@@ -58,13 +57,14 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 @dataclass(frozen=True)
 class Quantity:
-    """A sweep column: ``fn(block, order)`` gives one cell per state of the
-    block, a float or the singular sentinel."""
+    """A sweep column: ``fn(block, order)`` gives the values of the block's
+    states and the mask of those that get the singular sentinel (each an
+    array or a scalar that broadcasts over the block)."""
 
     ident: str
     needs_order: bool
     check_order: Callable[[int], bool]
-    fn: Callable[[StateBlock, int | None], Sequence[float | str]]
+    fn: Callable[[StateBlock, int | None], tuple[np.ndarray | float, np.ndarray | bool]]
 
 
 def _any_order(_: int) -> bool:
@@ -72,17 +72,16 @@ def _any_order(_: int) -> bool:
 
 
 def _ordered(ident: str, check_order: Callable[[int], bool], kernel) -> Quantity:
-    return Quantity(ident, True, check_order, lambda b, o: kernel(b, o).tolist())
+    return Quantity(ident, True, check_order, lambda b, o: (kernel(b, o), False))
 
 
 def _plain(ident: str, kernel) -> Quantity:
-    return Quantity(ident, False, _any_order, lambda b, _: kernel(b).tolist())
+    return Quantity(ident, False, _any_order, lambda b, _: (kernel(b), False))
 
 
-def _a3_cells(block: StateBlock, _: None) -> list[float | str]:
+def _a3_cells(block: StateBlock, _: None) -> tuple[np.ndarray, np.ndarray]:
     value, denom = agarwal_tara_block(block)
-    singular = np.abs(denom) <= A3_SINGULAR_TOL
-    return [SINGULAR_SENTINEL if s else v for v, s in zip(value.tolist(), singular.tolist())]
+    return value, np.abs(denom) <= A3_SINGULAR_TOL
 
 
 def _exact(ident: str) -> Quantity:
@@ -126,9 +125,8 @@ class SweepSpec:
     def validate(self) -> None:
         if not self.d_list:
             raise ValueError("at least one level count is required")
-        for d in self.d_list:
-            if d < 2:
-                raise ValueError("every level count must be at least 2")
+        if min(self.d_list) < 2:
+            raise ValueError("every level count must be at least 2")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         if not self.quantities:
@@ -144,87 +142,106 @@ class SweepSpec:
                     raise ValueError(f"order {order} is out of range for {ident!r}")
             elif order is not None:
                 raise ValueError(f"quantity {ident!r} does not take an order")
+        names = [column_name(ident, order) for ident, order in self.quantities]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"quantity {name!r} is requested twice")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepResult:
+    """A sweep's cells as columns: ``levels`` holds, per level count in grid
+    order, (d, amplitudes, values, singular), where ``values[j]`` is column
+    j's float64 cells and ``singular[j]`` masks those that hold the sentinel."""
+
     kind: str
-    d: int
-    amplitude: float
-    values: dict[str, float | str] = field(default_factory=dict)
+    names: tuple[str, ...]
+    levels: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return sum(len(amps) for _, amps, _, _ in self.levels)
+
+    def rows(self) -> Iterator[tuple[int, float, dict[str, float | str]]]:
+        """Each row's d, amplitude and cells (column name -> float or sentinel)."""
+        for d, amps, values, singular in self.levels:
+            columns = np.where(singular, SINGULAR_SENTINEL, values.astype(object)).tolist()
+            for amp, *cells in zip(amps.tolist(), *columns):
+                yield d, amp, dict(zip(self.names, cells))
 
 
-def _cells(ident: str, order: int | None, block: StateBlock) -> Sequence[float | str]:
-    try:
-        return QUANTITIES[ident].fn(block, order)
-    except OverflowError:
-        # A coefficient left the double range, whatever the state: every row
-        # of the column is non-finite.
-        return [math.inf] * len(block)
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
     Each column is computed once per block of states of one d (see
-    ``states.state_blocks``).  The singular moment-matrix ratio becomes the
-    string sentinel; any other non-finite value, or an overflow inside a
-    quantity, aborts with NumericalError naming the first such cell, row by
-    row and in column order within a row.
+    ``states.state_blocks``) into that d's column arrays.  A singular
+    moment-matrix ratio is masked as the sentinel; any other non-finite
+    value, or an overflow inside a quantity, aborts with NumericalError
+    naming the first such cell, row by row and in column order within a row.
     """
     spec.validate()
     kind = spec.state_kind.value
-    names = [column_name(ident, order) for ident, order in spec.quantities]
+    names = tuple(column_name(ident, order) for ident, order in spec.quantities)
     idents = [ident for ident, _ in spec.quantities]
-    rows: list[SweepRow] = []
+    levels = []
     for d in sorted(set(spec.d_list)):
         start = resolve_amplitude(spec.amp_start, d)
         stop = resolve_amplitude(spec.amp_stop, d)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("amplitude range must be finite")
         if start > stop:
             raise ValueError("amplitude range must be non-decreasing")
-        amps = np.linspace(start, stop, spec.steps).tolist()
+        amps = np.linspace(start, stop, spec.steps)
+        values = np.empty((len(names), spec.steps))
+        singular = np.zeros((len(names), spec.steps), dtype=bool)
         first = 0
-        for block in state_blocks(spec.state_kind, d, amps):
+        for block in state_blocks(spec.state_kind, d, amps.tolist()):
             # The exact measures share each chunk of two-mode amplitudes.
             exact_measures(block, idents)
-            columns = [_cells(ident, order, block) for ident, order in spec.quantities]
-            for amp, cells in zip(amps[first : first + len(block)], zip(*columns)):
-                for col, val in zip(names, cells):
-                    if val != SINGULAR_SENTINEL and not math.isfinite(val):
-                        raise NumericalError(
-                            f"{col} is non-finite at kind={kind} d={d} amplitude={amp!r}"
-                        )
-                rows.append(SweepRow(kind, d, amp, dict(zip(names, cells))))
+            rows = slice(first, first + len(block))
+            for j, (ident, order) in enumerate(spec.quantities):
+                try:
+                    values[j, rows], singular[j, rows] = QUANTITIES[ident].fn(block, order)
+                except OverflowError:  # a coefficient left the double range, whatever the state
+                    values[j, rows] = math.inf
+            bad = ~(np.isfinite(values[:, rows]) | singular[:, rows])
+            if bad.any():
+                # Flattened row by row, then in column order.
+                i, j = divmod(int(np.argmax(bad.T)), len(names))
+                raise NumericalError(
+                    f"{names[j]} is non-finite at kind={kind} d={d} "
+                    f"amplitude={float(amps[first + i])!r}"
+                )
             first += len(block)
-    return rows
+        levels.append((d, amps, values, singular))
+    return SweepResult(kind, names, tuple(levels))
 
 
-def _format_number(x: float) -> str:
-    return "%.17g" % x
+def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
+    """Write the header and every row, each number as ``%.17g``, in one write.
+
+    Each level count gets one line format, with ``%s`` for a column that
+    holds the sentinel (its cells formatted first); a row is a single ``%``.
+    """
+    lines = [",".join(("kind", "d", "amplitude", *result.names)) + "\n"]
+    for d, amps, values, singular in result.levels:
+        formats, columns = [], []
+        for cells, mask in zip(values.tolist(), singular):
+            if mask.any():
+                formats.append("%s")
+                cells = [SINGULAR_SENTINEL if s else "%.17g" % v for v, s in zip(cells, mask)]
+            else:
+                formats.append("%.17g")
+            columns.append(cells)
+        line = ",".join((result.kind, str(d), "%.17g", *formats)) + "\n"
+        lines.extend(map(line.__mod__, zip(amps.tolist(), *columns)))
+    stream.write("".join(lines))
 
 
-def write_rows_csv(rows: Sequence[SweepRow], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    columns = list(rows[0].values.keys()) if rows else []
-    writer.writerow(["kind", "d", "amplitude", *columns])
-    for row in rows:
-        cells = [row.kind, str(row.d), _format_number(row.amplitude)]
-        for col in columns:
-            v = row.values[col]
-            cells.append(v if isinstance(v, str) else _format_number(v))
-        writer.writerow(cells)
-
-
-def rows_as_dicts(rows: Sequence[SweepRow]) -> list[dict]:
-    return [
-        {"kind": r.kind, "d": r.d, "amplitude": r.amplitude, **r.values} for r in rows
-    ]
-
-
-def write_rows_json(rows: Sequence[SweepRow], stream: IO[str]) -> None:
-    json.dump(rows_as_dicts(rows), stream, indent=2)
+def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
+    rows = [{"kind": result.kind, "d": d, "amplitude": a, **c} for d, a, c in result.rows()]
+    json.dump(rows, stream, indent=2)
     stream.write("\n")
 
 

@@ -8,7 +8,7 @@ drive it to zero or above.  A value of exactly zero is not flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -196,15 +196,7 @@ class WitnessReport:
     entries: tuple[WitnessEntry, ...]
 
     def as_dicts(self) -> list[dict]:
-        return [
-            {
-                "name": e.name,
-                "order": e.order,
-                "value": e.value,
-                "nonclassical": e.nonclassical,
-            }
-            for e in self.entries
-        ]
+        return [asdict(e) for e in self.entries]
 
 
 def witness_report(

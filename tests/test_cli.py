@@ -1,6 +1,7 @@
 """Command-line behavior: verbs, exit codes, config handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,8 +91,19 @@ def test_bad_config_json_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize(
     "field",
-    [{"d_list": 5}, {"quantities": [5]}, {"steps": [3]}],
-    ids=["d_list", "quantities", "steps"],
+    [
+        {"d_list": 5},
+        {"quantities": [5]},
+        {"steps": [3]},
+        # int() would truncate these to d=3, steps=2 and order 1.
+        {"d_list": [3.9]},
+        {"d_list": [True]},
+        {"steps": 2.7},
+        {"steps": True},
+        {"quantities": [["hoa", 1.5]]},
+    ],
+    ids=["d_list", "quantities", "steps", "d-float", "d-bool"]
+    + ["steps-float", "steps-bool", "order-float"],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
     spec = {
@@ -106,6 +118,38 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
     cfg.write_text(json.dumps({**spec, **field}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed config")
+
+
+def test_duplicate_quantity_is_usage_error(tmp_path, capsys):
+    args = list(SWEEP_ARGS)
+    args[args.index("hoa:1,a3")] = "hoa:1,a3,hoa:1"
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: quantity 'hoa_1' is requested twice\n"
+    cfg = tmp_path / "sweep.json"
+    spec = {"state_kind": "linear", "d_list": [3], "amp_start": 0.5, "amp_stop": 2.0, "steps": 3}
+    cfg.write_text(json.dumps({**spec, "quantities": ["a3", ["a3", None]]}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: quantity 'a3' is requested twice\n"
+
+
+@pytest.mark.parametrize(
+    "kind,window",
+    [("linear", "0:1e400"), ("linear", "inf:inf"), ("nonlinear", "0:inf")],
+)
+def test_non_finite_range_fails_without_a_warning(kind, window):
+    # A fresh interpreter, so that numpy's warnings would reach stderr as they do for a user.
+    src = str(Path(quditnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = ["sweep", "--kind", kind, "--d", "3", "--range", window, "--steps", "2"]
+    out = subprocess.run(
+        [sys.executable, "-m", "quditnc.cli", *args, "--quantities", "hoa:1"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: amplitude range must be finite\n"
 
 
 def test_argparse_rejects_unknown_verb():
@@ -154,7 +198,7 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_non_finite_value_exits_three(monkeypatch, capsys):
-    bad = Quantity("hoa", True, lambda o: True, lambda block, o: [float("nan")] * len(block))
+    bad = Quantity("hoa", True, lambda o: True, lambda block, o: (math.nan, False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     assert main(SWEEP_ARGS) == 3
     assert "non-finite" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Grid sweeps, serialization, the target search, and the bar table."""
 
+import csv
 import io
 import json
 import math
@@ -26,10 +27,8 @@ from quditnc.sweep import (
     SINGULAR_SENTINEL,
     Quantity,
     QUANTITIES,
-    SweepRow,
     column_name,
     resolve_amplitude,
-    rows_as_dicts,
     write_rows_csv,
     write_rows_json,
 )
@@ -47,6 +46,37 @@ FULL_QUANTITIES = (
     ("anticlassicality", None),
     ("anticlassicality_excl_vacuum", None),
 )
+
+CRIT9_QUANTITIES = (
+    *(("hoa", l) for l in (1, 2, 3)),
+    ("hos", 2),
+    ("hos", 4),
+    *(("hosps", l) for l in (2, 3, 4)),
+    ("a3", None),
+    *(("klyshko", n) for n in (0, 1, 2)),
+    *((ident, None) for ident, _ in FULL_QUANTITIES[5:]),
+)
+
+
+def reference_csv(kind, names, rows):
+    """The row-by-row writer the sweep had before its columnar one.
+
+    ``rows`` yields (d, amplitude, {column name: float or sentinel}); every
+    number is written as ``"%.17g"`` through ``csv.writer``.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "d", "amplitude", *names])
+    for d, amp, values in rows:
+        cells = [v if isinstance(v, str) else "%.17g" % v for v in values.values()]
+        writer.writerow([kind, str(d), "%.17g" % amp, *cells])
+    return buf.getvalue()
+
+
+def _csv(result):
+    buf = io.StringIO()
+    write_rows_csv(result, buf)
+    return buf.getvalue()
 
 
 def test_resolve_amplitude_accepts_numbers_and_tokens():
@@ -98,21 +128,35 @@ def test_validate_rejects_bad_specs():
         _spec(output_format="yaml").validate()
 
 
+def test_validate_rejects_a_quantity_requested_twice():
+    with pytest.raises(ValueError, match="'hoa_1' is requested twice"):
+        _spec(quantities=(("hoa", 1), ("a3", None), ("hoa", 1))).validate()
+    _spec(quantities=(("hoa", 1), ("hoa", 2))).validate()
+
+
+def test_run_sweep_rejects_a_non_finite_range():
+    for start, stop in ((0.0, 1e400), (math.inf, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="amplitude range must be finite"):
+            run_sweep(_spec(amp_start=start, amp_stop=stop))
+
+
 def test_run_sweep_shape_and_order():
-    rows = run_sweep(_spec(d_list=(4, 3), steps=3))
-    assert len(rows) == 6
-    assert [r.d for r in rows] == [3, 3, 3, 4, 4, 4]
-    amps = [r.amplitude for r in rows[:3]]
+    result = run_sweep(_spec(d_list=(4, 3), steps=3))
+    rows = list(result.rows())
+    assert len(result) == 6
+    assert [d for d, _, _ in rows] == [3, 3, 3, 4, 4, 4]
+    amps = [amp for _, amp, _ in rows[:3]]
     assert amps == sorted(amps)
-    for row in rows:
-        assert set(row.values) == {"hoa_1"}
-        assert isinstance(row.values["hoa_1"], float)
+    for _, _, values in rows:
+        assert set(values) == {"hoa_1"}
+        assert isinstance(values["hoa_1"], float)
 
 
 def test_run_sweep_resolves_tokens_per_level_count():
-    rows = run_sweep(_spec(state_kind=StateKind.NONLINEAR, d_list=(2, 3), amp_stop="Td/2", steps=2))
-    assert rows[1].amplitude == pytest.approx(period(2) / 2.0)
-    assert rows[3].amplitude == pytest.approx(period(3) / 2.0)
+    spec = _spec(state_kind=StateKind.NONLINEAR, d_list=(2, 3), amp_stop="Td/2", steps=2)
+    amps = [amp for _, amp, _ in run_sweep(spec).rows()]
+    assert amps[1] == pytest.approx(period(2) / 2.0)
+    assert amps[3] == pytest.approx(period(3) / 2.0)
 
 
 def test_run_sweep_emits_singular_sentinel():
@@ -124,17 +168,43 @@ def test_run_sweep_emits_singular_sentinel():
         steps=3,
         quantities=(("a3", None), ("hoa", 1)),
     )
-    rows = run_sweep(spec)
-    assert rows[0].values["a3"] == SINGULAR_SENTINEL
-    assert isinstance(rows[0].values["hoa_1"], float)
-    assert isinstance(rows[2].values["a3"], float)
+    rows = [values for _, _, values in run_sweep(spec).rows()]
+    assert rows[0]["a3"] == SINGULAR_SENTINEL
+    assert isinstance(rows[0]["hoa_1"], float)
+    assert isinstance(rows[2]["a3"], float)
 
 
 def test_run_sweep_raises_on_non_finite_values(monkeypatch):
-    bad = Quantity("hoa", True, lambda o: True, lambda block, o: [float("inf")] * len(block))
+    bad = Quantity("hoa", True, lambda o: True, lambda block, o: (math.inf, False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     with pytest.raises(NumericalError):
         run_sweep(_spec())
+
+
+def _bad_from(row, value):
+    # Non-finite from the given row of the d=4 block on, finite elsewhere.
+    def fn(block, order):
+        rows = np.arange(len(block))
+        return np.where((block.dim == 4) & (rows >= row), value, 0.0), False
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "hoa_row,klyshko_row,column,row",
+    [(4, 2, "klyshko_0", 2), (2, 4, "hoa_1", 2), (3, 3, "hoa_1", 3)],
+)
+def test_run_sweep_names_the_first_non_finite_cell(monkeypatch, hoa_row, klyshko_row, column, row):
+    # Row by row first, then in column order within the row.
+    for ident, first_bad, value in (("hoa", hoa_row, np.inf), ("klyshko", klyshko_row, np.nan)):
+        bad = Quantity(ident, True, lambda o: True, _bad_from(first_bad, value))
+        monkeypatch.setitem(QUANTITIES, ident, bad)
+    spec = _spec(d_list=(4, 3), steps=6, quantities=(("hoa", 1), ("klyshko", 0)))
+    amplitude = np.linspace(0.0, 3.0, 6).tolist()[row]
+    message = f"{column} is non-finite at kind=linear d=4 amplitude={amplitude!r}"
+    with pytest.raises(NumericalError) as info:
+        run_sweep(spec)
+    assert str(info.value) == message
 
 
 def test_run_sweep_csv_equals_a_loop_over_build_state():
@@ -161,32 +231,60 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
                 column_name(ident, order): float(per_state[ident](state, order))
                 for ident, order in quantities
             }
-            expected.append(SweepRow("nonlinear", d, float(amp), values))
-    got, want = io.StringIO(), io.StringIO()
-    write_rows_csv(run_sweep(spec), got)
-    write_rows_csv(expected, want)
-    assert got.getvalue() == want.getvalue()
+            expected.append((d, float(amp), values))
+    names = [column_name(ident, order) for ident, order in quantities]
+    assert _csv(run_sweep(spec)) == reference_csv("nonlinear", names, expected)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Criterion 9: eighteen columns, and a3 is singular at amplitude 0.
+        _spec(
+            state_kind=StateKind.NONLINEAR,
+            d_list=(5,),
+            amp_stop="Td/2",
+            steps=400,
+            quantities=CRIT9_QUANTITIES,
+        ),
+        # Three level counts, each split across two blocks; the sentinel
+        # column changes its line format from one level count to the next.
+        _spec(
+            state_kind=StateKind.NONLINEAR,
+            d_list=(7, 2, 12),
+            amp_start=0.05,
+            amp_stop="Td/2",
+            steps=STATE_BLOCK + 5,
+            quantities=FULL_QUANTITIES,
+        ),
+    ],
+    ids=["crit9", "multi-d"],
+)
+def test_csv_equals_the_row_by_row_writer(spec):
+    result = run_sweep(spec)
+    assert len(result) == len(set(spec.d_list)) * spec.steps
+    want = reference_csv(result.kind, result.names, result.rows())
+    assert SINGULAR_SENTINEL in want
+    assert _csv(result) == want
 
 
 def test_csv_round_trips_doubles():
-    rows = run_sweep(_spec(quantities=FULL_QUANTITIES, steps=5, amp_start=0.2))
-    buf = io.StringIO()
-    write_rows_csv(rows, buf)
-    lines = buf.getvalue().strip().split("\n")
+    result = run_sweep(_spec(quantities=FULL_QUANTITIES, steps=5, amp_start=0.2))
+    lines = _csv(result).strip().split("\n")
     header = lines[0].split(",")
     assert header[:3] == ["kind", "d", "amplitude"]
     assert len(lines) == 6
-    for line, row in zip(lines[1:], rows):
+    for line, (d, amp, values) in zip(lines[1:], result.rows()):
         cells = line.split(",")
         assert cells[0] == "linear"
-        assert int(cells[1]) == row.d
-        assert float(cells[2]) == row.amplitude
+        assert int(cells[1]) == d
+        assert float(cells[2]) == amp
         for name, cell in zip(header[3:], cells[3:]):
-            assert float(cell) == row.values[name]
+            assert float(cell) == values[name]
 
 
 def test_csv_writes_sentinel_verbatim():
-    rows = run_sweep(
+    result = run_sweep(
         _spec(
             state_kind=StateKind.NONLINEAR,
             d_list=(4,),
@@ -195,28 +293,22 @@ def test_csv_writes_sentinel_verbatim():
             quantities=(("a3", None),),
         )
     )
-    buf = io.StringIO()
-    write_rows_csv(rows, buf)
-    assert "singular" in buf.getvalue().split("\n")[1]
+    assert "singular" in _csv(result).split("\n")[1]
 
 
 def test_json_rows_match_csv_content():
-    rows = run_sweep(_spec(steps=3))
-    payload = rows_as_dicts(rows)
+    result = run_sweep(_spec(steps=3))
+    payload = [{"kind": "linear", "d": d, "amplitude": a, **v} for d, a, v in result.rows()]
     assert [p["d"] for p in payload] == [3, 3, 3]
     assert set(payload[0]) == {"kind", "d", "amplitude", "hoa_1"}
     buf = io.StringIO()
-    write_rows_json(rows, buf)
+    write_rows_json(result, buf)
     assert json.loads(buf.getvalue()) == payload
 
 
 def test_sweep_is_deterministic():
     spec = _spec(quantities=FULL_QUANTITIES, d_list=(3, 5), steps=7)
-    first = io.StringIO()
-    second = io.StringIO()
-    write_rows_csv(run_sweep(spec), first)
-    write_rows_csv(run_sweep(spec), second)
-    assert first.getvalue() == second.getvalue()
+    assert _csv(run_sweep(spec)) == _csv(run_sweep(spec))
 
 
 def test_klyshko_bars_two_levels():
