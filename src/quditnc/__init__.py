@@ -32,7 +32,6 @@ from .states import (
     QcsSpec,
     StateKind,
     build_state,
-    he_eval,
     he_roots,
     linear_qcs,
     nonlinear_qcs,
@@ -83,7 +82,6 @@ __all__ = [
     "concurrence_closed_form",
     "concurrence_exact",
     "fock_state",
-    "he_eval",
     "he_roots",
     "hm_quadrature_moment",
     "hoa",

@@ -102,6 +102,9 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
             amp_stop = cfg.get("amp_stop")
             if amp_start is None or amp_stop is None:
                 raise ValueError("an amplitude range is required (--range or config)")
+            for name in ("amp_start", "amp_stop"):
+                if isinstance(cfg[name], bool):  # float(true) would sweep from 1.0
+                    raise TypeError(f"{name} must be a number or a token, got {cfg[name]!r}")
         steps = args.steps if args.steps is not None else cfg.get("steps")
         if steps is None:
             raise ValueError("a step count is required (--steps or config)")

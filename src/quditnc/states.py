@@ -2,11 +2,13 @@
 
 Two inequivalent truncations of the optical coherent state are provided.
 ``nonlinear_qcs`` applies the truncated displacement exponential to the
-vacuum; its amplitudes are evaluated through a spectral sum over the roots
-of the degree-d probabilists' Hermite polynomial, with Christoffel-style
-weights.  ``linear_qcs`` truncates the Poissonian Fock expansion and
-renormalizes.  The two families behave very differently: the nonlinear
-state is periodic in the amplitude argument while the linear one is not.
+vacuum; its amplitudes are evaluated in the eigenbasis of the truncated
+quadrature a + a+, whose eigenvalues are the roots of the degree-d
+probabilists' Hermite polynomial.  ``he_roots`` computes that eigenbasis
+once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs``
+truncates the Poissonian Fock expansion and renormalizes.  The two
+families behave very differently: the nonlinear state is periodic in the
+amplitude argument while the linear one is not.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .fock import FockVector, StateBlock, normalized_rows, row_dots
-
-MAX_HERMITE_DEGREE = 200
-MAX_ROOT_DEGREE = 60
 
 # Cephes lgam (Moshier, Methods and Programs for Mathematical Functions, 1989): log sqrt(2 pi)
 # and the correction to Stirling's series, a polynomial in 1/x^2, highest power first. Cephes
@@ -77,109 +76,47 @@ class QcsSpec:
 
 @dataclass(frozen=True)
 class HermiteRootSet:
-    """The real roots of He_degree, sorted ascending."""
+    """The roots x_k of He_degree, ascending, and the unit eigenvectors of its
+    Jacobi matrix as columns: vectors[n, k] = +-He_n(x_k) sqrt(w_k / n!), with w_k
+    the Gauss weights (Golub and Welsch, Math. Comp. 23, 1969)."""
 
     degree: int
     roots: np.ndarray
-
-
-def _he_values(n: int, x: np.ndarray) -> np.ndarray:
-    # Three-term recurrence He_{m+1} = x He_m - m He_{m-1}, vectorized over x.
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    for m in range(n):
-        h, h_prev = x * h - m * h_prev, h
-    return h
-
-
-def he_eval(n: int, x: float) -> float:
-    """Probabilists' Hermite polynomial He_n(x) by the three-term recurrence."""
-    if n < 0 or n > MAX_HERMITE_DEGREE:
-        raise ValueError(f"degree must be within 0..{MAX_HERMITE_DEGREE}")
-    return float(_he_values(n, np.asarray([x], dtype=float))[0])
-
-
-def he_roots(d: int) -> HermiteRootSet:
-    """All d roots of He_d, ascending, polished to near machine precision.
-
-    The roots are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    with zero diagonal and off-diagonal sqrt(1) .. sqrt(d-1).  One Newton
-    step against the recurrence (using He_d' = d He_{d-1}) tightens each
-    eigenvalue, and averaging against the negated reversal enforces the
-    exact symmetry x_k = -x_{d-1-k}.
-    """
-    if not 1 <= d <= MAX_ROOT_DEGREE:
-        raise ValueError(f"root degree must be within 1..{MAX_ROOT_DEGREE}")
-    # eigvalsh reads only the lower triangle, so the subdiagonal suffices.
-    jacobi = np.diag(np.sqrt(np.arange(1.0, d)), k=-1)
-    x = np.linalg.eigvalsh(jacobi)
-    x = x - _he_values(d, x) / (d * _he_values(d - 1, x))
-    x = 0.5 * (x - x[::-1])
-    x.setflags(write=False)
-    return HermiteRootSet(degree=d, roots=x)
-
-
-@dataclass(frozen=True)
-class _SpectralBasis:
-    """Everything in the nonlinear spectral sum that depends on d alone."""
-
-    roots: np.ndarray  # x_k, shape (d,)
-    weights: np.ndarray  # w_k, shape (d,)
-    he_table: np.ndarray  # He_n(x_k), shape (d, d), row n
-    inv_sqrt_factorial: np.ndarray  # (n!)^{-1/2}, shape (d,)
+    vectors: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _spectral_basis(d: int) -> _SpectralBasis:
-    x = np.asarray(he_roots(d).roots, dtype=float)
-    log_f = _log_factorials(d)
-    log_w = log_f[d - 1] - math.log(d) - 2.0 * np.log(np.abs(_he_values(d - 1, x)))
-    table = np.empty((d, d))
-    table[0] = 1.0
-    h_prev = np.ones_like(x)
-    h = x.copy()
-    for n in range(1, d):
-        table[n] = h
-        h, h_prev = x * h - n * h_prev, h
-    basis = _SpectralBasis(
-        roots=x,
-        weights=np.exp(log_w),
-        he_table=table,
-        inv_sqrt_factorial=np.exp(-0.5 * log_f),
-    )
-    for arr in vars(basis).values():
-        arr.setflags(write=False)
-    return basis
+def he_roots(d: int) -> HermiteRootSet:
+    """The eigensystem, read-only, of the truncated quadrature a + a+ on d levels: the
+    Jacobi matrix of He_d, with zero diagonal and off-diagonal sqrt(1) .. sqrt(d-1)."""
+    if d < 1:
+        raise ValueError("root degree must be at least 1")
+    # eigh reads only the lower triangle, so the subdiagonal suffices.
+    roots, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, d)), k=-1))
+    roots.setflags(write=False)
+    vectors.setflags(write=False)
+    return HermiteRootSet(degree=d, roots=roots, vectors=vectors)
 
 
 def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
-    """Raw spectral-sum amplitudes, one row per amplitude, before renormalizing.
+    """Raw amplitudes exp(alpha a+ - alpha* a)|0>, one row per amplitude, before renormalizing.
 
-    The truncated displacement generator is a Jacobi matrix whose spectrum
-    is the He_d root set; expanding the vacuum column of its exponential in
-    that eigenbasis gives, for level n,
+    The generator is e^{i phi0} a+ - e^{-i phi0} a, which the level phases
+    e^{i n (phi0 - pi/2)} turn into i |alpha| (a + a+).  Expanding the vacuum
+    in the eigenbasis V of a + a+ gives, for level n,
 
-        c_n = (n!)^{-1/2} e^{i n (phi0 - pi/2)}
-              * sum_k w_k He_n(x_k) e^{i x_k |alpha|},
+        c_n = e^{i n (phi0 - pi/2)} sum_k V[n, k] V[0, k] e^{i x_k |alpha|},
 
-    with weights w_k = (d-1)! / (d * He_{d-1}(x_k)^2) that sum to one.
-    Each level is reduced on its own row of He_n(x_k), so every amplitude
-    sees the same summation order as a single-state evaluation.
+    which does not depend on the signs of V's columns.  Each row is its own
+    vector-matrix product, so a row's bits do not depend on its block.
     """
-    basis = _spectral_basis(d)
+    basis = he_roots(d)
     alphas = [complex(a) for a in np.atleast_1d(alphas)]
     moduli = np.array([abs(a) for a in alphas])
     phi0 = np.array([math.atan2(a.imag, a.real) for a in alphas])
-    weighted_phase = basis.weights * np.exp(1j * basis.roots * moduli[:, None])
-
-    c = np.empty((len(alphas), d), dtype=complex)
-    c[:, 0] = weighted_phase.sum(axis=1)
-    for n in range(1, d):
-        c[:, n] = (basis.he_table[n] * weighted_phase).sum(axis=1)
-
-    levels = np.arange(d)
-    c *= basis.inv_sqrt_factorial
-    c *= np.exp(1j * levels * (phi0[:, None] - 0.5 * math.pi))
+    weighted_phase = basis.vectors[0] * np.exp(1j * basis.roots * moduli[:, None])
+    c = np.matmul(weighted_phase[:, None, :], basis.vectors.T)[:, 0]
+    c *= np.exp(1j * np.arange(d) * (phi0[:, None] - 0.5 * math.pi))
     return c
 
 

@@ -263,8 +263,8 @@ def table1_search(tolerance: float) -> dict:
     reported, together with every d whose value lands within the tolerance
     and the nearest d when none does.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
     tokens = [token for token, _ in TABLE1_TARGETS]
     points: dict[tuple[str, str], list[dict]] = {}
     for kind in (StateKind.NONLINEAR, StateKind.LINEAR):

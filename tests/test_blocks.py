@@ -58,7 +58,7 @@ def _columns(kind, d, amplitudes):
 
 
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
-@pytest.mark.parametrize("d", [2, 5, 12])
+@pytest.mark.parametrize("d", [2, 5, 12, 100])
 def test_a_rows_values_do_not_depend_on_its_block(kind, d):
     amplitudes = list(np.linspace(0.0, period(d), 23)) + [1.3 * np.exp(0.8j), -0.6]
     whole = _columns(kind, d, amplitudes)

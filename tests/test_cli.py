@@ -101,9 +101,12 @@ def test_bad_config_json_is_usage_error(tmp_path):
         {"steps": 2.7},
         {"steps": True},
         {"quantities": [["hoa", 1.5]]},
+        # float() would sweep from 1.0 to 2.0 and from 0.5 to 0.0.
+        {"amp_start": True},
+        {"amp_stop": False},
     ],
     ids=["d_list", "quantities", "steps", "d-float", "d-bool"]
-    + ["steps-float", "steps-bool", "order-float"],
+    + ["steps-float", "steps-bool", "order-float", "amp_start-bool", "amp_stop-bool"],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
     spec = {
@@ -249,6 +252,28 @@ def test_table1_verb(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["cells"]) == 6
     assert all(cell["matched"] for cell in payload["cells"])
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_table1_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    # nan matched no cell and wrote a bare NaN into the JSON; inf matched every cell.
+    assert main(["table1", f"--tolerance={tolerance}"]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--kind", "nonlinear", "--d", "61", "--range", "0:Td/2", "--steps", "3"]
+        + ["--quantities", "hoa:1,anticlassicality"],
+        ["report", "--kind", "nonlinear", "--d", "61", "--amplitude", "Td/4"],
+        ["klyshko", "--kind", "nonlinear", "--d", "61", "--amplitudes", "Td/2,Td/4"],
+    ],
+    ids=["sweep", "report", "klyshko"],
+)
+def test_nonlinear_verbs_run_past_sixty_levels(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr().out
 
 
 def test_klyshko_verb(capsys):

@@ -1,4 +1,4 @@
-"""Coherent-state constructions: Hermite machinery, both families, periods."""
+"""Coherent-state constructions: the Hermite eigenbasis, both families, periods."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import gammaln
 
 from quditnc import (
@@ -13,7 +14,6 @@ from quditnc import (
     QcsSpec,
     StateKind,
     build_state,
-    he_eval,
     he_roots,
     linear_qcs,
     mean_photon,
@@ -21,35 +21,8 @@ from quditnc import (
     period,
     photon_probabilities,
 )
+from quditnc.oracle import displacement_exponential
 from quditnc.states import STATE_BLOCK, _log_factorials, _nonlinear_coefficients, state_blocks
-
-
-def _physicists_hermite(n, x):
-    h_prev, h = 0.0, 1.0
-    for m in range(n):
-        h, h_prev = 2.0 * x * h - 2.0 * m * h_prev, h
-    return h
-
-
-@pytest.mark.parametrize("n", range(13))
-def test_he_eval_matches_rescaled_physicists_polynomial(n):
-    # He_n(x) = 2^(-n/2) H_n(x / sqrt 2)
-    for x in np.linspace(-4.0, 4.0, 17):
-        expected = 2.0 ** (-0.5 * n) * _physicists_hermite(n, x / math.sqrt(2.0))
-        assert he_eval(n, x) == pytest.approx(expected, rel=1e-10, abs=1e-10)
-
-
-def test_he_eval_landmark():
-    assert he_eval(2, 2.0) == pytest.approx(3.0, abs=1e-14)
-    assert he_eval(0, 5.0) == 1.0
-    assert he_eval(1, 5.0) == 5.0
-
-
-def test_he_eval_degree_domain():
-    with pytest.raises(ValueError):
-        he_eval(-1, 0.0)
-    with pytest.raises(ValueError):
-        he_eval(201, 0.0)
 
 
 def test_he_roots_small_degrees():
@@ -59,22 +32,29 @@ def test_he_roots_small_degrees():
     assert r3 == pytest.approx([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], abs=1e-12)
 
 
-@pytest.mark.parametrize("d", [2, 5, 10, 20, 40, 60])
-def test_he_roots_residuals_and_symmetry(d):
-    roots = he_roots(d).roots
-    assert np.all(np.diff(roots) > 0)
-    assert np.max(np.abs(roots + roots[::-1])) == 0.0
-    # Newton residual normalized by the local derivative scale.
-    for x in roots:
-        step = he_eval(d, x) / (d * he_eval(d - 1, x))
-        assert abs(step) < 1e-12
+@pytest.mark.parametrize("d", [2, 3, 5, 20, 60, 100, 150])
+def test_he_roots_are_the_gauss_hermite_rule(d):
+    # Golub-Welsch: the eigenvalues are the Gauss nodes, and the squared first
+    # components of the unit eigenvectors are the weights of the unit-mass rule.
+    nodes, weights = hermegauss(d)
+    basis = he_roots(d)
+    assert basis.degree == d
+    assert np.max(np.abs(basis.roots - nodes)) < 1e-13
+    assert np.max(np.abs(basis.vectors[0] ** 2 - weights / math.sqrt(2.0 * math.pi))) < 1e-14
+    assert not basis.roots.flags.writeable and not basis.vectors.flags.writeable
+    assert he_roots(d) is basis
 
 
 def test_he_roots_degree_domain():
     with pytest.raises(ValueError):
         he_roots(0)
-    with pytest.raises(ValueError):
-        he_roots(61)
+
+
+@pytest.mark.parametrize("d", [61, 100, 200, 400])
+def test_nonlinear_matches_the_dense_oracle_past_sixty_levels(d):
+    for alpha in (0.7, period(d) / 4.0, period(d) / 2.0, 1.3 - 2.2j, -4.0 + 0.5j):
+        dense = displacement_exponential(d, alpha).amps
+        assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - dense)) < 1e-13, alpha
 
 
 def test_nonlinear_two_level_closed_form():
@@ -211,24 +191,13 @@ def test_mean_photon_stays_below_top_level():
 
 
 def _per_state_coefficients(d, alpha):
-    # The spectral sum evaluated one amplitude at a time, every d-only
-    # factor recomputed: the arithmetic the batched build must reproduce.
+    # The eigenbasis sum evaluated one amplitude at a time, the eigenbasis
+    # recomputed: the arithmetic the batched build must reproduce.
     alpha = complex(alpha)
-    x = np.asarray(he_roots(d).roots, dtype=float)
-    h_top = np.array([he_eval(d - 1, xk) for xk in x])
-    log_w = gammaln(d) - math.log(d) - 2.0 * np.log(np.abs(h_top))
-    weighted_phase = np.exp(log_w) * np.exp(1j * x * abs(alpha))
-    c = np.empty(d, dtype=complex)
-    c[0] = weighted_phase.sum()
-    h_prev = np.ones_like(x)
-    h = x.copy()
-    for n in range(1, d):
-        c[n] = np.sum(h * weighted_phase)
-        h, h_prev = x * h - n * h_prev, h
+    x, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, d)), k=-1))
+    c = np.matmul(v[0] * np.exp(1j * x * abs(alpha)), v.T)
     phi0 = math.atan2(alpha.imag, alpha.real)
-    levels = np.arange(d)
-    c *= np.exp(-0.5 * gammaln(levels + 1.0))
-    c *= np.exp(1j * levels * (phi0 - 0.5 * math.pi))
+    c *= np.exp(1j * np.arange(d) * (phi0 - 0.5 * math.pi))
     return c
 
 
