@@ -20,7 +20,7 @@ from .fock import FockVector, StateBlock
 
 TWO_MODE_NORM_TOL = 1e-9
 
-#: Complex entries in one stack of two-mode amplitude matrices that the exact
+#: Entries in one stack of two-mode amplitude matrices that the exact
 #: measures build at a time (at least one state per stack), which bounds
 #: their memory on long grids at large d.
 TWO_MODE_CHUNK = 8192
@@ -88,12 +88,14 @@ def _split_stack(amps: np.ndarray) -> np.ndarray:
     """Two-mode amplitudes after the splitter for each row of an (S, d) array.
 
     |n> splits into a superposition over (j, n-j) with amplitude
-    2^(-n/2) sqrt(C(n, j)); the result has shape (S, d, d).
+    2^(-n/2) sqrt(C(n, j)); the result has shape (S, d, d) and the dtype of
+    ``amps``.  Each matrix is exactly symmetric, as sqrt(C(n, j)) and
+    sqrt(C(n, n-j)) are the same double.
     """
     d = amps.shape[1]
     table = _split_table(d)
     scaled = amps * table.scale
-    out = np.zeros((amps.shape[0], d, d), dtype=complex)
+    out = np.zeros((amps.shape[0], d, d), dtype=scaled.dtype)
     out[:, table.left, table.right] = scaled[:, table.level] * table.sqrt_binomial
     return out
 
@@ -134,9 +136,20 @@ def negativity_potential_closed_form(state: FockVector) -> float:
 
 
 def _log_negativity_stack(stack: np.ndarray) -> list[float]:
-    # 2 log2 of the singular-value sum of each amplitude matrix.
-    sigma_sums = np.linalg.svd(stack, compute_uv=False).sum(axis=1)
-    return [2.0 * math.log2(s) for s in sigma_sums.tolist()]
+    # 2 log2 of the singular-value sum of each amplitude matrix.  A real
+    # stack is real symmetric, so its singular values are |eigenvalues|.
+    if np.iscomplexobj(stack):
+        sigma = np.linalg.svd(stack, compute_uv=False)
+    else:
+        sigma = np.abs(np.linalg.eigvalsh(stack))
+    return [2.0 * math.log2(s) for s in sigma.sum(axis=1).tolist()]
+
+
+def _stack_of(two_mode: TwoModeAmplitudes) -> np.ndarray:
+    # A stack of one, real when no imaginary part is set, as exact_measures
+    # builds it for a real row.
+    amps = two_mode.amps
+    return (amps if amps.imag.any() else amps.real)[None]
 
 
 def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
@@ -144,18 +157,20 @@ def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
 
     For a pure two-mode state the trace norm of the partial transpose is
     the squared sum of Schmidt coefficients, i.e. of singular values of the
-    amplitude matrix.
+    amplitude matrix.  A real amplitude matrix is symmetric, and its
+    singular values are the moduli of its eigenvalues.
     """
-    return _log_negativity_stack(two_mode.amps[None])[0]
+    return _log_negativity_stack(_stack_of(two_mode))[0]
 
 
 def _purity_proxy(block: StateBlock) -> np.ndarray:
     # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2,
-    # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).
+    # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).  The weight C(2n, n)/4^n
+    # is below 1 and correctly rounded by the integer division at every n.
     fourth = np.float_power(_moduli(block), 4)
     total = np.zeros(len(block))
     for n in range(block.dim):
-        total = total + fourth[:, n] * 4.0 ** (-n) * float(math.comb(2 * n, n))
+        total = total + fourth[:, n] * (math.comb(2 * n, n) / 4**n)
     return total
 
 
@@ -182,7 +197,7 @@ def _concurrence_stack(stack: np.ndarray) -> list[float]:
 
 def concurrence_exact(two_mode: TwoModeAmplitudes) -> float:
     """Concurrence from the exact reduced purity of one output mode."""
-    return _concurrence_stack(two_mode.amps[None])[0]
+    return _concurrence_stack(_stack_of(two_mode))[0]
 
 
 def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
@@ -192,19 +207,26 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
     The values are kept on the block.  Those not kept yet are computed
     together, at most TWO_MODE_CHUNK two-mode amplitudes at a time: each
     chunk's amplitudes are built once and serve every measure asked for.
+    The rows whose amplitudes have no imaginary part are chunked apart from
+    the others and split into float64 matrices, so each row takes its
+    route (eigenvalues or SVD) whatever block it sits in.
     """
     kernels = {"negativity_exact": _log_negativity_stack, "concurrence_exact": _concurrence_stack}
     names = [ident for ident in dict.fromkeys(idents) if ident in kernels]
     missing = [name for name in names if ("exact", name) not in block.kept]
     if missing:
-        rows = max(1, TWO_MODE_CHUNK // block.dim**2)
-        values: dict[str, list] = {name: [] for name in missing}
-        for first in range(0, len(block), rows):
-            stack = _split_stack(block.amps[first : first + rows])
-            for name in missing:
-                values[name].extend(kernels[name](stack))
+        step = max(1, TWO_MODE_CHUNK // block.dim**2)
+        values = {name: np.empty(len(block)) for name in missing}
+        complex_rows = block.amps.imag.any(axis=1)
+        for rows, amps in ((~complex_rows, block.amps.real), (complex_rows, block.amps)):
+            index = np.flatnonzero(rows)
+            for first in range(0, len(index), step):
+                chunk = index[first : first + step]
+                stack = _split_stack(amps[chunk])
+                for name in missing:
+                    values[name][chunk] = kernels[name](stack)
         for name in missing:
-            block.kept["exact", name] = np.array(values[name])
+            block.kept["exact", name] = values[name]
     return {name: block.kept["exact", name] for name in names}
 
 

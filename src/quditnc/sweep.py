@@ -197,8 +197,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         singular = np.zeros((len(names), spec.steps), dtype=bool)
         first = 0
         for block in state_blocks(spec.state_kind, d, amps.tolist()):
-            # The exact measures share each chunk of two-mode amplitudes.
-            exact_measures(block, idents)
+            try:  # the exact measures share each chunk of two-mode amplitudes
+                exact_measures(block, idents)
+            except OverflowError:  # each exact column meets it again and reads inf
+                pass
             rows = slice(first, first + len(block))
             for j, (ident, order) in enumerate(spec.quantities):
                 try:
@@ -218,6 +220,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(kind, names, tuple(levels))
 
 
+def _level_columns(
+    values: np.ndarray, singular: np.ndarray, number: str, sentinel: str
+) -> tuple[list[str], list[list]]:
+    # Each column of one level count with its cell format: ``number`` for the
+    # floats, or ``%s`` for a column that holds the sentinel, whose cells are
+    # formatted here.
+    formats, columns = [], []
+    for cells, mask in zip(values.tolist(), singular):
+        if mask.any():
+            formats.append("%s")
+            cells = [sentinel if s else number % v for v, s in zip(cells, mask)]
+        else:
+            formats.append(number)
+        columns.append(cells)
+    return formats, columns
+
+
 def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
     """Write the header and every row, each number as ``%.17g``, in one write.
 
@@ -226,23 +245,27 @@ def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
     """
     lines = [",".join(("kind", "d", "amplitude", *result.names)) + "\n"]
     for d, amps, values, singular in result.levels:
-        formats, columns = [], []
-        for cells, mask in zip(values.tolist(), singular):
-            if mask.any():
-                formats.append("%s")
-                cells = [SINGULAR_SENTINEL if s else "%.17g" % v for v, s in zip(cells, mask)]
-            else:
-                formats.append("%.17g")
-            columns.append(cells)
+        formats, columns = _level_columns(values, singular, "%.17g", SINGULAR_SENTINEL)
         line = ",".join((result.kind, str(d), "%.17g", *formats)) + "\n"
         lines.extend(map(line.__mod__, zip(amps.tolist(), *columns)))
     stream.write("".join(lines))
 
 
 def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
-    rows = [{"kind": result.kind, "d": d, "amplitude": a, **c} for d, a, c in result.rows()]
-    json.dump(rows, stream, indent=2)
-    stream.write("\n")
+    """Write the rows as ``json.dump(rows, indent=2)`` and a newline, in one write.
+
+    Each level count gets one object format, with ``%r`` per number (the
+    ``repr`` that json writes for a float) and ``%s`` for a column that
+    holds the sentinel (its cells encoded first); a row is a single ``%``.
+    """
+    keys = [json.dumps(name) for name in ("kind", "d", "amplitude", *result.names)]
+    objects = []
+    for d, amps, values, singular in result.levels:
+        formats, columns = _level_columns(values, singular, "%r", json.dumps(SINGULAR_SENTINEL))
+        fields = (json.dumps(result.kind), str(d), "%r", *formats)
+        obj = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
+        objects.extend(map(obj.__mod__, zip(amps.tolist(), *columns)))
+    stream.write("[\n" + ",\n".join(objects) + "\n]\n")
 
 
 #: Anticlassicality targets searched by table1_search: amplitude token ->

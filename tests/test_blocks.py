@@ -129,6 +129,11 @@ def _per_state_cells(state):
 
     two = measures.beamsplit(state).amps
     rho = two @ two.conj().T
+    # A real two-mode matrix is symmetric: its singular values are |eigenvalues|.
+    if two.imag.any():
+        sigma = np.linalg.svd(two, compute_uv=False)
+    else:
+        sigma = np.abs(np.linalg.eigvalsh(two.real))
     neg_closed, conc_closed = closed_forms()
     cells = {
         "hoa_1": factorial(2) - mean**2,
@@ -141,7 +146,7 @@ def _per_state_cells(state):
         "klyshko_0": 2 * at(0) * at(2) - 1 * at(1) ** 2,
         "klyshko_3": 5 * at(3) * at(5) - 4 * at(4) ** 2,
         "negativity_closed_form": neg_closed,
-        "negativity_exact": 2.0 * math.log2(float(np.linalg.svd(two, compute_uv=False).sum())),
+        "negativity_exact": 2.0 * math.log2(float(sigma.sum())),
         "concurrence_closed_form": conc_closed,
         "concurrence_exact": math.sqrt(max(2.0 * (1.0 - float(np.sum(np.abs(rho) ** 2))), 0.0)),
         "anticlassicality": float(p.max()),
@@ -204,6 +209,26 @@ def test_exact_measures_are_exact_across_two_mode_chunks(kind, monkeypatch):
     assert [measures.concurrence_exact(measures.beamsplit(s)) for s in states] == list(
         chunked["concurrence_exact"]
     )
+
+
+def test_a_block_mixing_real_and_complex_rows_gives_each_row_its_alone_value(monkeypatch):
+    # Real and complex rows take different routes; interleaved in one block,
+    # and with chunks that cut across both groups, each row keeps its value.
+    d = 12
+    states = [
+        family(d, amp)
+        for amp in (0.0, 0.5, 1.1 * np.exp(0.3j), 2.0, -0.7j, 3.5, 4.4 * np.exp(2.0j))
+        for family in (linear_qcs, nonlinear_qcs)
+    ]
+    block = StateBlock(np.array([state.amps for state in states]))
+    assert 0 < block.amps.imag.any(axis=1).sum() < len(states)
+    names = ["negativity_exact", "concurrence_exact"]
+    monkeypatch.setattr(measures, "TWO_MODE_CHUNK", 3 * d**2)
+    mixed = measures.exact_measures(block, names)
+    for i, state in enumerate(states):
+        alone = measures.exact_measures(StateBlock.of(state), names)
+        for name in names:
+            assert mixed[name][i].tobytes() == alone[name].tobytes(), (name, i)
 
 
 def test_row_dots_reduce_each_row_as_np_dot_does():

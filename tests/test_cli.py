@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import quditnc
+from quditnc import measures
 from quditnc.cli import main
 from quditnc.sweep import QUANTITIES, Quantity
 
@@ -234,6 +235,28 @@ def test_overflow_inside_a_quantity_exits_three(
     assert f"{column} is non-finite at kind=linear d={d} amplitude={amplitude!r}" in err
     assert "Traceback" not in err
     assert "Warning" not in err
+
+
+def test_concurrence_closed_form_runs_past_515_levels(capsys):
+    args = ["sweep", "--kind", "linear", "--d", "600", "--range", "0.1:1", "--steps", "2"]
+    assert main([*args, "--quantities", "concurrence_closed_form"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "kind,d,amplitude,concurrence_closed_form"
+    assert [math.isfinite(float(line.split(",")[-1])) for line in lines[1:]] == [True, True]
+
+
+def test_an_overflow_in_the_exact_measures_exits_three(monkeypatch, capsys):
+    # From d = 1031 on, sqrt(C(n, j)) leaves the double range while the
+    # splitter's table is built, which takes seconds; here it fails at once.
+    def overflow(d):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(measures, "_split_table", overflow)
+    args = ["sweep", "--kind", "linear", "--d", "3", "--range", "0.5:2", "--steps", "2"]
+    assert main([*args, "--quantities", "hoa:1,negativity_exact,concurrence_exact"]) == 3
+    err = capsys.readouterr().err
+    assert "negativity_exact is non-finite at kind=linear d=3 amplitude=0.5" in err
+    assert "Traceback" not in err
 
 
 def test_report_verb_emits_full_payload(capsys):

@@ -1,6 +1,7 @@
 """Beam-splitter measures and the population-based degree."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from quditnc import (
     nonlinear_qcs,
     period,
 )
+from quditnc import measures
+from quditnc.fock import StateBlock
 
 PLUS = FockVector([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
 
@@ -207,3 +210,35 @@ def test_cached_split_table_reproduces_the_per_entry_loop(d):
     for state in states:
         assert beamsplit(state).amps.tobytes() == _split_by_loop(state).tobytes()
         assert negativity_potential_closed_form(state) == _closed_form_by_loop(state)
+
+
+@pytest.mark.parametrize("d", [2, 5, 20, 60, 120])
+def test_negativity_exact_real_route_matches_the_complex_svd(d):
+    # Real rows go through eigvalsh on the float64 split matrix; the value
+    # must be the complex SVD's, whichever route a state takes.
+    states = {
+        "linear real": [linear_qcs(d, a) for a in (0.0, 0.4, 1.7, 3.0, 6.0, 9.5)],
+        "linear complex": [linear_qcs(d, a * np.exp(0.7j)) for a in (0.4, 1.7, 6.0)],
+        "nonlinear": [nonlinear_qcs(d, a) for a in (0.4, 1.7, period(d) / 2)],
+    }
+    for label, family in states.items():
+        for state in family:
+            two = beamsplit(state).amps
+            assert two.imag.any() == (label != "linear real")
+            sigma = np.linalg.svd(two, compute_uv=False)
+            want = 2.0 * math.log2(float(sigma.sum()))
+            assert abs(log_negativity_exact(beamsplit(state)) - want) <= 1e-13, label
+
+
+def test_purity_proxy_past_515_levels_matches_the_exact_sum():
+    # C(2n, n) leaves the double range at n = 515; the weight C(2n, n)/4^n
+    # does not.  Mean photon number 538: most of the mass sits above 515.
+    state = linear_qcs(600, math.sqrt(538.0))
+    assert float(np.sum(np.abs(state.amps[516:]) ** 2)) > 0.4
+    exact = sum(
+        Fraction(abs(c)) ** 4 * Fraction(math.comb(2 * n, n), 4**n)
+        for n, c in enumerate(state.amps.tolist())
+    )
+    got = float(measures._purity_proxy(StateBlock.of(state))[0])
+    assert abs(got - float(exact)) <= 1e-13 * float(exact)
+    assert 0.0 < concurrence_closed_form(state) < math.sqrt(2.0)

@@ -73,6 +73,16 @@ def reference_csv(kind, names, rows):
     return buf.getvalue()
 
 
+def reference_json(result):
+    """The writer the sweep had before its one-pass one: the row dicts
+    through ``json.dump(indent=2)`` and a newline."""
+    buf = io.StringIO()
+    rows = [{"kind": result.kind, "d": d, "amplitude": a, **c} for d, a, c in result.rows()]
+    json.dump(rows, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue()
+
+
 def _csv(result):
     buf = io.StringIO()
     write_rows_csv(result, buf)
@@ -236,7 +246,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
     assert _csv(run_sweep(spec)) == reference_csv("nonlinear", names, expected)
 
 
-@pytest.mark.parametrize(
+WRITER_SPECS = pytest.mark.parametrize(
     "spec",
     [
         # Criterion 9: eighteen columns, and a3 is singular at amplitude 0.
@@ -260,12 +270,26 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
     ],
     ids=["crit9", "multi-d"],
 )
+
+
+@WRITER_SPECS
 def test_csv_equals_the_row_by_row_writer(spec):
     result = run_sweep(spec)
     assert len(result) == len(set(spec.d_list)) * spec.steps
     want = reference_csv(result.kind, result.names, result.rows())
     assert SINGULAR_SENTINEL in want
     assert _csv(result) == want
+
+
+@WRITER_SPECS
+def test_json_equals_json_dump_of_the_rows(spec):
+    result = run_sweep(spec)
+    assert any(len(amps) > STATE_BLOCK for _, amps, _, _ in result.levels)
+    want = reference_json(result)
+    assert '"singular"' in want
+    buf = io.StringIO()
+    write_rows_json(result, buf)
+    assert buf.getvalue() == want
 
 
 def test_csv_round_trips_doubles():
