@@ -68,6 +68,9 @@ class _SplitTable:
 
 @lru_cache(maxsize=None)
 def _split_table(d: int) -> _SplitTable:
+    # The largest C(n, j) with n < d is the central one: if it leaves the double
+    # range, raise the OverflowError of math.sqrt before building any row.
+    float(math.comb(d - 1, (d - 1) // 2))
     rows = [[math.sqrt(math.comb(n, j)) for j in range(n + 1)] for n in range(d)]
     level = np.repeat(np.arange(d), np.arange(1, d + 1))
     left = np.concatenate([np.arange(n + 1) for n in range(d)])

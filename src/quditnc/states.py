@@ -3,9 +3,10 @@
 Two inequivalent truncations of the optical coherent state are provided.
 ``nonlinear_qcs`` applies the truncated displacement exponential to the
 vacuum; its amplitudes are evaluated in the eigenbasis of the truncated
-quadrature a + a+, whose eigenvalues are the roots of the degree-d
-probabilists' Hermite polynomial.  ``he_roots`` computes that eigenbasis
-once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs``
+quadrature a + a+, whose eigenvalues, the roots of the degree-d probabilists'
+Hermite polynomial, pair as +-x: the sum splits into cosine (even levels) and sine
+(odd levels) parts and is exactly real at a real amplitude >= 0.  ``he_roots``
+computes the eigenbasis once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs``
 truncates the Poissonian Fock expansion and renormalizes.  The two
 families behave very differently: the nonlinear state is periodic in the
 amplitude argument while the linear one is not.
@@ -107,16 +108,25 @@ def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
 
         c_n = e^{i n (phi0 - pi/2)} sum_k V[n, k] V[0, k] e^{i x_k |alpha|},
 
-    which does not depend on the signs of V's columns.  Each row is its own
-    vector-matrix product, so a row's bits do not depend on its block.
+    which does not depend on the signs of V's columns.  The roots pair as
+    +-x_k, and V[n, k] V[0, k] is even in x_k for even n and odd for odd n, so
+    the sum keeps its cosine part at even n and its sine part at odd n:
+
+        c_n = e^{i n phi0} (1, 1, -1, -1)[n mod 4] sum_k V[n, k] V[0, k] cs_n(x_k |alpha|).
+
+    A real alpha >= 0 (phi0 = 0) thus gives real amplitudes; only rows with phi0 != 0 take the
+    phase.  Each row is its own (2, d) @ (d, d) product: its bits do not depend on its block.
     """
     basis = he_roots(d)
-    alphas = [complex(a) for a in np.atleast_1d(alphas)]
-    moduli = np.array([abs(a) for a in alphas])
-    phi0 = np.array([math.atan2(a.imag, a.real) for a in alphas])
-    weighted_phase = basis.vectors[0] * np.exp(1j * basis.roots * moduli[:, None])
-    c = np.matmul(weighted_phase[:, None, :], basis.vectors.T)[:, 0]
-    c *= np.exp(1j * np.arange(d) * (phi0[:, None] - 0.5 * math.pi))
+    alphas = np.atleast_1d(np.asarray(alphas, complex))
+    levels = np.arange(d)
+    x = basis.roots * np.hypot(alphas.real, alphas.imag)[:, None]
+    sums = np.matmul(basis.vectors[0] * np.stack([np.cos(x), np.sin(x)], axis=1), basis.vectors.T)
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[levels % 4]
+    c = (np.where(levels % 2, sums[:, 1], sums[:, 0]) * sign).astype(complex)
+    phi0 = np.arctan2(alphas.imag, alphas.real)
+    turned = phi0 != 0.0
+    c[turned] *= np.exp(1j * levels * phi0[turned, None])
     return c
 
 
@@ -152,11 +162,11 @@ def state_block(
     kind = StateKind(kind)
     if d < 2:
         raise ValueError("dim must be at least 2")
-    amps = [complex(a) for a in amplitudes]
-    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
+    amps = np.asarray(list(amplitudes), complex)
+    if not np.isfinite(amps).all():
         raise ValueError("amplitude must be finite")
     if kind is StateKind.LINEAR:
-        raw = _linear_coefficients(d, amps)
+        raw = _linear_coefficients(d, amps.tolist())
     else:
         raw = _nonlinear_coefficients(d, amps)
     return StateBlock(normalized_rows(raw))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,18 @@ def test_an_overflow_in_the_exact_measures_exits_three(monkeypatch, capsys):
     assert main([*args, "--quantities", "hoa:1,negativity_exact,concurrence_exact"]) == 3
     err = capsys.readouterr().err
     assert "negativity_exact is non-finite at kind=linear d=3 amplitude=0.5" in err
+    assert "Traceback" not in err
+
+
+def test_the_exact_measures_exit_three_at_once_from_1031_levels(capsys):
+    # C(1030, 515) leaves the double range: the splitter's table refuses to be
+    # built before it computes any of its half a million binomials.
+    args = ["sweep", "--kind", "linear", "--d", "1031", "--range", "0.1:1", "--steps", "2"]
+    started = time.perf_counter()
+    assert main([*args, "--quantities", "negativity_exact,concurrence_exact"]) == 3
+    assert time.perf_counter() - started < 5.0
+    err = capsys.readouterr().err
+    assert "negativity_exact is non-finite at kind=linear d=1031 amplitude=0.1" in err
     assert "Traceback" not in err
 
 

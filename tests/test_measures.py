@@ -215,16 +215,18 @@ def test_cached_split_table_reproduces_the_per_entry_loop(d):
 @pytest.mark.parametrize("d", [2, 5, 20, 60, 120])
 def test_negativity_exact_real_route_matches_the_complex_svd(d):
     # Real rows go through eigvalsh on the float64 split matrix; the value
-    # must be the complex SVD's, whichever route a state takes.
+    # must be the complex SVD's, whichever route a state takes.  Both
+    # families are exactly real at a real amplitude >= 0.
     states = {
         "linear real": [linear_qcs(d, a) for a in (0.0, 0.4, 1.7, 3.0, 6.0, 9.5)],
         "linear complex": [linear_qcs(d, a * np.exp(0.7j)) for a in (0.4, 1.7, 6.0)],
-        "nonlinear": [nonlinear_qcs(d, a) for a in (0.4, 1.7, period(d) / 2)],
+        "nonlinear real": [nonlinear_qcs(d, a) for a in (0.4, 1.7, period(d) / 2)],
+        "nonlinear complex": [nonlinear_qcs(d, a * np.exp(0.7j)) for a in (0.4, 1.7, period(d) / 2)],
     }
     for label, family in states.items():
         for state in family:
             two = beamsplit(state).amps
-            assert two.imag.any() == (label != "linear real")
+            assert two.imag.any() == label.endswith("complex")
             sigma = np.linalg.svd(two, compute_uv=False)
             want = 2.0 * math.log2(float(sigma.sum()))
             assert abs(log_negativity_exact(beamsplit(state)) - want) <= 1e-13, label

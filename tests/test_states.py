@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,66 @@ def test_nonlinear_matches_the_dense_oracle_past_sixty_levels(d):
     for alpha in (0.7, period(d) / 4.0, period(d) / 2.0, 1.3 - 2.2j, -4.0 + 0.5j):
         dense = displacement_exponential(d, alpha).amps
         assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - dense)) < 1e-13, alpha
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 60, 61, 400])
+def test_nonlinear_state_is_exactly_real_at_a_real_nonnegative_amplitude(d):
+    amplitudes = [0.0, 0.3, period(d) / 4.0, period(d) / 2.0, 11.7, complex(1.5, -0.0)]
+    for alpha in amplitudes:
+        assert not nonlinear_qcs(d, alpha).amps.imag.any(), alpha
+    block = next(state_blocks(StateKind.NONLINEAR, d, amplitudes + [1.3 - 2.2j, -0.6]))
+    assert not block.amps[: len(amplitudes)].imag.any()
+    assert block.amps[len(amplitudes) :].imag.any(axis=1).all()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 20, 60])
+def test_nonlinear_matches_the_dense_oracle_at_negative_and_complex_amplitudes(d):
+    for alpha in (-0.7, -period(d) / 4.0, -period(d) / 2.0, 1.3 - 2.2j, 2.1j, -3.0 * np.exp(0.4j)):
+        dense = displacement_exponential(d, alpha).amps
+        assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - dense)) < 1e-13, alpha
+
+
+def _exponential_column(d, alpha, digits=40):
+    # exp(alpha a+ - alpha* a)|0> to `digits` digits, as mpmath numbers: the
+    # Taylor series of the tridiagonal generator applied to the vacuum.  The
+    # terms grow to about e^b, b = 2 |alpha| sqrt(d - 1) bounding the
+    # generator's norm, so the series is summed with that many more digits.
+    b = 2.0 * abs(alpha) * math.sqrt(d - 1)
+    with mpmath.workdps(digits + 10 + int(b / math.log(10.0))):
+        a = mpmath.mpc(complex(alpha))
+        up = [a * mpmath.sqrt(n) for n in range(d)]
+        down = [-mpmath.conj(a) * mpmath.sqrt(n + 1) for n in range(d)]
+        term = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (d - 1)
+        total = list(term)
+        k, tiny = 0, mpmath.mpf(10) ** -(digits + 5)
+        while k <= b or max(abs(t) for t in term) > tiny:
+            k += 1
+            term = [
+                ((up[n] * term[n - 1] if n else 0) + (down[n] * term[n + 1] if n + 1 < d else 0)) / k
+                for n in range(d)
+            ]
+            total = [s + t for s, t in zip(total, term)]
+        return total
+
+
+def test_the_exponential_series_reference_matches_mpmath_expm():
+    d, alpha = 5, 2.3 - 1.1j
+    series = _exponential_column(d, alpha)
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha)
+        gen = mpmath.zeros(d, d)
+        for n in range(1, d):
+            gen[n, n - 1] = a * mpmath.sqrt(n)
+            gen[n - 1, n] = -mpmath.conj(a) * mpmath.sqrt(n)
+        column = mpmath.expm(gen)[:, 0]
+        assert max(abs(series[n] - column[n]) for n in range(d)) < mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("d", [5, 20, 60])
+def test_nonlinear_is_within_2e_15_of_a_40_digit_exponential(d):
+    for alpha in (0.9, period(d) / 4.0, period(d) / 2.0, -1.7, 2.3 - 1.1j):
+        truth = np.array([complex(x) for x in _exponential_column(d, alpha)])
+        assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - truth)) <= 2e-15, alpha
 
 
 def test_nonlinear_two_level_closed_form():
@@ -191,13 +252,17 @@ def test_mean_photon_stays_below_top_level():
 
 
 def _per_state_coefficients(d, alpha):
-    # The eigenbasis sum evaluated one amplitude at a time, the eigenbasis
-    # recomputed: the arithmetic the batched build must reproduce.
+    # The cos/sin split of the eigenbasis sum evaluated one amplitude at a
+    # time, the eigenbasis recomputed: the arithmetic the batched build must
+    # reproduce.  Level n reads the cosine sum for even n and the sine sum for
+    # odd n, signed +, +, -, - by n mod 4; only a nonzero phi0 turns the row.
     alpha = complex(alpha)
     x, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, d)), k=-1))
-    c = np.matmul(v[0] * np.exp(1j * x * abs(alpha)), v.T)
-    phi0 = math.atan2(alpha.imag, alpha.real)
-    c *= np.exp(1j * np.arange(d) * (phi0 - 0.5 * math.pi))
+    sums = (v[0] * np.array([np.cos(x * abs(alpha)), np.sin(x * abs(alpha))])) @ v.T
+    c = np.array([(1, 1, -1, -1)[n % 4] * sums[n % 2, n] for n in range(d)], dtype=complex)
+    phi0 = np.arctan2(alpha.imag, alpha.real)
+    if phi0 != 0.0:
+        c *= np.exp(1j * np.arange(d) * phi0)
     return c
 
 
