@@ -64,6 +64,10 @@ def _load_config(path: str | None) -> dict:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
+    keys = ("state_kind", "d_list", "amp_start", "amp_stop", "steps", "quantities", "format")
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ValueError(f"malformed config: unknown key {unknown[0]!r}")
     return raw
 
 
@@ -162,12 +166,17 @@ def _cmd_klyshko(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     amp = resolve_amplitude(args.amplitude, args.d)
     state = build_state(QcsSpec(StateKind(args.kind), args.d, amp))
+    try:
+        measures = measure_report(state).as_dict()
+    except OverflowError:  # the splitter's sqrt(C(n, j)) leaves the double range from d = 1031
+        where = f"kind={args.kind} d={args.d} amplitude={amp!r}"
+        raise NumericalError(f"the report overflows the double range at {where}") from None
     payload = {
         "kind": args.kind,
         "d": args.d,
         "amplitude": amp,
         "witnesses": witness_report(state).as_dicts(),
-        "measures": measure_report(state).as_dict(),
+        "measures": measures,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -188,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--d", help="comma-separated level counts, e.g. 3,4")
     sweep.add_argument(
         "--range",
-        help="amplitude range start:stop; Td/2 and Td/4 resolve per level count",
+        help="amplitude range start:stop; Td/2 and Td/4 resolve per level count; "
+        "write a negative start as --range=-1:1",
     )
     sweep.add_argument("--steps", type=int)
     sweep.add_argument(

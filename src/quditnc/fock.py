@@ -27,6 +27,14 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+def level_sum(x: np.ndarray, weights) -> np.ndarray:
+    """sum_n weights[n] x[:, n] for each row of an (S, d) array, left to right over n."""
+    total = np.zeros(x.shape[0])
+    for n in range(x.shape[1]):
+        total = total + x[:, n] * weights[n]
+    return total
+
+
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of a complex (S, d) array divided by its norm, read-only.
 
@@ -85,7 +93,8 @@ class StateBlock:
     __slots__ = ("amps", "dim", "kept")
 
     def __init__(self, amps: np.ndarray) -> None:
-        self.amps = amps
+        # row_dots runs its BLAS dot on strided rows of any other layout, with other bits.
+        self.amps = np.ascontiguousarray(amps)
         self.dim = int(amps.shape[1])
         self.kept: dict = {}
 
@@ -119,15 +128,8 @@ class StateBlock:
 
     def factorial_moment(self, k: int) -> np.ndarray:
         """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j, left to right."""
-
-        def compute() -> np.ndarray:
-            p = self.probabilities
-            total = np.zeros(len(self))
-            for j in range(k, self.dim):
-                total = total + float(math.perm(j, k)) * p[:, j]
-            return total
-
-        return self.memo(("factorial_moment", k), compute)
+        weights = [float(math.perm(j, k)) for j in range(self.dim)]  # 0.0 below k
+        return self.memo(("factorial_moment", k), lambda: level_sum(self.probabilities, weights))
 
     def number_moment(self, n: int) -> np.ndarray:
         """<N^n> = sum_j j^n p_j."""

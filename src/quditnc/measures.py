@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, StateBlock
+from .fock import FockVector, StateBlock, level_sum
 
 TWO_MODE_NORM_TOL = 1e-9
 
@@ -121,10 +121,7 @@ def _moduli(block: StateBlock) -> np.ndarray:
 def negativity_closed_form_block(block: StateBlock) -> np.ndarray:
     """``negativity_potential_closed_form`` of every state of the block."""
     table = _split_table(block.dim)
-    moduli = _moduli(block)
-    total = np.zeros(len(block))
-    for n in range(block.dim):
-        total = total + moduli[:, n] * table.scale[n] * table.row_sums[n]
+    total = level_sum(_moduli(block) * table.scale, table.row_sums)
     return np.array([2.0 * math.log2(t) for t in total.tolist()])
 
 
@@ -170,11 +167,8 @@ def _purity_proxy(block: StateBlock) -> np.ndarray:
     # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2,
     # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).  The weight C(2n, n)/4^n
     # is below 1 and correctly rounded by the integer division at every n.
-    fourth = np.float_power(_moduli(block), 4)
-    total = np.zeros(len(block))
-    for n in range(block.dim):
-        total = total + fourth[:, n] * (math.comb(2 * n, n) / 4**n)
-    return total
+    weights = [math.comb(2 * n, n) / 4**n for n in range(block.dim)]
+    return level_sum(np.float_power(_moduli(block), 4), weights)
 
 
 def concurrence_closed_form_block(block: StateBlock) -> np.ndarray:
@@ -274,15 +268,16 @@ class MeasureReport:
 
 
 def measure_report(state: FockVector) -> MeasureReport:
-    two_mode = beamsplit(state)
-    a_all, _ = anticlassicality(state, exclude_vacuum=False)
-    a_one, argmax_n = anticlassicality(state, exclude_vacuum=True)
+    """Every measure of one state, from the sweep's kernels on a block of one."""
+    block = StateBlock.of(state)
+    exact = exact_measures(block, ("negativity_exact", "concurrence_exact"))
+    a_one, argmax_n = anticlassicality_block(block, exclude_vacuum=True)
     return MeasureReport(
-        negativity_closed_form=negativity_potential_closed_form(state),
-        negativity_exact=log_negativity_exact(two_mode),
-        concurrence_closed_form=concurrence_closed_form(state),
-        concurrence_exact=concurrence_exact(two_mode),
-        anticlassicality=a_all,
-        anticlassicality_excl_vacuum=a_one,
-        argmax_n=argmax_n,
+        negativity_closed_form=float(negativity_closed_form_block(block)[0]),
+        negativity_exact=float(exact["negativity_exact"][0]),
+        concurrence_closed_form=float(concurrence_closed_form_block(block)[0]),
+        concurrence_exact=float(exact["concurrence_exact"][0]),
+        anticlassicality=float(anticlassicality_block(block, exclude_vacuum=False)[0][0]),
+        anticlassicality_excl_vacuum=float(a_one[0]),
+        argmax_n=int(argmax_n[0]),
     )

@@ -179,7 +179,7 @@ def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     first d levels, to the vacuum.  At alpha = 0 this is the vacuum; for
     d = 2 and d = 3 the amplitude dependence is exactly periodic.
     """
-    return FockVector._of_normalized(state_block(StateKind.NONLINEAR, d, [alpha]).amps[0])
+    return build_state(QcsSpec(StateKind.NONLINEAR, d, alpha))
 
 
 def linear_qcs(d: int, beta: complex) -> FockVector:
@@ -189,7 +189,7 @@ def linear_qcs(d: int, beta: complex) -> FockVector:
     levels.  Magnitudes are evaluated in the log domain so large |beta|
     stays well-conditioned.
     """
-    return FockVector._of_normalized(state_block(StateKind.LINEAR, d, [beta]).amps[0])
+    return build_state(QcsSpec(StateKind.LINEAR, d, beta))
 
 
 def period(d: int) -> float:
@@ -209,10 +209,8 @@ def period(d: int) -> float:
 
 
 def build_state(spec: QcsSpec) -> FockVector:
-    """Construct the state a QcsSpec names."""
-    if spec.kind is StateKind.LINEAR:
-        return linear_qcs(spec.dim, spec.amplitude)
-    return nonlinear_qcs(spec.dim, spec.amplitude)
+    """Construct the state a QcsSpec names: one row of ``state_block``."""
+    return FockVector._of_normalized(state_block(spec.kind, spec.dim, [spec.amplitude]).amps[0])
 
 
 #: Amplitudes whose states state_blocks builds together; bounds the (block, d)

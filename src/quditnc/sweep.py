@@ -18,7 +18,6 @@ from .measures import (
 )
 from .states import StateKind, period, state_block, state_blocks
 from .witnesses import (
-    A3_SINGULAR_TOL,
     agarwal_tara_block,
     hoa_block,
     hos_block,
@@ -79,11 +78,6 @@ def _plain(ident: str, kernel) -> Quantity:
     return Quantity(ident, False, _any_order, lambda b, _: (kernel(b), False))
 
 
-def _a3_cells(block: StateBlock, _: None) -> tuple[np.ndarray, np.ndarray]:
-    value, denom = agarwal_tara_block(block)
-    return value, np.abs(denom) <= A3_SINGULAR_TOL
-
-
 def _exact(ident: str) -> Quantity:
     return _plain(ident, lambda b: exact_measures(b, [ident])[ident])
 
@@ -94,7 +88,7 @@ QUANTITIES: dict[str, Quantity] = {
         _ordered("hoa", lambda o: o >= 1, hoa_block),
         _ordered("hos", lambda o: o % 2 == 0 and 2 <= o <= 8, hos_block),
         _ordered("hosps", lambda o: o >= 1, hosps_block),
-        Quantity("a3", False, _any_order, _a3_cells),
+        Quantity("a3", False, _any_order, lambda b, _: agarwal_tara_block(b)),
         _ordered("klyshko", lambda o: o >= 0, lambda b, o: klyshko_block(b, [o])[:, 0]),
         _plain("negativity_closed_form", negativity_closed_form_block),
         _exact("negativity_exact"),

@@ -132,16 +132,14 @@ def _hankel3(moments: list[np.ndarray]) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def agarwal_tara_block(block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
-    """``agarwal_tara`` of every state of the block, and its denominator.
-
-    Where the denominator is at most A3_SINGULAR_TOL in magnitude the
-    ratio is undefined.
-    """
+    """``agarwal_tara`` of every state of the block, and the mask of the rows
+    where it is undefined: those whose denominator is at most
+    A3_SINGULAR_TOL in magnitude."""
     m = [block.factorial_moment(n) for n in range(1, 5)]
     mu = [block.number_moment(n) for n in range(1, 5)]
     det_m = np.linalg.det(_hankel3(m))
     denom = np.linalg.det(_hankel3(mu)) - det_m
-    return det_m / denom, denom
+    return det_m / denom, np.abs(denom) <= A3_SINGULAR_TOL
 
 
 def agarwal_tara(state: FockVector) -> float:
@@ -151,12 +149,10 @@ def agarwal_tara(state: FockVector) -> float:
     moments and mu photon-number moments.  Raises SingularMomentMatrix when
     the denominator is below A3_SINGULAR_TOL in magnitude.
     """
-    value, denom = (float(x[0]) for x in agarwal_tara_block(StateBlock.of(state)))
-    if abs(denom) <= A3_SINGULAR_TOL:
-        raise SingularMomentMatrix(
-            f"moment-matrix denominator {denom!r} is numerically singular"
-        )
-    return value
+    value, singular = agarwal_tara_block(StateBlock.of(state))
+    if singular[0]:
+        raise SingularMomentMatrix("moment-matrix denominator is numerically singular")
+    return float(value[0])
 
 
 @np.errstate(all="ignore")
@@ -199,36 +195,27 @@ class WitnessReport:
         return [asdict(e) for e in self.entries]
 
 
-def witness_report(
-    state: FockVector,
-    hoa_orders=(1, 2, 3),
-    hos_orders=(2, 4),
-    hosps_orders=(2, 3, 4),
-    klyshko_orders=None,
-) -> WitnessReport:
-    """Evaluate the standard witness battery on one state.
+def witness_report(state: FockVector) -> WitnessReport:
+    """Evaluate the standard witness battery on one state, with the sweep's
+    kernels on a block of one: hoa at orders 1-3, hos at 2 and 4, hosps at
+    2-4, a3, and klyshko at levels 0 .. max(d - 3, 0).
 
     The moment-matrix entry is omitted when its denominator is singular
     (on |0>, |1> and every two-level state), so every reported value is
     finite.  Flags are strict: zero does not count as nonclassical.
     """
-    entries: list[WitnessEntry] = []
-
-    def add(name: str, order: int | None, value: float) -> None:
+    block = StateBlock.of(state)
+    a3, singular = agarwal_tara_block(block)
+    levels = range(max(state.dim - 2, 1))
+    columns = [
+        *(("hoa", l, hoa_block(block, l)) for l in (1, 2, 3)),
+        *(("hos", n, hos_block(block, n)) for n in (2, 4)),
+        *(("hosps", l, hosps_block(block, l)) for l in (2, 3, 4)),
+        *([] if singular[0] else [("a3", None, a3)]),
+        *(("klyshko", n, column) for n, column in zip(levels, klyshko_block(block, levels).T)),
+    ]
+    entries = []
+    for name, order, column in columns:
+        value = float(column[0])
         entries.append(WitnessEntry(name, order, value, value < 0.0))
-
-    for l in hoa_orders:
-        add("hoa", l, hoa(state, l))
-    for n in hos_orders:
-        add("hos", n, hos_witness(state, n))
-    for l in hosps_orders:
-        add("hosps", l, hosps(state, l))
-    try:
-        add("a3", None, agarwal_tara(state))
-    except SingularMomentMatrix:
-        pass
-    if klyshko_orders is None:
-        klyshko_orders = range(max(state.dim - 2, 1))
-    for n in klyshko_orders:
-        add("klyshko", n, klyshko(state, n))
-    return WitnessReport(entries=tuple(entries))
+    return WitnessReport(tuple(entries))

@@ -71,6 +71,19 @@ def test_a_rows_values_do_not_depend_on_its_block(kind, d):
     assert SINGULAR_SENTINEL in whole["a3"]  # the vacuum row
 
 
+@pytest.mark.parametrize("d", [5, 7, 12, 20, 60])
+def test_a_fortran_ordered_block_gives_the_c_ordered_bits(d):
+    # row_dots would run its BLAS dot on strided rows: StateBlock makes them contiguous.
+    amplitudes = list(np.linspace(0.0, period(d), 23)) + [1.3 * np.exp(0.8j), -0.6]
+    for kind in ("nonlinear", "linear"):
+        c_block = state_block(kind, d, amplitudes)
+        f_block = StateBlock(np.asfortranarray(c_block.amps))
+        assert f_block.mean.tobytes() == c_block.mean.tobytes()
+        assert f_block.number_moment(3).tobytes() == c_block.number_moment(3).tobytes()
+        for ident, order in ALL_QUANTITIES:
+            assert _bits(_cells(f_block, ident, order)) == _bits(_cells(c_block, ident, order))
+
+
 def _per_state_cells(state):
     # Every quantity evaluated on one state with Python-level reductions: the
     # arithmetic the block kernels must reproduce bit for bit.

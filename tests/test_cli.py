@@ -106,9 +106,13 @@ def test_bad_config_json_is_usage_error(tmp_path):
         # float() would sweep from 1.0 to 2.0 and from 0.5 to 0.0.
         {"amp_start": True},
         {"amp_stop": False},
+        # A misspelt or unknown key would otherwise be ignored: CSV, exit 0.
+        {"fromat": "json"},
+        {"output_format": "json"},
     ],
     ids=["d_list", "quantities", "steps", "d-float", "d-bool"]
-    + ["steps-float", "steps-bool", "order-float", "amp_start-bool", "amp_stop-bool"],
+    + ["steps-float", "steps-bool", "order-float", "amp_start-bool", "amp_stop-bool"]
+    + ["unknown-key", "output_format-key"],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
     spec = {
@@ -270,6 +274,25 @@ def test_the_exact_measures_exit_three_at_once_from_1031_levels(capsys):
     err = capsys.readouterr().err
     assert "negativity_exact is non-finite at kind=linear d=1031 amplitude=0.1" in err
     assert "Traceback" not in err
+
+
+def test_config_names_the_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"state_kind": "linear", "fromat": "json", "stpes": 3}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: malformed config: unknown key 'fromat'\n"
+
+
+@pytest.mark.parametrize("kind,d", [("linear", 1031), ("linear", 2000), ("nonlinear", 1031)])
+def test_a_report_past_1030_levels_exits_three(capsys, kind, d):
+    # The splitter's sqrt(C(n, j)) leaves the double range from d = 1031.
+    assert main(["report", "--kind", kind, "--d", str(d), "--amplitude", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "numerical failure: the report overflows the double range "
+        f"at kind={kind} d={d} amplitude=1.0\n"
+    )
 
 
 def test_report_verb_emits_full_payload(capsys):
