@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -61,6 +60,7 @@ def _parse_range(text: str) -> tuple[str, str]:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import json  # loaded only where JSON is read or written: a CSV sweep never needs it
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -149,12 +149,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    import json
     report = table1_search(args.tolerance)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_klyshko(args: argparse.Namespace) -> int:
+    import json
     amplitudes = [tok.strip() for tok in args.amplitudes.split(",") if tok.strip()]
     if not amplitudes:
         raise ValueError("at least one amplitude is required")
@@ -164,6 +166,7 @@ def _cmd_klyshko(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    import json
     amp = resolve_amplitude(args.amplitude, args.d)
     state = build_state(QcsSpec(StateKind(args.kind), args.d, amp))
     try:
@@ -244,7 +247,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

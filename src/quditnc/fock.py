@@ -8,7 +8,7 @@ evaluate a block of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +128,11 @@ class StateBlock:
 
     def factorial_moment(self, k: int) -> np.ndarray:
         """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j, left to right."""
-        weights = [float(math.perm(j, k)) for j in range(self.dim)]  # 0.0 below k
-        return self.memo(("factorial_moment", k), lambda: level_sum(self.probabilities, weights))
+        key = ("factorial_moment", k)
+        if key not in self.kept:  # the weights are built on a miss only
+            weights = [float(math.perm(j, k)) for j in range(self.dim)]  # 0.0 below k
+            self.kept[key] = level_sum(self.probabilities, weights)
+        return self.kept[key]
 
     def number_moment(self, n: int) -> np.ndarray:
         """<N^n> = sum_j j^n p_j."""
@@ -179,8 +182,7 @@ def number_moment(state: FockVector, n: int) -> float:
     return float(StateBlock.of(state).number_moment(n)[0])
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Normal-ordered moments m_1..m_4 and photon-number moments mu_1..mu_4."""
 
     m: tuple[float, float, float, float]

@@ -11,8 +11,8 @@ states and upper-bound them on superpositions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,31 +26,28 @@ TWO_MODE_NORM_TOL = 1e-9
 TWO_MODE_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class TwoModeAmplitudes:
+class TwoModeAmplitudes(NamedTuple("TwoModeAmplitudes", [("dim", int), ("amps", np.ndarray)])):
     """Two-mode amplitudes after the splitter; entry [j, i] pairs |j> with |i>.
 
     Total photon number is conserved, so everything below the main
     anti-diagonal (j + i > dim - 1) is exactly zero.
     """
 
-    dim: int
-    amps: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its fields too
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (self.dim, self.dim):
+    def __new__(cls, dim: int, amps: np.ndarray) -> TwoModeAmplitudes:
+        a = np.array(amps, dtype=complex)  # a copy
+        if a.shape != (dim, dim):
             raise ValueError("amplitude matrix shape must be (dim, dim)")
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > TWO_MODE_NORM_TOL:
             raise ValueError(f"two-mode norm {norm!r} deviates from 1")
-        a = a.copy()
         a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        return super().__new__(cls, dim, a)
 
 
-@dataclass(frozen=True)
-class _SplitTable:
+class _SplitTable(NamedTuple):
     """The splitter's factors on d levels, over the entries (j, n - j), n < d.
 
     ``level``, ``left`` and ``right`` index n, j and n - j of each entry and
@@ -82,7 +79,7 @@ def _split_table(d: int) -> _SplitTable:
         row_sums=np.array([sum(row) for row in rows]),
         scale=np.array([2.0 ** (-0.5 * n) for n in range(d)]),
     )
-    for arr in vars(table).values():
+    for arr in table:
         arr.setflags(write=False)
     return table
 
@@ -163,12 +160,16 @@ def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
     return _log_negativity_stack(_stack_of(two_mode))[0]
 
 
+@lru_cache(maxsize=None)
+def _purity_weights(d: int) -> tuple[float, ...]:
+    # C(2n, n)/4^n for n < d: below 1 and correctly rounded by the integer division.
+    return tuple(math.comb(2 * n, n) / 4**n for n in range(d))
+
+
 def _purity_proxy(block: StateBlock) -> np.ndarray:
     # Diagonal-in-n part of the reduced purity: sum |c_n|^4 4^-n sum_j C(n,j)^2,
-    # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).  The weight C(2n, n)/4^n
-    # is below 1 and correctly rounded by the integer division at every n.
-    weights = [math.comb(2 * n, n) / 4**n for n in range(block.dim)]
-    return level_sum(np.float_power(_moduli(block), 4), weights)
+    # where sum_j C(n,j)^2 = C(2n, n) (Vandermonde).
+    return level_sum(np.float_power(_moduli(block), 4), _purity_weights(block.dim))
 
 
 def concurrence_closed_form_block(block: StateBlock) -> np.ndarray:
@@ -251,8 +252,7 @@ def anticlassicality(state: FockVector, exclude_vacuum: bool) -> tuple[float, in
     return float(value[0]), int(idx[0])
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """All measures for one state, both closed-form and exact routes."""
 
     negativity_closed_form: float
@@ -264,7 +264,7 @@ class MeasureReport:
     argmax_n: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def measure_report(state: FockVector) -> MeasureReport:

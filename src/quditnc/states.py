@@ -15,10 +15,9 @@ amplitude argument while the linear one is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,27 +55,23 @@ class StateKind(str, Enum):
     NONLINEAR = "nonlinear"
 
 
-@dataclass(frozen=True)
-class QcsSpec:
+class QcsSpec(NamedTuple("QcsSpec", [("kind", StateKind), ("dim", int), ("amplitude", complex)])):
     """Parameters naming one coherent state: family, level count, amplitude."""
 
-    kind: StateKind
-    dim: int
-    amplitude: complex
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its fields too
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, StateKind):
-            object.__setattr__(self, "kind", StateKind(self.kind))
-        if self.dim < 2:
+    def __new__(cls, kind: StateKind | str, dim: int, amplitude: complex) -> QcsSpec:
+        kind = StateKind(kind)
+        if dim < 2:
             raise ValueError("dim must be at least 2")
-        amp = complex(self.amplitude)
+        amp = complex(amplitude)
         if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
             raise ValueError("amplitude must be finite")
-        object.__setattr__(self, "amplitude", amp)
+        return super().__new__(cls, kind, dim, amp)
 
 
-@dataclass(frozen=True)
-class HermiteRootSet:
+class HermiteRootSet(NamedTuple):
     """The roots x_k of He_degree, ascending, and the unit eigenvectors of its
     Jacobi matrix as columns: vectors[n, k] = +-He_n(x_k) sqrt(w_k / n!), with w_k
     the Gauss weights (Golub and Welsch, Math. Comp. 23, 1969)."""

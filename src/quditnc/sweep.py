@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Callable, IO, Iterator, Sequence
+from typing import Callable, IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +21,7 @@ from .witnesses import (
     hos_block,
     hosps_block,
     klyshko_block,
+    klyshko_levels,
 )
 
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
@@ -54,8 +53,7 @@ def resolve_amplitude(value: float | str, d: int) -> float:
     raise ValueError(f"unrecognized amplitude token {value!r}")
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """A sweep column: ``fn(block, order)`` gives the values of the block's
     states and the mask of those that get the singular sentinel (each an
     array or a scalar that broadcasts over the block)."""
@@ -104,8 +102,7 @@ def column_name(ident: str, order: int | None) -> str:
     return ident if order is None else f"{ident}_{order}"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """One sweep: a state family evaluated on a (d, amplitude) grid."""
 
     state_kind: StateKind
@@ -144,15 +141,15 @@ class SweepSpec:
             raise ValueError(f"unknown format {self.output_format!r}")
 
 
-@dataclass(frozen=True)
 class SweepResult:
     """A sweep's cells as columns: ``levels`` holds, per level count in grid
     order, (d, amplitudes, values, singular), where ``values[j]`` is column
     j's float64 cells and ``singular[j]`` masks those that hold the sentinel."""
 
-    kind: str
-    names: tuple[str, ...]
-    levels: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    __slots__ = ("kind", "names", "levels")
+
+    def __init__(self, kind: str, names: tuple[str, ...], levels: tuple) -> None:
+        self.kind, self.names, self.levels = kind, names, levels
 
     def __len__(self) -> int:
         return sum(len(amps) for _, amps, _, _ in self.levels)
@@ -252,6 +249,7 @@ def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
     ``repr`` that json writes for a float) and ``%s`` for a column that
     holds the sentinel (its cells encoded first); a row is a single ``%``.
     """
+    import json  # loaded only where JSON is written: a CSV sweep never needs it
     keys = [json.dumps(name) for name in ("kind", "d", "amplitude", *result.names)]
     objects = []
     for d, amps, values, singular in result.levels:
@@ -325,13 +323,11 @@ def klyshko_bars(
 ) -> dict:
     """Klyshko values per level for each requested amplitude.
 
-    Levels run from 0 through d-3 (so the three probabilities involved all
-    sit inside the support), except that level 0 is always included so the
-    two-level family still produces a bar.
+    The levels are ``klyshko_levels(d)``, as in ``witness_report``.
     """
     state_kind = StateKind(state_kind)
     amps = [resolve_amplitude(raw, d) for raw in amplitudes]
-    levels = range(max(d - 2, 1))
+    levels = klyshko_levels(d)
     values = [
         row
         for block in state_blocks(state_kind, d, amps)

@@ -8,8 +8,8 @@ drive it to zero or above.  A value of exactly zero is not flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +169,11 @@ def klyshko_block(block: StateBlock, levels) -> np.ndarray:
     return (n + 2) * at(n) * at(n + 2) - (n + 1) * np.float_power(at(n + 1), 2)
 
 
+def klyshko_levels(d: int) -> range:
+    """Levels 0 .. d - 3, whose three probabilities sit in the support; 0 even at d = 2."""
+    return range(max(d - 2, 1))
+
+
 def klyshko(state: FockVector, n: int) -> float:
     """Three-level probability test (n+2) p_n p_(n+2) - (n+1) p_(n+1)^2.
 
@@ -177,28 +182,26 @@ def klyshko(state: FockVector, n: int) -> float:
     return float(klyshko_block(StateBlock.of(state), [n])[0, 0])
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(NamedTuple):
     name: str
     order: int | None
     value: float
     nonclassical: bool
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """A bundle of witness evaluations for one state."""
 
     entries: tuple[WitnessEntry, ...]
 
     def as_dicts(self) -> list[dict]:
-        return [asdict(e) for e in self.entries]
+        return [e._asdict() for e in self.entries]
 
 
 def witness_report(state: FockVector) -> WitnessReport:
     """Evaluate the standard witness battery on one state, with the sweep's
     kernels on a block of one: hoa at orders 1-3, hos at 2 and 4, hosps at
-    2-4, a3, and klyshko at levels 0 .. max(d - 3, 0).
+    2-4, a3, and klyshko at ``klyshko_levels(d)``.
 
     The moment-matrix entry is omitted when its denominator is singular
     (on |0>, |1> and every two-level state), so every reported value is
@@ -206,7 +209,7 @@ def witness_report(state: FockVector) -> WitnessReport:
     """
     block = StateBlock.of(state)
     a3, singular = agarwal_tara_block(block)
-    levels = range(max(state.dim - 2, 1))
+    levels = klyshko_levels(state.dim)
     columns = [
         *(("hoa", l, hoa_block(block, l)) for l in (1, 2, 3)),
         *(("hos", n, hos_block(block, n)) for n in (2, 4)),

@@ -360,3 +360,33 @@ def test_cli_import_leaves_scipy_linalg_unloaded(prefix):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+
+def test_a_csv_sweep_loads_no_dataclasses_json_or_scipy(tmp_path):
+    # Every CLI call is a fresh interpreter, so what the import and a CSV sweep
+    # load is paid on each call; JSON output and --config load json themselves.
+    src = str(Path(quditnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = tmp_path / "sweep.json"
+    spec = {"state_kind": "nonlinear", "d_list": [2, 5], "amp_start": 0, "amp_stop": "Td/2"}
+    cfg.write_text(json.dumps({**spec, "steps": 3, "quantities": "a3", "format": "json"}))
+    csv_args = SWEEP_ARGS + ["--out", str(tmp_path / "rows.csv")]
+    json_args = SWEEP_ARGS + ["--format", "json", "--out", str(tmp_path / "flags.json")]
+    config_args = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "config.json")]
+    code = f"""
+import sys
+import quditnc.cli
+assert quditnc.cli.main({csv_args!r}) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("dataclasses", "json", "scipy")))
+assert quditnc.cli.main({json_args!r}) == 0
+assert quditnc.cli.main({config_args!r}) == 0
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "rows.csv").read_text().startswith("kind,d,amplitude,hoa_1,a3\n")
+    assert len(json.loads((tmp_path / "flags.json").read_text())) == 4
+    rows = json.loads((tmp_path / "config.json").read_text())
+    assert [(row["d"], row["a3"]) for row in rows][:2] == [(2, "singular"), (2, "singular")]

@@ -54,10 +54,17 @@ def test_beamsplit_conserves_norm_and_total_number():
 
 
 def test_two_mode_container_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape must be \(dim, dim\)"):
         TwoModeAmplitudes(dim=2, amps=np.zeros((2, 3), dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two-mode norm 2.0 deviates from 1"):
         TwoModeAmplitudes(dim=2, amps=np.ones((2, 2), dtype=complex))
+    raw = np.diag([1.0, 0.0]).astype(complex)
+    two = TwoModeAmplitudes(2, raw)
+    raw[0, 0] = 0.0
+    assert two.amps[0, 0] == 1.0
+    assert not two.amps.flags.writeable
+    with pytest.raises(AttributeError):
+        two.amps = raw
 
 
 def test_negativity_single_photon_both_routes():

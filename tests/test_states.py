@@ -223,11 +223,13 @@ def test_spec_coerces_kind_and_validates():
     spec = QcsSpec("linear", 3, 1.0)
     assert spec.kind is StateKind.LINEAR
     assert isinstance(spec.amplitude, complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dim must be at least 2"):
         QcsSpec("nonlinear", 1, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="amplitude must be finite"):
         QcsSpec("linear", 3, float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        QcsSpec("linear", 3, complex(0.0, math.inf))
+    with pytest.raises(ValueError, match="is not a valid StateKind"):
         QcsSpec("squeezed", 3, 1.0)
 
 
