@@ -8,8 +8,6 @@ parameter space from the command line.
 
 from .fock import (
     FockVector,
-    MomentTable,
-    build_moment_table,
     fock_state,
     mean_photon,
     normal_moment,
@@ -64,7 +62,6 @@ __all__ = [
     "FockVector",
     "HermiteRootSet",
     "MeasureReport",
-    "MomentTable",
     "NumericalError",
     "QcsSpec",
     "SingularMomentMatrix",
@@ -77,7 +74,6 @@ __all__ = [
     "agarwal_tara",
     "anticlassicality",
     "beamsplit",
-    "build_moment_table",
     "build_state",
     "concurrence_closed_form",
     "concurrence_exact",

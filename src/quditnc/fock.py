@@ -8,7 +8,6 @@ evaluate a block of one.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +27,12 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def level_sum(x: np.ndarray, weights) -> np.ndarray:
-    """sum_n weights[n] x[:, n] for each row of an (S, d) array, left to right over n."""
-    total = np.zeros(x.shape[0])
-    for n in range(x.shape[1]):
-        total = total + x[:, n] * weights[n]
-    return total
+    """sum_n weights[n] x[:, n] for each row of an (S, d) array, left to right over n.
+
+    One sequential ``cumsum`` per row, so each row adds its terms from level
+    0 up, as a loop would; its last column is copied out of the partial sums.
+    """
+    return np.cumsum(x * weights, axis=1)[:, -1].copy()
 
 
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
@@ -180,17 +180,3 @@ def number_moment(state: FockVector, n: int) -> float:
     if not 1 <= n <= 4:
         raise ValueError("number_moment supports orders 1..4")
     return float(StateBlock.of(state).number_moment(n)[0])
-
-
-class MomentTable(NamedTuple):
-    """Normal-ordered moments m_1..m_4 and photon-number moments mu_1..mu_4."""
-
-    m: tuple[float, float, float, float]
-    mu: tuple[float, float, float, float]
-
-
-def build_moment_table(state: FockVector) -> MomentTable:
-    block = StateBlock.of(state)
-    m = tuple(float(block.factorial_moment(n)[0]) for n in range(1, 5))
-    mu = tuple(float(block.number_moment(n)[0]) for n in range(1, 5))
-    return MomentTable(m=m, mu=mu)

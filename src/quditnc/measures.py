@@ -11,6 +11,7 @@ states and upper-bound them on superpositions.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,16 +49,13 @@ class TwoModeAmplitudes(NamedTuple("TwoModeAmplitudes", [("dim", int), ("amps", 
 
 
 class _SplitTable(NamedTuple):
-    """The splitter's factors on d levels, over the entries (j, n - j), n < d.
+    """The splitter's factors on d levels.
 
-    ``level``, ``left`` and ``right`` index n, j and n - j of each entry and
-    ``sqrt_binomial`` holds its sqrt(C(n, j)); ``row_sums`` is that summed
-    over j (left to right) and ``scale`` is 2^(-n/2), both per level n.
+    ``sqrt_binomial`` is the (d, d) matrix of sqrt(C(j + i, j)) at [j, i],
+    0 from j + i = d on; ``row_sums`` is sqrt(C(n, j)) summed over j (left
+    to right) and ``scale`` is 2^(-n/2), both per level n.
     """
 
-    level: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     sqrt_binomial: np.ndarray
     row_sums: np.ndarray
     scale: np.ndarray
@@ -68,36 +66,33 @@ def _split_table(d: int) -> _SplitTable:
     # The largest C(n, j) with n < d is the central one: if it leaves the double
     # range, raise the OverflowError of math.sqrt before building any row.
     float(math.comb(d - 1, (d - 1) // 2))
-    rows = [[math.sqrt(math.comb(n, j)) for j in range(n + 1)] for n in range(d)]
-    level = np.repeat(np.arange(d), np.arange(1, d + 1))
-    left = np.concatenate([np.arange(n + 1) for n in range(d)])
-    table = _SplitTable(
-        level=level,
-        left=left,
-        right=level - left,
-        sqrt_binomial=np.array([v for row in rows for v in row]),
-        row_sums=np.array([sum(row) for row in rows]),
-        scale=np.array([2.0 ** (-0.5 * n) for n in range(d)]),
-    )
+    sqrt_binomial, row_sums = np.zeros((d, d)), np.empty(d)
+    pascal = [1]  # C(n, 0..n) as exact integers, each row from the last by addition
+    for n in range(d):
+        row = list(map(math.sqrt, pascal))
+        # [j, n - j] for j = 0..n: the n-th anti-diagonal, every (d - 1)-th flat entry.
+        sqrt_binomial.reshape(-1)[n : n * d + 1 : max(d - 1, 1)] = row
+        row_sums[n] = sum(row)
+        pascal = list(map(operator.add, [0, *pascal], [*pascal, 0]))
+    table = _SplitTable(sqrt_binomial, row_sums, np.array([2.0 ** (-0.5 * n) for n in range(d)]))
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
-def _split_stack(amps: np.ndarray) -> np.ndarray:
-    """Two-mode amplitudes after the splitter for each row of an (S, d) array.
+def _windows(amps: np.ndarray) -> np.ndarray:
+    """W[s, j, i] = amps[s, j + i] 2^(-(j+i)/2), 0 from j + i = d on, for an (S, d) array.
 
-    |n> splits into a superposition over (j, n-j) with amplitude
-    2^(-n/2) sqrt(C(n, j)); the result has shape (S, d, d) and the dtype of
-    ``amps``.  Each matrix is exactly symmetric, as sqrt(C(n, j)) and
-    sqrt(C(n, n-j)) are the same double.
+    The Hankel view ``sliding_window_view(padded, d, axis=1)`` of each scaled
+    row zero-padded to 2d - 1 entries, made directly: its argument checks
+    take longer than a small-d chunk's product.  Times the table's
+    ``sqrt_binomial`` it is the two-mode amplitude matrix after the splitter.
     """
     d = amps.shape[1]
-    table = _split_table(d)
-    scaled = amps * table.scale
-    out = np.zeros((amps.shape[0], d, d), dtype=scaled.dtype)
-    out[:, table.left, table.right] = scaled[:, table.level] * table.sqrt_binomial
-    return out
+    padded = np.zeros((amps.shape[0], 2 * d - 1), dtype=amps.dtype)
+    np.multiply(amps, _split_table(d).scale, out=padded[:, :d])
+    row, entry = padded.strides
+    return np.ndarray((len(padded), d, d), padded.dtype, padded, 0, (row, entry, entry))
 
 
 def beamsplit(state: FockVector) -> TwoModeAmplitudes:
@@ -106,7 +101,8 @@ def beamsplit(state: FockVector) -> TwoModeAmplitudes:
     |n> splits into a superposition over (j, n-j) with amplitude
     2^(-n/2) sqrt(C(n, j)).
     """
-    return TwoModeAmplitudes(dim=state.dim, amps=_split_stack(state.amps[None, :])[0])
+    amps = _windows(state.amps[None, :])[0] * _split_table(state.dim).sqrt_binomial
+    return TwoModeAmplitudes(dim=state.dim, amps=amps)
 
 
 def _moduli(block: StateBlock) -> np.ndarray:
@@ -132,14 +128,16 @@ def negativity_potential_closed_form(state: FockVector) -> float:
     return float(negativity_closed_form_block(StateBlock.of(state))[0])
 
 
-def _log_negativity_stack(stack: np.ndarray) -> list[float]:
-    # 2 log2 of the singular-value sum of each amplitude matrix.  A real
-    # stack is real symmetric, so its singular values are |eigenvalues|.
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    # The singular-value sum of each amplitude matrix.  A real stack is real
+    # symmetric, so its singular values are |eigenvalues|.
     if np.iscomplexobj(stack):
-        sigma = np.linalg.svd(stack, compute_uv=False)
-    else:
-        sigma = np.abs(np.linalg.eigvalsh(stack))
-    return [2.0 * math.log2(s) for s in sigma.sum(axis=1).tolist()]
+        return np.linalg.svd(stack, compute_uv=False).sum(axis=1)
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+
+
+def _log_negativities(trace_norms: np.ndarray) -> np.ndarray:
+    return np.array([2.0 * math.log2(s) for s in trace_norms.tolist()])
 
 
 def _stack_of(two_mode: TwoModeAmplitudes) -> np.ndarray:
@@ -157,13 +155,18 @@ def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
     amplitude matrix.  A real amplitude matrix is symmetric, and its
     singular values are the moduli of its eigenvalues.
     """
-    return _log_negativity_stack(_stack_of(two_mode))[0]
+    return float(_log_negativities(_trace_norms(_stack_of(two_mode)))[0])
 
 
 @lru_cache(maxsize=None)
 def _purity_weights(d: int) -> tuple[float, ...]:
     # C(2n, n)/4^n for n < d: below 1 and correctly rounded by the integer division.
-    return tuple(math.comb(2 * n, n) / 4**n for n in range(d))
+    # Each C(2n, n) comes exactly from the last: C(2n + 2, n + 1) = C(2n, n) 2(2n + 1)/(n + 1).
+    weights, central = [], 1
+    for n in range(d):
+        weights.append(central / 4**n)
+        central = central * 2 * (2 * n + 1) // (n + 1)
+    return tuple(weights)
 
 
 def _purity_proxy(block: StateBlock) -> np.ndarray:
@@ -186,16 +189,24 @@ def concurrence_closed_form(state: FockVector) -> float:
     return float(concurrence_closed_form_block(StateBlock.of(state))[0])
 
 
-def _concurrence_stack(stack: np.ndarray) -> list[float]:
-    # From the exact reduced purity of one output mode of each matrix.
-    rho = stack @ stack.conj().transpose(0, 2, 1)
-    purity = (np.abs(rho) ** 2).reshape(len(stack), -1).sum(axis=1)
-    return np.sqrt(np.maximum(2.0 * (1.0 - purity), 0.0)).tolist()
+def _purities(stack: np.ndarray) -> np.ndarray:
+    # The exact reduced purity of one output mode of each matrix: the
+    # squared sum of the entries of A A^H.
+    if np.iscomplexobj(stack):
+        rho = np.abs(stack @ stack.conj().transpose(0, 2, 1)) ** 2
+    else:
+        rho = stack @ stack.transpose(0, 2, 1)
+        rho *= rho
+    return rho.reshape(len(stack), -1).sum(axis=1)
+
+
+def _concurrences(purities: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(2.0 * (1.0 - purities), 0.0))
 
 
 def concurrence_exact(two_mode: TwoModeAmplitudes) -> float:
     """Concurrence from the exact reduced purity of one output mode."""
-    return _concurrence_stack(_stack_of(two_mode))[0]
+    return float(_concurrences(_purities(_stack_of(two_mode)))[0])
 
 
 def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
@@ -204,27 +215,34 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
 
     The values are kept on the block.  Those not kept yet are computed
     together, at most TWO_MODE_CHUNK two-mode amplitudes at a time: each
-    chunk's amplitudes are built once and serve every measure asked for.
-    The rows whose amplitudes have no imaginary part are chunked apart from
-    the others and split into float64 matrices, so each row takes its
-    route (eigenvalues or SVD) whatever block it sits in.
+    chunk is one product of the rows' Hankel windows with the splitter's
+    sqrt(C) matrix, and serves every measure asked for with its
+    decomposition or product and their row sums.  The closing formulas
+    run once per block.  The rows whose amplitudes have no imaginary part
+    are chunked apart from the others and split into float64 matrices, so
+    each row takes its route (eigenvalues or SVD) whatever block it sits in.
     """
-    kernels = {"negativity_exact": _log_negativity_stack, "concurrence_exact": _concurrence_stack}
+    kernels = {
+        "negativity_exact": (_trace_norms, _log_negativities),
+        "concurrence_exact": (_purities, _concurrences),
+    }
     names = [ident for ident in dict.fromkeys(idents) if ident in kernels]
     missing = [name for name in names if ("exact", name) not in block.kept]
     if missing:
+        sqrt_binomial = _split_table(block.dim).sqrt_binomial
         step = max(1, TWO_MODE_CHUNK // block.dim**2)
-        values = {name: np.empty(len(block)) for name in missing}
+        sums = {name: np.empty(len(block)) for name in missing}
         complex_rows = block.amps.imag.any(axis=1)
         for rows, amps in ((~complex_rows, block.amps.real), (complex_rows, block.amps)):
             index = np.flatnonzero(rows)
+            windows = _windows(amps[index])
             for first in range(0, len(index), step):
-                chunk = index[first : first + step]
-                stack = _split_stack(amps[chunk])
+                chunk = slice(first, first + step)
+                stack = windows[chunk] * sqrt_binomial
                 for name in missing:
-                    values[name][chunk] = kernels[name](stack)
+                    sums[name][index[chunk]] = kernels[name][0](stack)
         for name in missing:
-            block.kept["exact", name] = values[name]
+            block.kept["exact", name] = kernels[name][1](sums[name])
     return {name: block.kept["exact", name] for name in names}
 
 

@@ -276,6 +276,17 @@ def test_the_exact_measures_exit_three_at_once_from_1031_levels(capsys):
     assert "Traceback" not in err
 
 
+def test_a_linear_report_at_1000_levels_runs_in_seconds(capsys):
+    # The splitter's table at d = 1000 comes from exact integer Pascal rows,
+    # half a million entries, before one O(d^3) eigvalsh.
+    started = time.perf_counter()
+    assert main(["report", "--kind", "linear", "--d", "1000", "--amplitude", "3"]) == 0
+    assert time.perf_counter() - started < 5.0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert all(math.isfinite(value) for value in json.loads(out)["measures"].values())
+
+
 def test_config_names_the_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"state_kind": "linear", "fromat": "json", "stpes": 3}))

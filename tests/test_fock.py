@@ -1,5 +1,7 @@
 """The FockVector state container and its photon-number moments."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from quditnc import (
     FockVector,
-    build_moment_table,
     fock_state,
     linear_qcs,
     mean_photon,
@@ -15,6 +16,7 @@ from quditnc import (
     number_moment,
     photon_probabilities,
 )
+from quditnc.fock import level_sum
 
 
 def test_fockvector_accepts_tiny_norm_drift():
@@ -91,9 +93,11 @@ def test_linear_d3_unit_amplitude_probabilities():
 
 
 def test_number_state_moment_table():
-    table = build_moment_table(fock_state(2))
-    assert table.m == pytest.approx((2.0, 2.0, 0.0, 0.0), abs=1e-12)
-    assert table.mu == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
+    state = fock_state(2)
+    m = tuple(normal_moment(state, n) for n in range(1, 5))
+    mu = tuple(number_moment(state, n) for n in range(1, 5))
+    assert m == pytest.approx((2.0, 2.0, 0.0, 0.0), abs=1e-12)
+    assert mu == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
 
 
 def test_number_moment_matches_probability_sum():
@@ -117,3 +121,15 @@ def test_moment_order_bounds():
 def test_normal_moment_first_order_is_mean():
     s = linear_qcs(4, 0.9)
     assert normal_moment(s, 1) == pytest.approx(mean_photon(s), abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 60, 1000])
+def test_level_sum_adds_left_to_right_as_a_loop_does(d):
+    rng = np.random.default_rng(d)
+    x = rng.random((50, d)) * rng.choice([1e-8, 1.0, 1e8], size=(50, d))
+    for k in range(min(d, 4) + 1):  # weights 0.0 below k, as the factorial moments have
+        weights = [float(math.perm(j, k)) for j in range(d)]
+        want = np.zeros(len(x))
+        for n in range(d):
+            want = want + x[:, n] * weights[n]
+        assert level_sum(x, weights).tobytes() == want.tobytes(), k

@@ -209,7 +209,7 @@ def _closed_form_by_loop(state):
     return 2.0 * math.log2(total)
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 20, 41, 60])
+@pytest.mark.parametrize("d", [2, 3, 7, 20, 41, 60, 200])
 def test_cached_split_table_reproduces_the_per_entry_loop(d):
     amplitudes = [0.0, 0.9, 3.3, 6.0, 1.7 * np.exp(2.1j)]
     states = [fock_state(d - 1)]
@@ -217,6 +217,35 @@ def test_cached_split_table_reproduces_the_per_entry_loop(d):
     for state in states:
         assert beamsplit(state).amps.tobytes() == _split_by_loop(state).tobytes()
         assert negativity_potential_closed_form(state) == _closed_form_by_loop(state)
+
+
+@pytest.mark.parametrize("d", [2, 5, 20, 60])
+def test_exact_measures_are_the_definitional_route_bit_for_bit(d):
+    # Per state: the matrix built entry by entry, its eigvalsh (real) or SVD
+    # (complex), A @ A^H, and the closing formulas.  The sweep's chunks and
+    # the per-state functions must give exactly these bits.
+    amplitudes = [0.0, 0.4, 1.7, 6.0, -0.9, -3.2, 1.3 * np.exp(0.7j), -2.5j, 4.0 * np.exp(2.4j)]
+    states = [family(d, a) for family in (linear_qcs, nonlinear_qcs) for a in amplitudes]
+    want = {"negativity_exact": [], "concurrence_exact": []}
+    for state in states:
+        two = _split_by_loop(state)
+        if two.imag.any():
+            sigma = np.linalg.svd(two, compute_uv=False)
+        else:
+            two = two.real
+            sigma = np.abs(np.linalg.eigvalsh(two))
+        rho = two @ two.conj().T
+        purity = float(np.sum(np.abs(rho) ** 2))
+        want["negativity_exact"].append(2.0 * math.log2(float(sigma.sum())))
+        want["concurrence_exact"].append(math.sqrt(max(2.0 * (1.0 - purity), 0.0)))
+    assert 0 < sum(state.amps.imag.any() for state in states) < len(states)
+    assert any((state.amps.real < 0).any() for state in states)
+    block = StateBlock(np.array([state.amps for state in states]))
+    got = measures.exact_measures(block, list(want))
+    for name, values in want.items():
+        assert got[name].tolist() == values, name
+    assert [log_negativity_exact(beamsplit(s)) for s in states] == want["negativity_exact"]
+    assert [concurrence_exact(beamsplit(s)) for s in states] == want["concurrence_exact"]
 
 
 @pytest.mark.parametrize("d", [2, 5, 20, 60, 120])

@@ -97,7 +97,7 @@ def test_factorial_moment_weights_are_built_on_a_miss_only(monkeypatch):
     assert block.factorial_moment(3) is first
 
 
-@pytest.mark.parametrize("d", [2, 7, 40])
+@pytest.mark.parametrize("d", [2, 7, 40, 1000])
 def test_purity_weights_are_kept_per_d_and_keep_their_bits(d):
     weights = measures._purity_weights(d)
     assert weights == tuple(math.comb(2 * n, n) / 4**n for n in range(d))
