@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import io
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -141,10 +141,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
-    result = run_sweep(spec)
-    buf = io.StringIO()
-    (write_rows_csv if spec.output_format == "csv" else write_rows_json)(result, buf)
-    _emit(buf.getvalue(), args.out)
+    result = run_sweep(spec)  # before --out is opened: a failed sweep leaves no file
+    write = write_rows_csv if spec.output_format == "csv" else write_rows_json
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as stream:
+        write(result, stream)
     return 0
 
 

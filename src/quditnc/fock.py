@@ -27,12 +27,13 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def level_sum(x: np.ndarray, weights) -> np.ndarray:
-    """sum_n weights[n] x[:, n] for each row of an (S, d) array, left to right over n.
-
-    One sequential ``cumsum`` per row, so each row adds its terms from level
-    0 up, as a loop would; its last column is copied out of the partial sums.
-    """
-    return np.cumsum(x * weights, axis=1)[:, -1].copy()
+    """sum_n weights[n] x[:, n] for each row of an (S, d) array, left to right over n:
+    one level at a time over the whole block, as a loop would, with no per-row call."""
+    terms = x * weights
+    total = terms[:, 0].copy()
+    for n in range(1, terms.shape[1]):
+        total += terms[:, n]
+    return total
 
 
 def normalized_rows(raw: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, IO, Iterator, NamedTuple, Sequence
 
@@ -211,35 +212,87 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(kind, names, tuple(levels))
 
 
-def _level_columns(
-    values: np.ndarray, singular: np.ndarray, number: str, sentinel: str
-) -> tuple[list[str], list[list]]:
-    # Each column of one level count with its cell format: ``number`` for the
-    # floats, or ``%s`` for a column that holds the sentinel, whose cells are
-    # formatted here.
-    formats, columns = [], []
-    for cells, mask in zip(values.tolist(), singular):
-        if mask.any():
-            formats.append("%s")
-            cells = [sentinel if s else number % v for v, s in zip(cells, mask)]
-        else:
-            formats.append(number)
-        columns.append(cells)
-    return formats, columns
+_CSV_CELLS = 2048  #: cells per numpy pass of write_rows_csv: it bounds the temporaries
+_E = 330  # offset of the tables indexed by a decimal exponent
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    # Digit words and last-nonzero places per four-digit group, digit masks per group and
+    # count shown, head and tail words per exponent (as bytes: fewer numpy pages), 10^k.
+    two = np.array([48 + t // 10 | (48 + t % 10) << 16 for t in range(100)], "<u8")
+    last2 = np.array([(t > 0) + (t % 10 > 0) for t in range(100)])
+    keep = [[0xFF * ((1 << 16 * min(max(s - j, 0), 4)) - 1) // 0xFFFF for s in range(18)]
+            for j in (1, 5, 9, 13)]  # 0xFF at each shown digit of group j
+    small = (b"\x000.000"[:m].ljust(8, b"\0") for m in (6, 5, 4, 3))  # exponents -4..-1
+    head = np.frombuffer(b"".join((bytes(8 * (_E - 4)), *small, bytes(8 * _E))), "<u8")
+    tail = (b"e%+04d\0\0," * 2 * _E) % (*range(-_E, _E),)  # "e+005" loses a "0" below
+    tail = np.frombuffer(bytearray(tail.replace(b"+0", b"+\0").replace(b"-0", b"-\0")), "<u8")
+    tail[_E - 4:_E + 17] = 44 << 56  # the comma alone where %g writes no exponent
+    words = np.bitwise_or(two[:, None], two << 32, out=np.empty((100, 100), "<u8")).ravel()
+    last = np.where(last2 > 0, last2 + 2, last2[:, None]).ravel()
+    return words, last, np.array(keep, "<u8"), head, tail, np.full((4, 2 * _E), np.nan)
+
+
+def _g17(x: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each value (the sentinel where ``singular``) and a
+    comma, each in a NUL-padded row of a (len(x), 48) uint8 array; see README.
+    """
+    words, last, keep, head, tail, p10 = _g17_tables()
+    a = np.abs(x)
+    zero = a == 0
+    escape = ~((a > 1e-280) & (a < 1e280) | zero) | singular
+    a[escape | zero] = 1.0
+    c = 134217729.0 * a  # Veltkamp's split: a = ah + al, each on 26 bits
+    ah, al = c - (c - a), a - (c - (c - a))
+    e = np.floor(np.log10(a)).astype(np.intp)
+    k = _E + 16 - e
+    for j in set(k[np.isnan(p10[0].take(k))].tolist()):  # 10^(j - _E) = num / den
+        num, den = (10 ** (j - _E), 1) if j >= _E else (1, 10 ** (_E - j))
+        hi, c = num / den, 134217729.0 * (num / den)  # correctly rounded, as is lo
+        m, b = hi.as_integer_ratio()
+        p10[:, j] = hi, c - (c - hi), hi - (c - (c - hi)), (num * b - m * den) / (den * b)
+    hi, hh, hl, lo = (row.take(k) for row in p10)
+    p = a * hi
+    q = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    # log10 rounded across 10^D, N would round up to 10^17, or q is at or near a tie:
+    escape |= ((p - 1e16) + q < 0) | ((p - 1e17) + q >= -0.5) | (abs(q - np.rint(q)) > 0.5 - 1e-9)
+    n = p.astype(np.int64) + np.rint(q).astype(np.int64)
+    n[zero] = e[zero] = 0
+    lead, hi = np.divmod(n // 10**8, 10**8)
+    groups = (*np.divmod(hi, 10**4), *np.divmod(n % 10**8, 10**4))
+    places = [(t > 0) * (t + 4 * j) for j, t in enumerate(map(last.take, groups))]
+    fixed = (e >= -4) & (e < 17)  # then every integer digit is shown too
+    shown = np.maximum(1 + np.max(places, axis=0), (e + 1) * fixed)
+    out = np.empty((len(n), 6), "<u8")
+    out[:, 0] = head.take(e + _E) | np.signbit(x) * np.uint64(45) | (lead.astype("<u8") + 48) << 48
+    for j, g in enumerate(groups):
+        out[:, j + 1] = words.take(g) & keep[j].take(shown)
+    out[:, 5] = tail.take(e + _E)
+    slots, point = out.view(np.uint8), e * fixed  # the point follows digit `point`
+    at = np.flatnonzero((point >= 0) & (point < shown - 1))
+    slots.reshape(-1)[48 * at + 2 * point[at] + 7] = 46
+    for i in np.flatnonzero(escape).tolist():
+        text = SINGULAR_SENTINEL if singular[i] else "%.17g" % x[i]
+        slots[i, :47] = np.frombuffer(text.encode().ljust(47, b"\0"), np.uint8)
+    return slots
 
 
 def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
-    """Write the header and every row, each number as ``%.17g``, in one write.
-
-    Each level count gets one line format, with ``%s`` for a column that
-    holds the sentinel (its cells formatted first); a row is a single ``%``.
+    """Write the header and every row, each number as ``%.17g``: chunks of about
+    ``_CSV_CELLS`` cells go through ``_g17``, then lose their NULs, in one write each.
     """
-    lines = [",".join(("kind", "d", "amplitude", *result.names)) + "\n"]
+    stream.write(",".join(("kind", "d", "amplitude", *result.names)) + "\n")
+    step = max(1, _CSV_CELLS // (len(result.names) + 1))
     for d, amps, values, singular in result.levels:
-        formats, columns = _level_columns(values, singular, "%.17g", SINGULAR_SENTINEL)
-        line = ",".join((result.kind, str(d), "%.17g", *formats)) + "\n"
-        lines.extend(map(line.__mod__, zip(amps.tolist(), *columns)))
-    stream.write("".join(lines))
+        prefix = f"{result.kind},{d},".encode()
+        cells = np.vstack((amps, values)).T
+        mask = np.vstack((np.zeros_like(amps, bool), singular)).T
+        for i in range(0, len(amps), step):
+            slots = _g17(cells[i:i + step].ravel(), mask[i:i + step].ravel())
+            slots.reshape(-1, cells.shape[1], 48)[:, -1, 47] = 10  # "\n" for each last comma
+            text = slots.tobytes().translate(None, b"\0").replace(b"\n", b"\n" + prefix)
+            stream.write((prefix + text[: -len(prefix)]).decode())
 
 
 def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
@@ -251,9 +304,13 @@ def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
     """
     import json  # loaded only where JSON is written: a CSV sweep never needs it
     keys = [json.dumps(name) for name in ("kind", "d", "amplitude", *result.names)]
-    objects = []
+    sentinel, objects = json.dumps(SINGULAR_SENTINEL), []
     for d, amps, values, singular in result.levels:
-        formats, columns = _level_columns(values, singular, "%r", json.dumps(SINGULAR_SENTINEL))
+        formats = ["%s" if mask.any() else "%r" for mask in singular]
+        columns = [
+            [sentinel if s else repr(v) for v, s in zip(cells, mask)] if f == "%s" else cells
+            for cells, mask, f in zip(values.tolist(), singular, formats)
+        ]
         fields = (json.dumps(result.kind), str(d), "%r", *formats)
         obj = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
         objects.extend(map(obj.__mod__, zip(amps.tolist(), *columns)))

@@ -213,6 +213,25 @@ def test_non_finite_value_exits_three(monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_a_sweep_that_exits_three_leaves_no_output_file(monkeypatch, tmp_path):
+    bad = Quantity("hoa", True, lambda o: True, lambda block, o: (math.nan, False))
+    monkeypatch.setitem(QUANTITIES, "hoa", bad)
+    out = tmp_path / "rows.csv"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys):
+    args = ["sweep", "--kind", "nonlinear", "--d", "2,5", "--range", "0:1", "--steps", "3"]
+    args += ["--quantities", "hoa:1,a3"]
+    for fmt in ("csv", "json"):
+        assert main(args + ["--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        assert (tmp_path / fmt).read_text() == printed
+        assert "singular" in printed
+
+
 @pytest.mark.parametrize(
     "d,window,quantity,column,steps,amplitude",
     [

@@ -123,10 +123,14 @@ def test_normal_moment_first_order_is_mean():
     assert normal_moment(s, 1) == pytest.approx(mean_photon(s), abs=1e-14)
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 60, 1000])
-def test_level_sum_adds_left_to_right_as_a_loop_does(d):
+@pytest.mark.parametrize(
+    "d, rows",
+    [(1, 50), (2, 50), (5, 50), (60, 50), (1000, 50), (12, 5000)],
+    ids=["1", "2", "5", "60", "1000", "12-tall"],  # a tall block: many rows, few levels
+)
+def test_level_sum_adds_left_to_right_as_a_loop_does(d, rows):
     rng = np.random.default_rng(d)
-    x = rng.random((50, d)) * rng.choice([1e-8, 1.0, 1e8], size=(50, d))
+    x = rng.random((rows, d)) * rng.choice([1e-8, 1.0, 1e8], size=(rows, d))
     for k in range(min(d, 4) + 1):  # weights 0.0 below k, as the factorial moments have
         weights = [float(math.perm(j, k)) for j in range(d)]
         want = np.zeros(len(x))

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditnc import (
     NumericalError,
@@ -27,6 +29,7 @@ from quditnc.sweep import (
     SINGULAR_SENTINEL,
     Quantity,
     QUANTITIES,
+    SweepResult,
     column_name,
     resolve_amplitude,
     write_rows_csv,
@@ -290,6 +293,65 @@ def test_json_equals_json_dump_of_the_rows(spec):
     buf = io.StringIO()
     write_rows_json(result, buf)
     assert buf.getvalue() == want
+
+
+def _csv_of_cells(cells, singular=None):
+    """write_rows_csv of a one-level result whose rows are the rows of ``cells``:
+    the amplitude, then one column per further entry."""
+    cells = np.asarray(cells, dtype=float)
+    mask = np.zeros(cells.shape, bool) if singular is None else np.asarray(singular)
+    names = tuple(f"q{j}" for j in range(1, cells.shape[1]))
+    level = (3, cells[:, 0], cells[:, 1:].T.copy(), mask[:, 1:].T.copy())
+    return _csv(SweepResult("linear", names, (level,))), names
+
+
+def test_csv_writes_what_percent_17g_writes_for_a_million_doubles():
+    rng = np.random.default_rng(14)
+    bits = rng.integers(-(2**63), 2**63, size=1_000_000, dtype=np.int64).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [tens]
+    for _ in range(3):  # 10^k and its neighbours up to 3 ulps away
+        near += [np.nextafter(near[-1], 0.0), np.nextafter(near[-1], np.inf)]
+    grid = rng.integers(1, 2**53, size=50_000) / 2.0 ** rng.integers(0, 60, size=50_000)
+    ties = []  # x = m / 2^(k+1), m odd: x 10^k = m 5^k / 2 is a tie at the 17th digit
+    for k in range(1, 25):
+        odd = range(2 * 10**16 // 5**k | 1, min(2 * 10**17 // 5**k, 2**53), 2)
+        ties += [m / 2.0 ** (k + 1) for m in odd[:: max(1, len(odd) // 300)]]
+    edges = [0.0, 5e-324, 1.7976931348623157e308, 1234567890123456.75, 1e16, 1e17, 1e-5]
+    structured = np.concatenate([*near, grid, ties, edges])
+    x = np.concatenate([bits[np.isfinite(bits)], structured, -structured])
+    x = x[: len(x) // 5 * 5].reshape(-1, 5)
+    assert x.size >= 1_000_000
+    got, _ = _csv_of_cells(x)
+    row = "linear,3," + ",".join(["%.17g"] * 5) + "\n"
+    want = "kind,d,amplitude,q1,q2,q3,q4\n" + "".join(map(row.__mod__, map(tuple, x.tolist())))
+    if got != want:
+        pairs = zip(got.split("\n"), want.split("\n"))
+        pytest.fail("first differing row: %r != %r" % next((g, w) for g, w in pairs if g != w))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_csv_writes_what_percent_17g_writes_for_any_double(values):
+    cells = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
+    got, names = _csv_of_cells(cells)
+    rows = [(3, float(a), {names[0]: float(v)}) for a, v in cells.tolist()]
+    assert got == reference_csv("linear", names, rows)
+
+
+def test_csv_escape_cells_sit_beside_a_singular_cell():
+    # A rounding tie at the 17th digit and a value below the kernel's range
+    # take %, next to the sentinel, in one row of one level.
+    cells = [[0.5, 1234567890123456.75, 1e-300, -0.0, 5e-324, 0.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+    singular = [[False, False, False, False, False, True], [False] * 6]
+    got, names = _csv_of_cells(cells, singular)
+    rows = [
+        (3, a, {n: SINGULAR_SENTINEL if s else v for n, v, s in zip(names, vs, ss[1:])})
+        for (a, *vs), ss in zip(cells, singular)
+    ]
+    assert got == reference_csv("linear", names, rows)
+    first = "linear,3,0.5,1234567890123456.8,1e-300,-0,4.9406564584124654e-324,singular"
+    assert got.split("\n")[1] == first
 
 
 def test_csv_round_trips_doubles():
