@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -186,8 +188,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter would probe the terminal for every parser and argument (an
+    # environment lookup and an ioctl each): take its width once, by its rule.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="quditnc",
+        formatter_class=formatter,
         description=(
             "Finite-level coherent states: nonclassicality witness sweeps, "
             "anticlassicality searches, and per-state reports."
@@ -195,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="evaluate quantities over an amplitude grid")
+    sweep = sub.add_parser(
+        "sweep", help="evaluate quantities over an amplitude grid", formatter_class=formatter
+    )
     sweep.add_argument("--kind", choices=["linear", "nonlinear"])
     sweep.add_argument("--d", help="comma-separated level counts, e.g. 3,4")
     sweep.add_argument(
@@ -214,13 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_sweep)
 
     table1 = sub.add_parser(
-        "table1", help="search level counts for anticlassicality targets"
+        "table1",
+        help="search level counts for anticlassicality targets",
+        formatter_class=formatter,
     )
     table1.add_argument("--tolerance", type=float, default=0.005)
     table1.add_argument("--out")
     table1.set_defaults(handler=_cmd_table1)
 
-    kly = sub.add_parser("klyshko", help="per-level probability bars for one family")
+    kly = sub.add_parser(
+        "klyshko", help="per-level probability bars for one family", formatter_class=formatter
+    )
     kly.add_argument("--kind", required=True, choices=["linear", "nonlinear"])
     kly.add_argument("--d", required=True, type=int)
     kly.add_argument(
@@ -229,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     kly.add_argument("--out")
     kly.set_defaults(handler=_cmd_klyshko)
 
-    report = sub.add_parser("report", help="all witnesses and measures for one state")
+    report = sub.add_parser(
+        "report", help="all witnesses and measures for one state", formatter_class=formatter
+    )
     report.add_argument("--kind", required=True, choices=["linear", "nonlinear"])
     report.add_argument("--d", required=True, type=int)
     report.add_argument("--amplitude", required=True)

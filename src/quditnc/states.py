@@ -208,16 +208,25 @@ def build_state(spec: QcsSpec) -> FockVector:
     return FockVector._of_normalized(state_block(spec.kind, spec.dim, [spec.amplitude]).amps[0])
 
 
-#: Amplitudes whose states state_blocks builds together; bounds the (block, d)
-#: arrays of a long amplitude grid.
+#: Entries (amplitudes x levels) that state_blocks builds together: 256 amplitudes at
+#: d = 60.  It bounds the (block, d) arrays of a long amplitude grid.
+BLOCK_ENTRIES = 256 * 60
+
+#: The fewest amplitudes in a block, whatever d: from d = 60 on, each block's
+#: loops over the levels run once per STATE_BLOCK states.
 STATE_BLOCK = 256
+
+
+def block_rows(d: int) -> int:
+    """Amplitudes per block at d levels: as many as fit in BLOCK_ENTRIES, at least STATE_BLOCK."""
+    return max(STATE_BLOCK, BLOCK_ENTRIES // d)
 
 
 def state_blocks(
     kind: StateKind | str, d: int, amplitudes: Iterable[complex]
 ) -> Iterator[StateBlock]:
-    """``state_block`` over STATE_BLOCK amplitudes at a time, in order."""
+    """``state_block`` over ``block_rows(d)`` amplitudes at a time, in order."""
     amps = list(amplitudes)
-    for first in range(0, len(amps), STATE_BLOCK):
-        yield state_block(kind, d, amps[first : first + STATE_BLOCK])
-
+    step = block_rows(d)
+    for first in range(0, len(amps), step):
+        yield state_block(kind, d, amps[first : first + step])

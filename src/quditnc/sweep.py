@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, IO, Iterator, NamedTuple, Sequence
+from typing import Callable, IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,30 +55,59 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 
 class Quantity(NamedTuple):
-    """A sweep column: ``fn(block, order)`` gives the values of the block's
-    states and the mask of those that get the singular sentinel (each an
-    array or a scalar that broadcasts over the block)."""
+    """A family of sweep columns: ``fn(block, orders)`` gives one column per
+    order (``None`` for an id that takes none), each the values of the block's
+    states as an array or a scalar that broadcasts over the block, and the mask
+    of the states whose cells in every one of these columns get the singular
+    sentinel (an array or a bool)."""
 
     ident: str
     needs_order: bool
     check_order: Callable[[int], bool]
-    fn: Callable[[StateBlock, int | None], tuple[np.ndarray | float, np.ndarray | bool]]
+    fn: Callable[[StateBlock, list], tuple[Sequence[np.ndarray | float], np.ndarray | bool]]
 
 
 def _any_order(_: int) -> bool:
     return True
 
 
+def _each_order(kernel) -> Callable:
+    """``fn(block, orders)`` from ``kernel(block, order)``, one call per order."""
+
+    def fn(block: StateBlock, orders: list) -> tuple[list, bool]:
+        columns = []
+        for order in orders:
+            try:
+                columns.append(kernel(block, order))
+            except OverflowError:  # a coefficient left the double range, whatever the state
+                columns.append(math.inf)
+        return columns, False
+
+    return fn
+
+
 def _ordered(ident: str, check_order: Callable[[int], bool], kernel) -> Quantity:
-    return Quantity(ident, True, check_order, lambda b, o: (kernel(b, o), False))
+    return Quantity(ident, True, check_order, _each_order(kernel))
 
 
 def _plain(ident: str, kernel) -> Quantity:
-    return Quantity(ident, False, _any_order, lambda b, _: (kernel(b), False))
+    return Quantity(ident, False, _any_order, _each_order(lambda b, _: kernel(b)))
 
 
 def _exact(ident: str) -> Quantity:
     return _plain(ident, lambda b: exact_measures(b, [ident])[ident])
+
+
+def _a3(block: StateBlock, _) -> tuple:
+    value, singular = agarwal_tara_block(block)
+    return (value,), singular
+
+
+def _klyshko(block: StateBlock, levels: list) -> tuple:
+    try:  # every level in one call
+        return klyshko_block(block, levels).T, False
+    except OverflowError:  # a level past the C long range: one call per level, as it fails alone
+        return _each_order(lambda b, n: klyshko_block(b, [n])[:, 0])(block, levels)
 
 
 QUANTITIES: dict[str, Quantity] = {
@@ -87,8 +116,8 @@ QUANTITIES: dict[str, Quantity] = {
         _ordered("hoa", lambda o: o >= 1, hoa_block),
         _ordered("hos", lambda o: o % 2 == 0 and 2 <= o <= 8, hos_block),
         _ordered("hosps", lambda o: o >= 1, hosps_block),
-        Quantity("a3", False, _any_order, lambda b, _: agarwal_tara_block(b)),
-        _ordered("klyshko", lambda o: o >= 0, lambda b, o: klyshko_block(b, [o])[:, 0]),
+        Quantity("a3", False, _any_order, _a3),
+        Quantity("klyshko", True, lambda o: o >= 0, _klyshko),
         _plain("negativity_closed_form", negativity_closed_form_block),
         _exact("negativity_exact"),
         _plain("concurrence_closed_form", concurrence_closed_form_block),
@@ -155,27 +184,25 @@ class SweepResult:
     def __len__(self) -> int:
         return sum(len(amps) for _, amps, _, _ in self.levels)
 
-    def rows(self) -> Iterator[tuple[int, float, dict[str, float | str]]]:
-        """Each row's d, amplitude and cells (column name -> float or sentinel)."""
-        for d, amps, values, singular in self.levels:
-            columns = np.where(singular, SINGULAR_SENTINEL, values.astype(object)).tolist()
-            for amp, *cells in zip(amps.tolist(), *columns):
-                yield d, amp, dict(zip(self.names, cells))
-
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
-    Each column is computed once per block of states of one d (see
-    ``states.state_blocks``) into that d's column arrays.  A singular
-    moment-matrix ratio is masked as the sentinel; any other non-finite
-    value, or an overflow inside a quantity, aborts with NumericalError
-    naming the first such cell, row by row and in column order within a row.
+    Each quantity id is one call per block of states of one d (see
+    ``states.state_blocks``), which gives its columns at every order asked
+    for into that d's column arrays.  A singular moment-matrix ratio is
+    masked as the sentinel; any other non-finite value, or an overflow inside
+    a quantity, aborts with NumericalError naming the first such cell, row
+    by row and in column order within a row.
     """
     spec.validate()
     kind = spec.state_kind.value
     names = tuple(column_name(ident, order) for ident, order in spec.quantities)
-    idents = [ident for ident, _ in spec.quantities]
+    families: dict[str, tuple[list[int], list]] = {}  # id -> its columns and their orders
+    for j, (ident, order) in enumerate(spec.quantities):
+        columns, orders = families.setdefault(ident, ([], []))
+        columns.append(j)
+        orders.append(order)
     levels = []
     for d in sorted(set(spec.d_list)):
         start = resolve_amplitude(spec.amp_start, d)
@@ -190,15 +217,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         first = 0
         for block in state_blocks(spec.state_kind, d, amps.tolist()):
             try:  # the exact measures share each chunk of two-mode amplitudes
-                exact_measures(block, idents)
+                exact_measures(block, families)
             except OverflowError:  # each exact column meets it again and reads inf
                 pass
             rows = slice(first, first + len(block))
-            for j, (ident, order) in enumerate(spec.quantities):
-                try:
-                    values[j, rows], singular[j, rows] = QUANTITIES[ident].fn(block, order)
-                except OverflowError:  # a coefficient left the double range, whatever the state
-                    values[j, rows] = math.inf
+            for ident, (columns, orders) in families.items():
+                cells, singular[columns, rows] = QUANTITIES[ident].fn(block, orders)
+                for j, column in zip(columns, cells):
+                    values[j, rows] = column
             bad = ~(np.isfinite(values[:, rows]) | singular[:, rows])
             if bad.any():
                 # Flattened row by row, then in column order.

@@ -18,6 +18,7 @@ from quditnc.oracle import ladder_matrix, normal_ordered_expectation
 from quditnc.states import state_block
 from quditnc.sweep import QUANTITIES, SINGULAR_SENTINEL, column_name
 from quditnc.witnesses import _s2, klyshko_block
+from sweep_rows import sweep_rows
 
 ALL_QUANTITIES = (
     ("hoa", 1),
@@ -44,7 +45,7 @@ def _bits(cells):
 
 def _cells(block, ident, order):
     # A column as the sweep serializes it: floats, and the sentinel where masked.
-    values, singular = QUANTITIES[ident].fn(block, order)
+    (values,), singular = QUANTITIES[ident].fn(block, [order])
     singular = np.broadcast_to(singular, len(block)).tolist()
     return [SINGULAR_SENTINEL if s else v for v, s in zip(values.tolist(), singular)]
 
@@ -331,7 +332,7 @@ def test_sweep_columns_match_the_dense_oracle_up_to_d60(kind, stop, d):
         ("a3", None),
     )
     spec = SweepSpec(StateKind(kind), (d,), 0.25, stop, 7, quantities)
-    rows = list(run_sweep(spec).rows())
+    rows = list(sweep_rows(run_sweep(spec)))
     block = state_block(kind, d, [amp for _, amp, _ in rows])
     number = ladder_matrix(d).conj().T @ ladder_matrix(d)
     for i, (_, amp, values) in enumerate(rows):

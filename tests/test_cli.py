@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -207,18 +208,31 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_non_finite_value_exits_three(monkeypatch, capsys):
-    bad = Quantity("hoa", True, lambda o: True, lambda block, o: (math.nan, False))
+    bad = Quantity(
+        "hoa", True, lambda o: True, lambda block, orders: ([math.nan] * len(orders), False)
+    )
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     assert main(SWEEP_ARGS) == 3
     assert "non-finite" in capsys.readouterr().err
 
 
 def test_a_sweep_that_exits_three_leaves_no_output_file(monkeypatch, tmp_path):
-    bad = Quantity("hoa", True, lambda o: True, lambda block, o: (math.nan, False))
+    bad = Quantity(
+        "hoa", True, lambda o: True, lambda block, orders: ([math.nan] * len(orders), False)
+    )
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     out = tmp_path / "rows.csv"
     assert main(SWEEP_ARGS + ["--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_main_probes_the_terminal_once(monkeypatch, tmp_path):
+    # argparse's formatter would probe it for every parser and argument.
+    calls = []
+    probe = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or probe(*a))
+    assert main([*SWEEP_ARGS, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys):

@@ -23,7 +23,7 @@ from quditnc import (
     photon_probabilities,
 )
 from quditnc.oracle import displacement_exponential
-from quditnc.states import STATE_BLOCK, _log_factorials, _nonlinear_coefficients, state_blocks
+from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_blocks
 
 
 def test_he_roots_small_degrees():
@@ -301,7 +301,8 @@ def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
 
 def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
     d = 9
-    amplitudes = np.linspace(-0.4, 2.0 * period(d), STATE_BLOCK + 5)
+    amplitudes = np.linspace(-0.4, 2.0 * period(d), block_rows(d) + 5)
+    assert len(list(state_blocks("nonlinear", d, amplitudes))) == 2
     built = _block_rows("nonlinear", d, amplitudes)
     assert len(built) == len(amplitudes)
     for amp, row in zip(amplitudes, built):

@@ -24,7 +24,8 @@ from quditnc import (
     run_sweep,
     table1_search,
 )
-from quditnc.states import STATE_BLOCK
+from quditnc import states, sweep
+from quditnc.states import block_rows
 from quditnc.sweep import (
     SINGULAR_SENTINEL,
     Quantity,
@@ -35,6 +36,7 @@ from quditnc.sweep import (
     write_rows_csv,
     write_rows_json,
 )
+from sweep_rows import sweep_rows
 
 FULL_QUANTITIES = (
     ("hoa", 1),
@@ -80,7 +82,7 @@ def reference_json(result):
     """The writer the sweep had before its one-pass one: the row dicts
     through ``json.dump(indent=2)`` and a newline."""
     buf = io.StringIO()
-    rows = [{"kind": result.kind, "d": d, "amplitude": a, **c} for d, a, c in result.rows()]
+    rows = [{"kind": result.kind, "d": d, "amplitude": a, **c} for d, a, c in sweep_rows(result)]
     json.dump(rows, buf, indent=2)
     buf.write("\n")
     return buf.getvalue()
@@ -155,7 +157,7 @@ def test_run_sweep_rejects_a_non_finite_range():
 
 def test_run_sweep_shape_and_order():
     result = run_sweep(_spec(d_list=(4, 3), steps=3))
-    rows = list(result.rows())
+    rows = list(sweep_rows(result))
     assert len(result) == 6
     assert [d for d, _, _ in rows] == [3, 3, 3, 4, 4, 4]
     amps = [amp for _, amp, _ in rows[:3]]
@@ -167,7 +169,7 @@ def test_run_sweep_shape_and_order():
 
 def test_run_sweep_resolves_tokens_per_level_count():
     spec = _spec(state_kind=StateKind.NONLINEAR, d_list=(2, 3), amp_stop="Td/2", steps=2)
-    amps = [amp for _, amp, _ in run_sweep(spec).rows()]
+    amps = [amp for _, amp, _ in sweep_rows(run_sweep(spec))]
     assert amps[1] == pytest.approx(period(2) / 2.0)
     assert amps[3] == pytest.approx(period(3) / 2.0)
 
@@ -181,14 +183,16 @@ def test_run_sweep_emits_singular_sentinel():
         steps=3,
         quantities=(("a3", None), ("hoa", 1)),
     )
-    rows = [values for _, _, values in run_sweep(spec).rows()]
+    rows = [values for _, _, values in sweep_rows(run_sweep(spec))]
     assert rows[0]["a3"] == SINGULAR_SENTINEL
     assert isinstance(rows[0]["hoa_1"], float)
     assert isinstance(rows[2]["a3"], float)
 
 
 def test_run_sweep_raises_on_non_finite_values(monkeypatch):
-    bad = Quantity("hoa", True, lambda o: True, lambda block, o: (math.inf, False))
+    bad = Quantity(
+        "hoa", True, lambda o: True, lambda block, orders: ([math.inf] * len(orders), False)
+    )
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     with pytest.raises(NumericalError):
         run_sweep(_spec())
@@ -196,9 +200,9 @@ def test_run_sweep_raises_on_non_finite_values(monkeypatch):
 
 def _bad_from(row, value):
     # Non-finite from the given row of the d=4 block on, finite elsewhere.
-    def fn(block, order):
+    def fn(block, orders):
         rows = np.arange(len(block))
-        return np.where((block.dim == 4) & (rows >= row), value, 0.0), False
+        return [np.where((block.dim == 4) & (rows >= row), value, 0.0) for _ in orders], False
 
     return fn
 
@@ -233,7 +237,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
         d_list=(12, 3),
         amp_start=0.05,
         amp_stop="Td/2",
-        steps=STATE_BLOCK + 3,
+        steps=block_rows(12) + 3,
         quantities=quantities,
     )
     expected = []
@@ -252,22 +256,23 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
 WRITER_SPECS = pytest.mark.parametrize(
     "spec",
     [
-        # Criterion 9: eighteen columns, and a3 is singular at amplitude 0.
+        # Criterion 9's eighteen columns over more amplitudes than one block
+        # holds, and a3 is singular at amplitude 0.
         _spec(
             state_kind=StateKind.NONLINEAR,
             d_list=(5,),
             amp_stop="Td/2",
-            steps=400,
+            steps=block_rows(5) + 400,
             quantities=CRIT9_QUANTITIES,
         ),
-        # Three level counts, each split across two blocks; the sentinel
+        # Three level counts, each split across two blocks or more; the sentinel
         # column changes its line format from one level count to the next.
         _spec(
             state_kind=StateKind.NONLINEAR,
             d_list=(7, 2, 12),
             amp_start=0.05,
             amp_stop="Td/2",
-            steps=STATE_BLOCK + 5,
+            steps=block_rows(2) + 5,
             quantities=FULL_QUANTITIES,
         ),
     ],
@@ -279,7 +284,7 @@ WRITER_SPECS = pytest.mark.parametrize(
 def test_csv_equals_the_row_by_row_writer(spec):
     result = run_sweep(spec)
     assert len(result) == len(set(spec.d_list)) * spec.steps
-    want = reference_csv(result.kind, result.names, result.rows())
+    want = reference_csv(result.kind, result.names, sweep_rows(result))
     assert SINGULAR_SENTINEL in want
     assert _csv(result) == want
 
@@ -287,12 +292,101 @@ def test_csv_equals_the_row_by_row_writer(spec):
 @WRITER_SPECS
 def test_json_equals_json_dump_of_the_rows(spec):
     result = run_sweep(spec)
-    assert any(len(amps) > STATE_BLOCK for _, amps, _, _ in result.levels)
+    assert any(len(amps) > block_rows(d) for d, amps, _, _ in result.levels)
     want = reference_json(result)
     assert '"singular"' in want
     buf = io.StringIO()
     write_rows_json(result, buf)
     assert buf.getvalue() == want
+
+
+#: Every quantity id, several of them at more than one order and interleaved.
+LAYOUT_QUANTITIES = (*FULL_QUANTITIES, ("hoa", 3), ("hos", 4), ("klyshko", 2), ("hosps", 4))
+LAYOUT_STEPS = 257  # a grid step of 1/64 from -2 to 2 puts amplitude 0 on it
+
+#: Block rules other than the default: one row, seven rows, the whole grid.
+BLOCK_RULES = pytest.mark.parametrize(
+    "rule", [lambda d: 1, lambda d: 7, lambda d: 10**9], ids=["1", "7", "all"]
+)
+
+
+@BLOCK_RULES
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_output_bytes_do_not_depend_on_the_block_layout(monkeypatch, kind, rule):
+    # d = 60 spans two default blocks; every a3 cell is singular at d = 2, and so
+    # is the vacuum's at amplitude 0; a negative amplitude gives complex rows.
+    spec = _spec(
+        state_kind=StateKind(kind),
+        d_list=(60, 2, 5),
+        amp_start=-2.0,
+        amp_stop=2.0,
+        steps=LAYOUT_STEPS,
+        quantities=LAYOUT_QUANTITIES,
+    )
+
+    def outputs():
+        result = run_sweep(spec)
+        buf = io.StringIO()
+        write_rows_json(result, buf)
+        return _csv(result), buf.getvalue()
+
+    want = outputs()
+    assert block_rows(60) < spec.steps
+    assert states.state_block(kind, 5, [-1.0]).amps.imag.any()
+    assert ",singular," in want[0] and '"singular"' in want[1]
+    monkeypatch.setattr(states, "block_rows", rule)
+    assert outputs() == want
+
+
+@BLOCK_RULES
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch, kind, rule):
+    amplitudes = [*(1.7 * np.exp(1j * np.linspace(-3.0, 3.0, 23))), 0.0, -0.8, 2.5]
+    families = {}
+    for ident, order in LAYOUT_QUANTITIES:
+        families.setdefault(ident, []).append(order)
+
+    def columns():
+        out = {}
+        for block in states.state_blocks(kind, 7, amplitudes):
+            for ident, orders in families.items():
+                values, singular = QUANTITIES[ident].fn(block, orders)
+                masked = np.broadcast_to(singular, len(block)).tolist()
+                for order, column in zip(orders, values):
+                    cells = np.broadcast_to(column, len(block)).tolist()
+                    out.setdefault(column_name(ident, order), []).extend(
+                        SINGULAR_SENTINEL if s else float(v).hex() for v, s in zip(cells, masked)
+                    )
+        return out
+
+    want = columns()
+    assert SINGULAR_SENTINEL in want["a3"]  # the vacuum row
+    monkeypatch.setattr(states, "block_rows", rule)
+    assert columns() == want
+
+
+@pytest.mark.parametrize("d,blocks", [(5, 1), (60, 2)])
+def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
+    monkeypatch, d, blocks
+):
+    # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two.
+    built, calls = [], []
+    state_block = states.state_block
+    klyshko_block = sweep.klyshko_block
+    monkeypatch.setattr(states, "state_block", lambda *a: built.append(a) or state_block(*a))
+    monkeypatch.setattr(
+        sweep, "klyshko_block", lambda b, n: calls.append(list(n)) or klyshko_block(b, n)
+    )
+    spec = _spec(
+        state_kind=StateKind.NONLINEAR,
+        d_list=(d,),
+        amp_stop="Td/2",
+        steps=400,
+        quantities=CRIT9_QUANTITIES,
+    )
+    assert len(run_sweep(spec)) == 400
+    assert len(built) == blocks
+    assert calls == [[0, 1, 2]] * blocks
 
 
 def _csv_of_cells(cells, singular=None):
@@ -360,7 +454,7 @@ def test_csv_round_trips_doubles():
     header = lines[0].split(",")
     assert header[:3] == ["kind", "d", "amplitude"]
     assert len(lines) == 6
-    for line, (d, amp, values) in zip(lines[1:], result.rows()):
+    for line, (d, amp, values) in zip(lines[1:], sweep_rows(result)):
         cells = line.split(",")
         assert cells[0] == "linear"
         assert int(cells[1]) == d
@@ -384,7 +478,7 @@ def test_csv_writes_sentinel_verbatim():
 
 def test_json_rows_match_csv_content():
     result = run_sweep(_spec(steps=3))
-    payload = [{"kind": "linear", "d": d, "amplitude": a, **v} for d, a, v in result.rows()]
+    payload = [{"kind": "linear", "d": d, "amplitude": a, **v} for d, a, v in sweep_rows(result)]
     assert [p["d"] for p in payload] == [3, 3, 3]
     assert set(payload[0]) == {"kind", "d", "amplitude", "hoa_1"}
     buf = io.StringIO()
