@@ -11,6 +11,11 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "FockVector", "fock_state", "mean_photon", "normal_moment", "number_moment",
+    "photon_probabilities",
+]
+
 #: Constructors renormalize amplitude vectors whose norm is off by less than
 #: this and reject anything worse as a probable construction bug.
 NORM_TOL = 1e-6

@@ -19,33 +19,15 @@ import numpy as np
 
 from .fock import FockVector, StateBlock, level_sum
 
-TWO_MODE_NORM_TOL = 1e-9
+__all__ = [
+    "MeasureReport", "anticlassicality", "concurrence_closed_form", "concurrence_exact",
+    "log_negativity_exact", "measure_report", "negativity_potential_closed_form",
+]
 
 #: Entries in one stack of two-mode amplitude matrices that the exact
 #: measures build at a time (at least one state per stack), which bounds
 #: their memory on long grids at large d.
 TWO_MODE_CHUNK = 8192
-
-
-class TwoModeAmplitudes(NamedTuple("TwoModeAmplitudes", [("dim", int), ("amps", np.ndarray)])):
-    """Two-mode amplitudes after the splitter; entry [j, i] pairs |j> with |i>.
-
-    Total photon number is conserved, so everything below the main
-    anti-diagonal (j + i > dim - 1) is exactly zero.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its fields too
-
-    def __new__(cls, dim: int, amps: np.ndarray) -> TwoModeAmplitudes:
-        a = np.array(amps, dtype=complex)  # a copy
-        if a.shape != (dim, dim):
-            raise ValueError("amplitude matrix shape must be (dim, dim)")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > TWO_MODE_NORM_TOL:
-            raise ValueError(f"two-mode norm {norm!r} deviates from 1")
-        a.setflags(write=False)
-        return super().__new__(cls, dim, a)
 
 
 class _SplitTable(NamedTuple):
@@ -86,23 +68,15 @@ def _windows(amps: np.ndarray) -> np.ndarray:
     The Hankel view ``sliding_window_view(padded, d, axis=1)`` of each scaled
     row zero-padded to 2d - 1 entries, made directly: its argument checks
     take longer than a small-d chunk's product.  Times the table's
-    ``sqrt_binomial`` it is the two-mode amplitude matrix after the splitter.
+    ``sqrt_binomial`` it is the two-mode amplitude matrix after the splitter:
+    |n> splits into a superposition over (j, n - j) with amplitude
+    2^(-n/2) sqrt(C(n, j)), at [j, n - j].
     """
     d = amps.shape[1]
     padded = np.zeros((amps.shape[0], 2 * d - 1), dtype=amps.dtype)
     np.multiply(amps, _split_table(d).scale, out=padded[:, :d])
     row, entry = padded.strides
     return np.ndarray((len(padded), d, d), padded.dtype, padded, 0, (row, entry, entry))
-
-
-def beamsplit(state: FockVector) -> TwoModeAmplitudes:
-    """Send the state through a balanced splitter with vacuum in port two.
-
-    |n> splits into a superposition over (j, n-j) with amplitude
-    2^(-n/2) sqrt(C(n, j)).
-    """
-    amps = _windows(state.amps[None, :])[0] * _split_table(state.dim).sqrt_binomial
-    return TwoModeAmplitudes(dim=state.dim, amps=amps)
 
 
 def _moduli(block: StateBlock) -> np.ndarray:
@@ -138,24 +112,6 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 def _log_negativities(trace_norms: np.ndarray) -> np.ndarray:
     return np.array([2.0 * math.log2(s) for s in trace_norms.tolist()])
-
-
-def _stack_of(two_mode: TwoModeAmplitudes) -> np.ndarray:
-    # A stack of one, real when no imaginary part is set, as exact_measures
-    # builds it for a real row.
-    amps = two_mode.amps
-    return (amps if amps.imag.any() else amps.real)[None]
-
-
-def log_negativity_exact(two_mode: TwoModeAmplitudes) -> float:
-    """Exact logarithmic negativity: 2 log2 of the singular-value sum.
-
-    For a pure two-mode state the trace norm of the partial transpose is
-    the squared sum of Schmidt coefficients, i.e. of singular values of the
-    amplitude matrix.  A real amplitude matrix is symmetric, and its
-    singular values are the moduli of its eigenvalues.
-    """
-    return float(_log_negativities(_trace_norms(_stack_of(two_mode)))[0])
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +160,6 @@ def _concurrences(purities: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(2.0 * (1.0 - purities), 0.0))
 
 
-def concurrence_exact(two_mode: TwoModeAmplitudes) -> float:
-    """Concurrence from the exact reduced purity of one output mode."""
-    return float(_concurrences(_purities(_stack_of(two_mode)))[0])
-
-
 def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
     """The exact measures of the split states among the sweep quantity ids
     ``idents`` ("negativity_exact", "concurrence_exact"), for every row.
@@ -244,6 +195,25 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
         for name in missing:
             block.kept["exact", name] = kernels[name][1](sums[name])
     return {name: block.kept["exact", name] for name in names}
+
+
+def log_negativity_exact(state: FockVector) -> float:
+    """Exact logarithmic negativity of the split state: 2 log2 of the
+    singular-value sum of its two-mode amplitude matrix.
+
+    For a pure two-mode state the trace norm of the partial transpose is
+    the squared sum of Schmidt coefficients, i.e. of singular values of the
+    amplitude matrix.  A real amplitude matrix is symmetric, and its
+    singular values are the moduli of its eigenvalues.
+    """
+    name = "negativity_exact"
+    return float(exact_measures(StateBlock.of(state), [name])[name][0])
+
+
+def concurrence_exact(state: FockVector) -> float:
+    """Concurrence of the split state from the exact reduced purity of one output mode."""
+    name = "concurrence_exact"
+    return float(exact_measures(StateBlock.of(state), [name])[name][0])
 
 
 def anticlassicality_block(

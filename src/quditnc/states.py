@@ -23,6 +23,11 @@ import numpy as np
 
 from .fock import FockVector, StateBlock, normalized_rows, row_dots
 
+__all__ = [
+    "HermiteRootSet", "QcsSpec", "StateKind", "build_state", "he_roots", "linear_qcs",
+    "nonlinear_qcs", "period",
+]
+
 # Cephes lgam (Moshier, Methods and Programs for Mathematical Functions, 1989): log sqrt(2 pi)
 # and the correction to Stirling's series, a polynomial in 1/x^2, highest power first. Cephes
 # sums a shorter one from x = 1000; up to its next branch, x = 1e8, both round alike.

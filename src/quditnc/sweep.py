@@ -25,8 +25,16 @@ from .witnesses import (
     klyshko_levels,
 )
 
+__all__ = [
+    "NumericalError", "SweepResult", "SweepSpec", "klyshko_bars", "run_sweep", "table1_search",
+]
+
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
 SINGULAR_SENTINEL = "singular"
+
+#: The most cells (amplitudes and values, over every level count) a sweep
+#: holds: 1 GiB of float64.  A larger grid is refused before any allocation.
+SWEEP_CELLS = 2**27
 
 
 class NumericalError(RuntimeError):
@@ -104,10 +112,7 @@ def _a3(block: StateBlock, _) -> tuple:
 
 
 def _klyshko(block: StateBlock, levels: list) -> tuple:
-    try:  # every level in one call
-        return klyshko_block(block, levels).T, False
-    except OverflowError:  # a level past the C long range: one call per level, as it fails alone
-        return _each_order(lambda b, n: klyshko_block(b, [n])[:, 0])(block, levels)
+    return klyshko_block(block, levels).T, False
 
 
 QUANTITIES: dict[str, Quantity] = {
@@ -169,6 +174,9 @@ class SweepSpec(NamedTuple):
                 raise ValueError(f"quantity {name!r} is requested twice")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
+        cells = len(set(self.d_list)) * self.steps * (len(self.quantities) + 1)
+        if cells > SWEEP_CELLS:
+            raise ValueError(f"the grid holds {cells} cells, more than the {SWEEP_CELLS} allowed")
 
 
 class SweepResult:

@@ -15,6 +15,11 @@ import numpy as np
 
 from .fock import FockVector, StateBlock, row_dots
 
+__all__ = [
+    "SingularMomentMatrix", "WitnessEntry", "WitnessReport", "agarwal_tara",
+    "hm_quadrature_moment", "hoa", "hos_witness", "hosps", "klyshko", "witness_report",
+]
+
 #: Below this the difference of moment-matrix determinants counts as singular.
 A3_SINGULAR_TOL = 1e-12
 
@@ -157,16 +162,18 @@ def agarwal_tara(state: FockVector) -> float:
 
 @np.errstate(all="ignore")
 def klyshko_block(block: StateBlock, levels) -> np.ndarray:
-    """``klyshko`` of every state of the block, one column per level n of ``levels``."""
-    n = np.asarray(levels, dtype=int)
+    """``klyshko`` of every state of the block, one column per level n of ``levels``.
+
+    A level from d on reads exactly 0, as its three probabilities do: it is
+    taken as level d, decided on the Python int, so no level meets int64 overflow.
+    """
+    d = block.dim
+    n = np.array([level if level < d else d for level in levels], dtype=int)
     if (n < 0).any():
         raise ValueError("level index must be non-negative")
-    p = block.probabilities
-
-    def at(i: np.ndarray) -> np.ndarray:
-        return np.where(i < block.dim, p[:, np.minimum(i, block.dim - 1)], 0.0)
-
-    return (n + 2) * at(n) * at(n + 2) - (n + 1) * np.float_power(at(n + 1), 2)
+    p = np.zeros((len(block), d + 3))  # the probabilities, then levels d .. d + 2 at 0
+    p[:, :d] = block.probabilities
+    return (n + 2) * p[:, n] * p[:, n + 2] - (n + 1) * np.float_power(p[:, n + 1], 2)
 
 
 def klyshko_levels(d: int) -> range:

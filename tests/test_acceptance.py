@@ -22,7 +22,6 @@ from quditnc import (
     SweepSpec,
     agarwal_tara,
     anticlassicality,
-    beamsplit,
     build_state,
     concurrence_closed_form,
     concurrence_exact,
@@ -201,12 +200,12 @@ def test_criterion_5_number_state_landmarks():
             agarwal_tara(fock_state(1))
         one = fock_state(1)
         closed = negativity_potential_closed_form(one)
-        exact = log_negativity_exact(beamsplit(one))
+        exact = log_negativity_exact(one)
         assert abs(closed - 1.0) < 1e-9
         assert abs(exact - 1.0) < 1e-9
         assert abs(closed - exact) < 1e-9
         assert concurrence_closed_form(one) == pytest.approx(1.0, abs=1e-9)
-        assert concurrence_exact(beamsplit(one)) == pytest.approx(1.0, abs=1e-9)
+        assert concurrence_exact(one) == pytest.approx(1.0, abs=1e-9)
         for n in (0, 1, 4):
             value, level = anticlassicality(fock_state(n, dim=n + 3), False)
             assert value == 1.0
@@ -219,11 +218,9 @@ def test_criterion_6_closed_form_divergence_is_visible():
         assert negativity_potential_closed_form(plus) == pytest.approx(
             1.5431, abs=1e-4
         )
-        assert log_negativity_exact(beamsplit(plus)) == pytest.approx(
-            0.58496, abs=1e-4
-        )
+        assert log_negativity_exact(plus) == pytest.approx(0.58496, abs=1e-4)
         assert concurrence_closed_form(plus) == pytest.approx(1.1180, abs=1e-4)
-        assert concurrence_exact(beamsplit(plus)) == pytest.approx(0.5, abs=1e-4)
+        assert concurrence_exact(plus) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_criterion_7_target_population_search():

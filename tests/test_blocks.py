@@ -141,7 +141,7 @@ def _per_state_cells(state):
             proxy += abs(amp) ** 4 * 4.0 ** (-n) * math.comb(2 * n, n)
         return 2.0 * math.log2(neg), math.sqrt(max(2.0 * (1.0 - proxy), 0.0))
 
-    two = measures.beamsplit(state).amps
+    two = measures._windows(amps[None, :])[0] * measures._split_table(d).sqrt_binomial
     rho = two @ two.conj().T
     # A real two-mode matrix is symmetric: its singular values are |eigenvalues|.
     if two.imag.any():
@@ -217,12 +217,8 @@ def test_exact_measures_are_exact_across_two_mode_chunks(kind, monkeypatch):
     for name in names:
         assert chunked[name].tobytes() == one_row[name].tobytes(), name
     states = [(nonlinear_qcs if kind == "nonlinear" else linear_qcs)(d, a) for a in amplitudes]
-    assert [measures.log_negativity_exact(measures.beamsplit(s)) for s in states] == list(
-        chunked["negativity_exact"]
-    )
-    assert [measures.concurrence_exact(measures.beamsplit(s)) for s in states] == list(
-        chunked["concurrence_exact"]
-    )
+    assert [measures.log_negativity_exact(s) for s in states] == list(chunked["negativity_exact"])
+    assert [measures.concurrence_exact(s) for s in states] == list(chunked["concurrence_exact"])
 
 
 def test_a_block_mixing_real_and_complex_rows_gives_each_row_its_alone_value(monkeypatch):

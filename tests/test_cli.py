@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quditnc
-from quditnc import measures
+from quditnc import measures, sweep
 from quditnc.cli import main
 from quditnc.sweep import QUANTITIES, Quantity
 
@@ -273,6 +273,34 @@ def test_overflow_inside_a_quantity_exits_three(
     assert f"{column} is non-finite at kind=linear d={d} amplitude={amplitude!r}" in err
     assert "Traceback" not in err
     assert "Warning" not in err
+
+
+def test_klyshko_levels_past_int64_read_zero(capsys):
+    args = ["sweep", "--kind", "linear", "--d", "5", "--range", "0.5:1", "--steps", "2"]
+    assert main([*args, "--quantities", "klyshko:1"]) == 0
+    alone = capsys.readouterr().out.strip().split("\n")
+    huge = "klyshko:1,klyshko:9223372036854775806,klyshko:18446744073709551616"
+    assert main([*args, "--quantities", huge]) == 0
+    out, err = capsys.readouterr()
+    lines = out.strip().split("\n")
+    assert lines[0] == (
+        "kind,d,amplitude,klyshko_1,klyshko_9223372036854775806,klyshko_18446744073709551616"
+    )
+    assert alone[1:] == ["linear,5,0.5,-2.1684043449710089e-19", "linear,5,1,0"]
+    assert [line.rsplit(",", 2) for line in lines[1:]] == [[row, "0", "0"] for row in alone[1:]]
+    assert err == ""
+
+
+def test_a_grid_over_the_cell_budget_exits_two_before_any_allocation(monkeypatch, capsys):
+    def allocation(*args, **kwargs):
+        pytest.fail("the sweep allocated its grid")
+
+    monkeypatch.setattr(sweep.np, "linspace", allocation)
+    monkeypatch.setattr(sweep.np, "empty", allocation)
+    args = ["sweep", "--kind", "linear", "--d", "5", "--range", "0.5:1", "--steps"]
+    assert main([*args, "1000000000000", "--quantities", "hoa:1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the grid holds 2000000000000 cells, more than the 134217728 allowed\n"
 
 
 def test_concurrence_closed_form_runs_past_515_levels(capsys):

@@ -8,9 +8,7 @@ import pytest
 
 from quditnc import (
     FockVector,
-    TwoModeAmplitudes,
     anticlassicality,
-    beamsplit,
     concurrence_closed_form,
     concurrence_exact,
     fock_state,
@@ -27,50 +25,42 @@ from quditnc.fock import StateBlock
 PLUS = FockVector([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
 
 
+def _split(state):
+    # The two-mode amplitude matrix after the splitter, as exact_measures builds it.
+    sqrt_binomial = measures._split_table(state.dim).sqrt_binomial
+    return measures._windows(state.amps[None, :])[0] * sqrt_binomial
+
+
 def test_beamsplit_single_photon():
-    two = beamsplit(fock_state(1))
+    two = _split(fock_state(1))
     r = 1.0 / math.sqrt(2.0)
-    assert two.amps[0, 1] == pytest.approx(r, abs=1e-14)
-    assert two.amps[1, 0] == pytest.approx(r, abs=1e-14)
-    assert two.amps[0, 0] == 0.0
-    assert two.amps[1, 1] == 0.0
+    assert two[0, 1] == pytest.approx(r, abs=1e-14)
+    assert two[1, 0] == pytest.approx(r, abs=1e-14)
+    assert two[0, 0] == 0.0
+    assert two[1, 1] == 0.0
 
 
 def test_beamsplit_two_photons():
-    two = beamsplit(fock_state(2))
-    assert two.amps[0, 2] == pytest.approx(0.5, abs=1e-14)
-    assert two.amps[1, 1] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-14)
-    assert two.amps[2, 0] == pytest.approx(0.5, abs=1e-14)
+    two = _split(fock_state(2))
+    assert two[0, 2] == pytest.approx(0.5, abs=1e-14)
+    assert two[1, 1] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-14)
+    assert two[2, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_beamsplit_conserves_norm_and_total_number():
     s = nonlinear_qcs(5, 1.3)
-    two = beamsplit(s)
-    assert np.linalg.norm(two.amps) == pytest.approx(1.0, abs=1e-12)
+    two = _split(s)
+    assert np.linalg.norm(two) == pytest.approx(1.0, abs=1e-12)
     for j in range(5):
         for i in range(5):
             if j + i > 4:
-                assert two.amps[j, i] == 0.0
-
-
-def test_two_mode_container_validation():
-    with pytest.raises(ValueError, match=r"shape must be \(dim, dim\)"):
-        TwoModeAmplitudes(dim=2, amps=np.zeros((2, 3), dtype=complex))
-    with pytest.raises(ValueError, match="two-mode norm 2.0 deviates from 1"):
-        TwoModeAmplitudes(dim=2, amps=np.ones((2, 2), dtype=complex))
-    raw = np.diag([1.0, 0.0]).astype(complex)
-    two = TwoModeAmplitudes(2, raw)
-    raw[0, 0] = 0.0
-    assert two.amps[0, 0] == 1.0
-    assert not two.amps.flags.writeable
-    with pytest.raises(AttributeError):
-        two.amps = raw
+                assert two[j, i] == 0.0
 
 
 def test_negativity_single_photon_both_routes():
     s = fock_state(1)
     closed = negativity_potential_closed_form(s)
-    exact = log_negativity_exact(beamsplit(s))
+    exact = log_negativity_exact(s)
     assert closed == pytest.approx(1.0, abs=1e-9)
     assert exact == pytest.approx(1.0, abs=1e-9)
 
@@ -78,21 +68,21 @@ def test_negativity_single_photon_both_routes():
 def test_negativity_vacuum_is_zero():
     s = fock_state(0, dim=2)
     assert negativity_potential_closed_form(s) == pytest.approx(0.0, abs=1e-12)
-    assert log_negativity_exact(beamsplit(s)) == pytest.approx(0.0, abs=1e-12)
+    assert log_negativity_exact(s) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_number_states_agree_on_both_negativity_routes(n):
     s = fock_state(n)
     closed = negativity_potential_closed_form(s)
-    exact = log_negativity_exact(beamsplit(s))
+    exact = log_negativity_exact(s)
     assert abs(closed - exact) < 1e-9
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_number_states_agree_on_both_concurrence_routes(n):
     s = fock_state(n)
-    assert abs(concurrence_closed_form(s) - concurrence_exact(beamsplit(s))) < 1e-9
+    assert abs(concurrence_closed_form(s) - concurrence_exact(s)) < 1e-9
 
 
 def test_closed_form_dominates_exact_negativity():
@@ -101,7 +91,7 @@ def test_closed_form_dominates_exact_negativity():
         states.append(nonlinear_qcs(4, alpha))
     for s in states:
         closed = negativity_potential_closed_form(s)
-        exact = log_negativity_exact(beamsplit(s))
+        exact = log_negativity_exact(s)
         assert exact <= closed + 1e-9
 
 
@@ -109,23 +99,21 @@ def test_superposition_routes_diverge():
     # The two routes agree on number states only; on an even superposition
     # they give visibly different numbers, and both are kept.
     assert negativity_potential_closed_form(PLUS) == pytest.approx(1.5431, abs=1e-4)
-    assert log_negativity_exact(beamsplit(PLUS)) == pytest.approx(
-        math.log2(1.5), abs=1e-4
-    )
+    assert log_negativity_exact(PLUS) == pytest.approx(math.log2(1.5), abs=1e-4)
     assert concurrence_closed_form(PLUS) == pytest.approx(1.1180, abs=1e-4)
-    assert concurrence_exact(beamsplit(PLUS)) == pytest.approx(0.5, abs=1e-4)
+    assert concurrence_exact(PLUS) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_concurrence_single_photon():
     s = fock_state(1)
     assert concurrence_closed_form(s) == pytest.approx(1.0, abs=1e-9)
-    assert concurrence_exact(beamsplit(s)) == pytest.approx(1.0, abs=1e-9)
+    assert concurrence_exact(s) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_concurrence_vacuum_is_zero():
     s = fock_state(0, dim=3)
     assert concurrence_closed_form(s) == pytest.approx(0.0, abs=1e-9)
-    assert concurrence_exact(beamsplit(s)) == pytest.approx(0.0, abs=1e-9)
+    assert concurrence_exact(s) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_anticlassicality_vacuum():
@@ -215,7 +203,7 @@ def test_cached_split_table_reproduces_the_per_entry_loop(d):
     states = [fock_state(d - 1)]
     states += [family(d, a) for family in (linear_qcs, nonlinear_qcs) for a in amplitudes]
     for state in states:
-        assert beamsplit(state).amps.tobytes() == _split_by_loop(state).tobytes()
+        assert _split(state).tobytes() == _split_by_loop(state).tobytes()
         assert negativity_potential_closed_form(state) == _closed_form_by_loop(state)
 
 
@@ -244,8 +232,8 @@ def test_exact_measures_are_the_definitional_route_bit_for_bit(d):
     got = measures.exact_measures(block, list(want))
     for name, values in want.items():
         assert got[name].tolist() == values, name
-    assert [log_negativity_exact(beamsplit(s)) for s in states] == want["negativity_exact"]
-    assert [concurrence_exact(beamsplit(s)) for s in states] == want["concurrence_exact"]
+    assert [log_negativity_exact(s) for s in states] == want["negativity_exact"]
+    assert [concurrence_exact(s) for s in states] == want["concurrence_exact"]
 
 
 @pytest.mark.parametrize("d", [2, 5, 20, 60, 120])
@@ -261,11 +249,11 @@ def test_negativity_exact_real_route_matches_the_complex_svd(d):
     }
     for label, family in states.items():
         for state in family:
-            two = beamsplit(state).amps
+            two = _split(state)
             assert two.imag.any() == label.endswith("complex")
             sigma = np.linalg.svd(two, compute_uv=False)
             want = 2.0 * math.log2(float(sigma.sum()))
-            assert abs(log_negativity_exact(beamsplit(state)) - want) <= 1e-13, label
+            assert abs(log_negativity_exact(state) - want) <= 1e-13, label
 
 
 def test_purity_proxy_past_515_levels_matches_the_exact_sum():

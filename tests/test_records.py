@@ -10,7 +10,6 @@ from quditnc import (
     QcsSpec,
     StateKind,
     SweepSpec,
-    TwoModeAmplitudes,
     klyshko_bars,
     linear_qcs,
     measure_report,
@@ -58,9 +57,6 @@ def test_replace_checks_the_fields_as_the_constructor_does():
     assert spec._replace(kind="nonlinear", amplitude=2) == QcsSpec("nonlinear", 3, 2.0)
     with pytest.raises(ValueError, match="dim must be at least 2"):
         spec._replace(dim=1)
-    two = TwoModeAmplitudes(2, np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError, match="two-mode norm"):
-        two._replace(amps=np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("state", [nonlinear_qcs(5, 1.2), linear_qcs(3, 0.7)])

@@ -149,6 +149,16 @@ def test_validate_rejects_a_quantity_requested_twice():
     _spec(quantities=(("hoa", 1), ("hoa", 2))).validate()
 
 
+def test_validate_caps_the_cells_of_the_grid():
+    # Amplitudes and one column per quantity, per distinct level count.
+    assert sweep.SWEEP_CELLS == 2**27
+    quantities = (("hoa", 1), ("a3", None), ("klyshko", 0))
+    at_budget = _spec(d_list=(3, 4, 3), steps=2**24, quantities=quantities)
+    at_budget.validate()
+    with pytest.raises(ValueError, match=f"holds {2**27 + 8} cells, more than the {2**27}"):
+        at_budget._replace(steps=2**24 + 1).validate()
+
+
 def test_run_sweep_rejects_a_non_finite_range():
     for start, stop in ((0.0, 1e400), (math.inf, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="amplitude range must be finite"):

@@ -209,6 +209,14 @@ def test_klyshko_beyond_support_is_zero():
     assert klyshko(s, 1) == 0.0
 
 
+@pytest.mark.parametrize("n", [3, 4, 2**31, 2**63 - 2, 2**63, 2**64, 10**40])
+def test_klyshko_from_the_level_count_on_is_exactly_zero_at_any_level(n):
+    # Levels past int64 (and those that wrapped in n + 2) read 0, as every
+    # level from d = 3 on does: its three probabilities are 0.
+    value = klyshko(NL_D3, n)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_klyshko_frozen_value():
     assert klyshko(NL_D3, 0) == pytest.approx(0.02957762381822031, abs=1e-12)
 
