@@ -10,19 +10,19 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
-from .measures import measure_report
-from .states import QcsSpec, StateKind, build_state
+from .states import StateKind, build_state
 from .sweep import (
     NumericalError,
     SweepSpec,
     klyshko_bars,
+    measure_report,
     resolve_amplitude,
     run_sweep,
     table1_search,
+    witness_report,
     write_rows_csv,
     write_rows_json,
 )
-from .witnesses import witness_report
 
 
 def _parse_quantities(text: str) -> tuple[tuple[str, int | None], ...]:
@@ -134,11 +134,14 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         raise ValueError(f"malformed config: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(payload, out: str | None) -> int:
+    import json  # loaded only where JSON is read or written: a CSV sweep never needs it
+    text = json.dumps(payload, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -151,28 +154,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    import json
-    report = table1_search(args.tolerance)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0
+    return _emit(table1_search(args.tolerance), args.out)
 
 
 def _cmd_klyshko(args: argparse.Namespace) -> int:
-    import json
     amplitudes = [tok.strip() for tok in args.amplitudes.split(",") if tok.strip()]
     if not amplitudes:
         raise ValueError("at least one amplitude is required")
-    report = klyshko_bars(StateKind(args.kind), args.d, amplitudes)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0
+    return _emit(klyshko_bars(StateKind(args.kind), args.d, amplitudes), args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
     amp = resolve_amplitude(args.amplitude, args.d)
-    state = build_state(QcsSpec(StateKind(args.kind), args.d, amp))
+    state = build_state(args.kind, args.d, amp)
     try:
-        measures = measure_report(state).as_dict()
+        measures = measure_report(state)
     except OverflowError:  # the splitter's sqrt(C(n, j)) leaves the double range from d = 1031
         where = f"kind={args.kind} d={args.d} amplitude={amp!r}"
         raise NumericalError(f"the report overflows the double range at {where}") from None
@@ -180,11 +176,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "kind": args.kind,
         "d": args.d,
         "amplitude": amp,
-        "witnesses": witness_report(state).as_dicts(),
+        "witnesses": witness_report(state),
         "measures": measures,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _emit(payload, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

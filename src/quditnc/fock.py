@@ -134,11 +134,9 @@ class StateBlock:
 
     def factorial_moment(self, k: int) -> np.ndarray:
         """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j, left to right."""
-        key = ("factorial_moment", k)
-        if key not in self.kept:  # the weights are built on a miss only
-            weights = [float(math.perm(j, k)) for j in range(self.dim)]  # 0.0 below k
-            self.kept[key] = level_sum(self.probabilities, weights)
-        return self.kept[key]
+        # The weights, 0.0 below k, are built on a miss only.
+        return self.memo(("factorial_moment", k), lambda: level_sum(
+            self.probabilities, [float(math.perm(j, k)) for j in range(self.dim)]))
 
     def number_moment(self, n: int) -> np.ndarray:
         """<N^n> = sum_j j^n p_j."""

@@ -20,8 +20,8 @@ import numpy as np
 from .fock import FockVector, StateBlock, level_sum
 
 __all__ = [
-    "MeasureReport", "anticlassicality", "concurrence_closed_form", "concurrence_exact",
-    "log_negativity_exact", "measure_report", "negativity_potential_closed_form",
+    "anticlassicality", "concurrence_closed_form", "concurrence_exact", "log_negativity_exact",
+    "negativity_potential_closed_form",
 ]
 
 #: Entries in one stack of two-mode amplitude matrices that the exact
@@ -85,11 +85,15 @@ def _moduli(block: StateBlock) -> np.ndarray:
     return block.memo("moduli", lambda: np.hypot(block.amps.real, block.amps.imag))
 
 
+def _log_negativities(norms: np.ndarray) -> np.ndarray:
+    # 2 log2 of each trace norm, or of the entry sum that bounds it.
+    return np.array([2.0 * math.log2(s) for s in norms.tolist()])
+
+
 def negativity_closed_form_block(block: StateBlock) -> np.ndarray:
     """``negativity_potential_closed_form`` of every state of the block."""
     table = _split_table(block.dim)
-    total = level_sum(_moduli(block) * table.scale, table.row_sums)
-    return np.array([2.0 * math.log2(t) for t in total.tolist()])
+    return _log_negativities(level_sum(_moduli(block) * table.scale, table.row_sums))
 
 
 def negativity_potential_closed_form(state: FockVector) -> float:
@@ -110,10 +114,6 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
 
 
-def _log_negativities(trace_norms: np.ndarray) -> np.ndarray:
-    return np.array([2.0 * math.log2(s) for s in trace_norms.tolist()])
-
-
 @lru_cache(maxsize=None)
 def _purity_weights(d: int) -> tuple[float, ...]:
     # C(2n, n)/4^n for n < d: below 1 and correctly rounded by the integer division.
@@ -131,9 +131,13 @@ def _purity_proxy(block: StateBlock) -> np.ndarray:
     return level_sum(np.float_power(_moduli(block), 4), _purity_weights(block.dim))
 
 
+def _concurrences(purities: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(2.0 * (1.0 - purities), 0.0))
+
+
 def concurrence_closed_form_block(block: StateBlock) -> np.ndarray:
     """``concurrence_closed_form`` of every state of the block."""
-    return np.sqrt(np.maximum(2.0 * (1.0 - _purity_proxy(block)), 0.0))
+    return _concurrences(_purity_proxy(block))
 
 
 def concurrence_closed_form(state: FockVector) -> float:
@@ -154,10 +158,6 @@ def _purities(stack: np.ndarray) -> np.ndarray:
         rho = stack @ stack.transpose(0, 2, 1)
         rho *= rho
     return rho.reshape(len(stack), -1).sum(axis=1)
-
-
-def _concurrences(purities: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(2.0 * (1.0 - purities), 0.0))
 
 
 def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
@@ -238,34 +238,3 @@ def anticlassicality(state: FockVector, exclude_vacuum: bool) -> tuple[float, in
     """
     value, idx = anticlassicality_block(StateBlock.of(state), exclude_vacuum)
     return float(value[0]), int(idx[0])
-
-
-class MeasureReport(NamedTuple):
-    """All measures for one state, both closed-form and exact routes."""
-
-    negativity_closed_form: float
-    negativity_exact: float
-    concurrence_closed_form: float
-    concurrence_exact: float
-    anticlassicality: float
-    anticlassicality_excl_vacuum: float
-    argmax_n: int
-
-    def as_dict(self) -> dict:
-        return self._asdict()
-
-
-def measure_report(state: FockVector) -> MeasureReport:
-    """Every measure of one state, from the sweep's kernels on a block of one."""
-    block = StateBlock.of(state)
-    exact = exact_measures(block, ("negativity_exact", "concurrence_exact"))
-    a_one, argmax_n = anticlassicality_block(block, exclude_vacuum=True)
-    return MeasureReport(
-        negativity_closed_form=float(negativity_closed_form_block(block)[0]),
-        negativity_exact=float(exact["negativity_exact"][0]),
-        concurrence_closed_form=float(concurrence_closed_form_block(block)[0]),
-        concurrence_exact=float(exact["concurrence_exact"][0]),
-        anticlassicality=float(anticlassicality_block(block, exclude_vacuum=False)[0][0]),
-        anticlassicality_excl_vacuum=float(a_one[0]),
-        argmax_n=int(argmax_n[0]),
-    )

@@ -24,8 +24,8 @@ import numpy as np
 from .fock import FockVector, StateBlock, normalized_rows, row_dots
 
 __all__ = [
-    "HermiteRootSet", "QcsSpec", "StateKind", "build_state", "he_roots", "linear_qcs",
-    "nonlinear_qcs", "period",
+    "HermiteRootSet", "StateKind", "build_state", "he_roots", "linear_qcs", "nonlinear_qcs",
+    "period",
 ]
 
 # Cephes lgam (Moshier, Methods and Programs for Mathematical Functions, 1989): log sqrt(2 pi)
@@ -55,25 +55,13 @@ def _log_factorials(d: int) -> np.ndarray:
     return out
 
 
+#: The most entries (1 GiB of float64) that one state build, or one sweep grid, may hold.
+MAX_ENTRIES = 2**27
+
+
 class StateKind(str, Enum):
     LINEAR = "linear"
     NONLINEAR = "nonlinear"
-
-
-class QcsSpec(NamedTuple("QcsSpec", [("kind", StateKind), ("dim", int), ("amplitude", complex)])):
-    """Parameters naming one coherent state: family, level count, amplitude."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its fields too
-
-    def __new__(cls, kind: StateKind | str, dim: int, amplitude: complex) -> QcsSpec:
-        kind = StateKind(kind)
-        if dim < 2:
-            raise ValueError("dim must be at least 2")
-        amp = complex(amplitude)
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ValueError("amplitude must be finite")
-        return super().__new__(cls, kind, dim, amp)
 
 
 class HermiteRootSet(NamedTuple):
@@ -99,6 +87,7 @@ def he_roots(d: int) -> HermiteRootSet:
     return HermiteRootSet(degree=d, roots=roots, vectors=vectors)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge amplitude gives nan rows, refused later
 def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
     """Raw amplitudes exp(alpha a+ - alpha* a)|0>, one row per amplitude, before renormalizing.
 
@@ -157,12 +146,17 @@ def state_block(
     """The normalized states of one family and level count, one row per amplitude.
 
     Each row equals the single state ``nonlinear_qcs(d, amplitude)`` or
-    ``linear_qcs(d, amplitude)`` bit for bit.
+    ``linear_qcs(d, amplitude)`` bit for bit.  A build whose largest array
+    would hold more than MAX_ENTRIES entries is refused before it starts.
     """
     kind = StateKind(kind)
     if d < 2:
         raise ValueError("dim must be at least 2")
     amps = np.asarray(list(amplitudes), complex)
+    # The largest array the build makes: the block, or the nonlinear family's d x d eigenproblem.
+    entries = max(len(amps), d if kind is StateKind.NONLINEAR else 0) * d
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"the state build holds {entries} entries, more than {MAX_ENTRIES}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitude must be finite")
     if kind is StateKind.LINEAR:
@@ -179,7 +173,7 @@ def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     first d levels, to the vacuum.  At alpha = 0 this is the vacuum; for
     d = 2 and d = 3 the amplitude dependence is exactly periodic.
     """
-    return build_state(QcsSpec(StateKind.NONLINEAR, d, alpha))
+    return build_state(StateKind.NONLINEAR, d, alpha)
 
 
 def linear_qcs(d: int, beta: complex) -> FockVector:
@@ -189,7 +183,7 @@ def linear_qcs(d: int, beta: complex) -> FockVector:
     levels.  Magnitudes are evaluated in the log domain so large |beta|
     stays well-conditioned.
     """
-    return build_state(QcsSpec(StateKind.LINEAR, d, beta))
+    return build_state(StateKind.LINEAR, d, beta)
 
 
 def period(d: int) -> float:
@@ -208,9 +202,9 @@ def period(d: int) -> float:
     return math.sqrt(4.0 * d + 2.0)
 
 
-def build_state(spec: QcsSpec) -> FockVector:
-    """Construct the state a QcsSpec names: one row of ``state_block``."""
-    return FockVector._of_normalized(state_block(spec.kind, spec.dim, [spec.amplitude]).amps[0])
+def build_state(kind: StateKind | str, d: int, amplitude: complex) -> FockVector:
+    """One state of a family on d levels: row 0 of ``state_block``."""
+    return FockVector._of_normalized(state_block(kind, d, [amplitude]).amps[0])
 
 
 #: Entries (amplitudes x levels) that state_blocks builds together: 256 amplitudes at
@@ -224,7 +218,7 @@ STATE_BLOCK = 256
 
 def block_rows(d: int) -> int:
     """Amplitudes per block at d levels: as many as fit in BLOCK_ENTRIES, at least STATE_BLOCK."""
-    return max(STATE_BLOCK, BLOCK_ENTRIES // d)
+    return max(STATE_BLOCK, BLOCK_ENTRIES // max(d, 1))  # state_block refuses d < 2
 
 
 def state_blocks(

@@ -8,14 +8,14 @@ from typing import Callable, IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import StateBlock
+from .fock import FockVector, StateBlock
 from .measures import (
     anticlassicality_block,
     concurrence_closed_form_block,
     exact_measures,
     negativity_closed_form_block,
 )
-from .states import StateKind, period, state_block, state_blocks
+from .states import MAX_ENTRIES, StateKind, period, state_block, state_blocks
 from .witnesses import (
     agarwal_tara_block,
     hoa_block,
@@ -26,15 +26,16 @@ from .witnesses import (
 )
 
 __all__ = [
-    "NumericalError", "SweepResult", "SweepSpec", "klyshko_bars", "run_sweep", "table1_search",
+    "NumericalError", "SweepResult", "SweepSpec", "klyshko_bars", "measure_report", "run_sweep",
+    "table1_search", "witness_report",
 ]
 
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
 SINGULAR_SENTINEL = "singular"
 
 #: The most cells (amplitudes and values, over every level count) a sweep
-#: holds: 1 GiB of float64.  A larger grid is refused before any allocation.
-SWEEP_CELLS = 2**27
+#: holds: the state build's budget.  A larger grid is refused before any allocation.
+SWEEP_CELLS = MAX_ENTRIES
 
 
 class NumericalError(RuntimeError):
@@ -63,20 +64,13 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 
 class Quantity(NamedTuple):
-    """A family of sweep columns: ``fn(block, orders)`` gives one column per
-    order (``None`` for an id that takes none), each the values of the block's
-    states as an array or a scalar that broadcasts over the block, and the mask
-    of the states whose cells in every one of these columns get the singular
-    sentinel (an array or a bool)."""
+    """A family of sweep columns: ``check_order`` accepts its orders (``None``: it takes none),
+    and ``fn(block, orders)`` gives one column per order, each the values of the block's states
+    as an array or a scalar that broadcasts over the block, and the mask of the states whose
+    cells in every one of these columns get the singular sentinel (an array or a bool)."""
 
-    ident: str
-    needs_order: bool
-    check_order: Callable[[int], bool]
+    check_order: Callable[[int], bool] | None
     fn: Callable[[StateBlock, list], tuple[Sequence[np.ndarray | float], np.ndarray | bool]]
-
-
-def _any_order(_: int) -> bool:
-    return True
 
 
 def _each_order(kernel) -> Callable:
@@ -94,16 +88,12 @@ def _each_order(kernel) -> Callable:
     return fn
 
 
-def _ordered(ident: str, check_order: Callable[[int], bool], kernel) -> Quantity:
-    return Quantity(ident, True, check_order, _each_order(kernel))
-
-
-def _plain(ident: str, kernel) -> Quantity:
-    return Quantity(ident, False, _any_order, _each_order(lambda b, _: kernel(b)))
+def _plain(kernel) -> Quantity:
+    return Quantity(None, _each_order(lambda b, _: kernel(b)))
 
 
 def _exact(ident: str) -> Quantity:
-    return _plain(ident, lambda b: exact_measures(b, [ident])[ident])
+    return _plain(lambda b: exact_measures(b, [ident])[ident])
 
 
 def _a3(block: StateBlock, _) -> tuple:
@@ -116,21 +106,40 @@ def _klyshko(block: StateBlock, levels: list) -> tuple:
 
 
 QUANTITIES: dict[str, Quantity] = {
-    q.ident: q
-    for q in (
-        _ordered("hoa", lambda o: o >= 1, hoa_block),
-        _ordered("hos", lambda o: o % 2 == 0 and 2 <= o <= 8, hos_block),
-        _ordered("hosps", lambda o: o >= 1, hosps_block),
-        Quantity("a3", False, _any_order, _a3),
-        Quantity("klyshko", True, lambda o: o >= 0, _klyshko),
-        _plain("negativity_closed_form", negativity_closed_form_block),
-        _exact("negativity_exact"),
-        _plain("concurrence_closed_form", concurrence_closed_form_block),
-        _exact("concurrence_exact"),
-        _plain("anticlassicality", lambda b: anticlassicality_block(b, False)[0]),
-        _plain("anticlassicality_excl_vacuum", lambda b: anticlassicality_block(b, True)[0]),
-    )
+    "hoa": Quantity(lambda o: o >= 1, _each_order(hoa_block)),
+    "hos": Quantity(lambda o: o % 2 == 0 and 2 <= o <= 8, _each_order(hos_block)),
+    "hosps": Quantity(lambda o: o >= 1, _each_order(hosps_block)),
+    "a3": Quantity(None, _a3),
+    "klyshko": Quantity(lambda o: o >= 0, _klyshko),
+    "negativity_closed_form": _plain(negativity_closed_form_block),
+    "negativity_exact": _exact("negativity_exact"),
+    "concurrence_closed_form": _plain(concurrence_closed_form_block),
+    "concurrence_exact": _exact("concurrence_exact"),
+    "anticlassicality": _plain(lambda b: anticlassicality_block(b, False)[0]),
+    "anticlassicality_excl_vacuum": _plain(lambda b: anticlassicality_block(b, True)[0]),
 }
+
+
+def evaluate(block: StateBlock, quantities) -> tuple[np.ndarray, np.ndarray]:
+    """The (id, order) columns of ``quantities`` on every state of the block: the (Q, S)
+    values and the (Q, S) mask of the sentinel cells.  Each id is one call of its ``fn`` with
+    all its orders, after the exact measures share each chunk of two-mode amplitudes; an
+    overflow inside a quantity reads inf in its columns."""
+    families: dict[str, list[int]] = {}  # id -> its columns
+    for j, (ident, _) in enumerate(quantities):
+        families.setdefault(ident, []).append(j)
+    values = np.empty((len(quantities), len(block)))
+    singular = np.zeros((len(quantities), len(block)), dtype=bool)
+    try:
+        exact_measures(block, families)
+    except OverflowError:  # each exact column meets it again and reads inf
+        pass
+    for ident, columns in families.items():
+        orders = [quantities[j][1] for j in columns]
+        cells, singular[columns] = QUANTITIES[ident].fn(block, orders)
+        for j, column in zip(columns, cells):
+            values[j] = column
+    return values, singular
 
 
 def column_name(ident: str, order: int | None) -> str:
@@ -161,13 +170,13 @@ class SweepSpec(NamedTuple):
             q = QUANTITIES.get(ident)
             if q is None:
                 raise ValueError(f"unknown quantity {ident!r}")
-            if q.needs_order:
-                if order is None:
-                    raise ValueError(f"quantity {ident!r} requires an order")
-                if not q.check_order(order):
-                    raise ValueError(f"order {order} is out of range for {ident!r}")
-            elif order is not None:
-                raise ValueError(f"quantity {ident!r} does not take an order")
+            if q.check_order is None:
+                if order is not None:
+                    raise ValueError(f"quantity {ident!r} does not take an order")
+            elif order is None:
+                raise ValueError(f"quantity {ident!r} requires an order")
+            elif not q.check_order(order):
+                raise ValueError(f"order {order} is out of range for {ident!r}")
         names = [column_name(ident, order) for ident, order in self.quantities]
         for name in names:
             if names.count(name) > 1:
@@ -196,26 +205,20 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
-    Each quantity id is one call per block of states of one d (see
-    ``states.state_blocks``), which gives its columns at every order asked
-    for into that d's column arrays.  A singular moment-matrix ratio is
-    masked as the sentinel; any other non-finite value, or an overflow inside
-    a quantity, aborts with NumericalError naming the first such cell, row
-    by row and in column order within a row.
+    Each block of states of one d (see ``states.state_blocks``) goes through
+    ``evaluate`` into that d's column arrays.  A singular moment-matrix ratio
+    is masked as the sentinel; any other non-finite value, or an overflow
+    inside a quantity, aborts with NumericalError naming the first such cell,
+    row by row and in column order within a row.
     """
     spec.validate()
     kind = spec.state_kind.value
     names = tuple(column_name(ident, order) for ident, order in spec.quantities)
-    families: dict[str, tuple[list[int], list]] = {}  # id -> its columns and their orders
-    for j, (ident, order) in enumerate(spec.quantities):
-        columns, orders = families.setdefault(ident, ([], []))
-        columns.append(j)
-        orders.append(order)
     levels = []
     for d in sorted(set(spec.d_list)):
         start = resolve_amplitude(spec.amp_start, d)
         stop = resolve_amplitude(spec.amp_stop, d)
-        if not (math.isfinite(start) and math.isfinite(stop)):
+        if not math.isfinite(stop - start):  # so is each end, and linspace's step
             raise ValueError("amplitude range must be finite")
         if start > stop:
             raise ValueError("amplitude range must be non-decreasing")
@@ -224,15 +227,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         singular = np.zeros((len(names), spec.steps), dtype=bool)
         first = 0
         for block in state_blocks(spec.state_kind, d, amps.tolist()):
-            try:  # the exact measures share each chunk of two-mode amplitudes
-                exact_measures(block, families)
-            except OverflowError:  # each exact column meets it again and reads inf
-                pass
             rows = slice(first, first + len(block))
-            for ident, (columns, orders) in families.items():
-                cells, singular[columns, rows] = QUANTITIES[ident].fn(block, orders)
-                for j, column in zip(columns, cells):
-                    values[j, rows] = column
+            values[:, rows], singular[:, rows] = evaluate(block, spec.quantities)
             bad = ~(np.isfinite(values[:, rows]) | singular[:, rows])
             if bad.any():
                 # Flattened row by row, then in column order.
@@ -433,3 +429,50 @@ def klyshko_bars(
         for raw, amp, row in zip(amplitudes, amps, values)
     ]
     return {"kind": state_kind.value, "d": d, "entries": entries}
+
+
+#: The witnesses ``witness_report`` evaluates, before Klyshko's levels.
+REPORT_WITNESSES = (
+    ("hoa", 1), ("hoa", 2), ("hoa", 3), ("hos", 2), ("hos", 4),
+    ("hosps", 2), ("hosps", 3), ("hosps", 4), ("a3", None),
+)
+
+#: The measures ``measure_report`` evaluates, in its key order.
+REPORT_MEASURES = (
+    "negativity_closed_form", "negativity_exact", "concurrence_closed_form", "concurrence_exact",
+    "anticlassicality", "anticlassicality_excl_vacuum",
+)
+
+
+def witness_report(state: FockVector) -> list[dict]:
+    """The standard witness battery of one state, as the sweep evaluates it:
+    hoa at orders 1-3, hos at 2 and 4, hosps at 2-4, a3, and klyshko at
+    ``klyshko_levels(d)``, one dict (name, order, value, nonclassical) each.
+
+    The moment-matrix entry is omitted when its denominator is singular
+    (on |0>, |1> and every two-level state), so every reported value is
+    finite.  Flags are strict: zero does not count as nonclassical.
+    """
+    quantities = REPORT_WITNESSES + tuple(("klyshko", n) for n in klyshko_levels(state.dim))
+    values, singular = evaluate(StateBlock.of(state), quantities)
+    return [
+        {"name": ident, "order": order, "value": value, "nonclassical": value < 0.0}
+        for (ident, order), value, masked in zip(quantities, values[:, 0].tolist(), singular[:, 0])
+        if not masked
+    ]
+
+
+def measure_report(state: FockVector) -> dict:
+    """Every measure of one state, as the sweep evaluates it, and ``argmax_n``,
+    the level of the vacuum-excluded anticlassicality.
+
+    Raises OverflowError when a measure leaves the double range (the
+    splitter's sqrt(C(n, j)) from d = 1031 on).
+    """
+    block = StateBlock.of(state)
+    values, _ = evaluate(block, [(ident, None) for ident in REPORT_MEASURES])
+    if np.isinf(values).any():
+        raise OverflowError("a beam-splitter measure leaves the double range")
+    report = dict(zip(REPORT_MEASURES, values[:, 0].tolist()))
+    report["argmax_n"] = int(anticlassicality_block(block, True)[1][0])
+    return report

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .fock import FockVector, StateBlock, row_dots
 
 __all__ = [
-    "SingularMomentMatrix", "WitnessEntry", "WitnessReport", "agarwal_tara",
-    "hm_quadrature_moment", "hoa", "hos_witness", "hosps", "klyshko", "witness_report",
+    "SingularMomentMatrix", "agarwal_tara", "hm_quadrature_moment", "hoa", "hos_witness", "hosps",
+    "klyshko",
 ]
 
 #: Below this the difference of moment-matrix determinants counts as singular.
@@ -110,10 +109,11 @@ def hosps_block(block: StateBlock, l: int) -> np.ndarray:
     """
     if l < 1:
         raise ValueError("order must be at least 1")
-    excess = [block.factorial_moment(k) - block.mean_power(k) for k in range(1, l + 1)]
-    total = np.zeros(len(block))
+    total, excess = np.zeros(len(block)), []
     for r in range(l + 1):
         shell = float(math.comb(l, r)) * (-1.0 if r % 2 else 1.0) * block.mean_power(l - r)
+        if r:  # after the binomial: a huge order overflows before its moments are built
+            excess.append(block.factorial_moment(r) - block.mean_power(r))
         for k in range(1, r + 1):
             total = total + shell * float(_s2(r, k)) * excess[k - 1]
     return total
@@ -187,45 +187,3 @@ def klyshko(state: FockVector, n: int) -> float:
     Probabilities beyond the supported levels read as zero.
     """
     return float(klyshko_block(StateBlock.of(state), [n])[0, 0])
-
-
-class WitnessEntry(NamedTuple):
-    name: str
-    order: int | None
-    value: float
-    nonclassical: bool
-
-
-class WitnessReport(NamedTuple):
-    """A bundle of witness evaluations for one state."""
-
-    entries: tuple[WitnessEntry, ...]
-
-    def as_dicts(self) -> list[dict]:
-        return [e._asdict() for e in self.entries]
-
-
-def witness_report(state: FockVector) -> WitnessReport:
-    """Evaluate the standard witness battery on one state, with the sweep's
-    kernels on a block of one: hoa at orders 1-3, hos at 2 and 4, hosps at
-    2-4, a3, and klyshko at ``klyshko_levels(d)``.
-
-    The moment-matrix entry is omitted when its denominator is singular
-    (on |0>, |1> and every two-level state), so every reported value is
-    finite.  Flags are strict: zero does not count as nonclassical.
-    """
-    block = StateBlock.of(state)
-    a3, singular = agarwal_tara_block(block)
-    levels = klyshko_levels(state.dim)
-    columns = [
-        *(("hoa", l, hoa_block(block, l)) for l in (1, 2, 3)),
-        *(("hos", n, hos_block(block, n)) for n in (2, 4)),
-        *(("hosps", l, hosps_block(block, l)) for l in (2, 3, 4)),
-        *([] if singular[0] else [("a3", None, a3)]),
-        *(("klyshko", n, column) for n, column in zip(levels, klyshko_block(block, levels).T)),
-    ]
-    entries = []
-    for name, order, column in columns:
-        value = float(column[0])
-        entries.append(WitnessEntry(name, order, value, value < 0.0))
-    return WitnessReport(tuple(entries))

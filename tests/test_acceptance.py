@@ -18,7 +18,6 @@ from quditnc import (
     FockVector,
     SingularMomentMatrix,
     StateKind,
-    QcsSpec,
     SweepSpec,
     agarwal_tara,
     anticlassicality,
@@ -69,7 +68,7 @@ def _rel(x, y):
 def _grid_states(d):
     for amp in np.linspace(0.0, 2.0 * period(d), 20):
         for kind in (StateKind.NONLINEAR, StateKind.LINEAR):
-            yield build_state(QcsSpec(kind, d, amp))
+            yield build_state(kind, d, amp)
 
 
 def _dense_number_central_moment(state, order):

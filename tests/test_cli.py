@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quditnc
-from quditnc import measures, sweep
+from quditnc import fock, measures, states, sweep
 from quditnc.cli import main
 from quditnc.sweep import QUANTITIES, Quantity
 
@@ -208,18 +208,14 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_non_finite_value_exits_three(monkeypatch, capsys):
-    bad = Quantity(
-        "hoa", True, lambda o: True, lambda block, orders: ([math.nan] * len(orders), False)
-    )
+    bad = Quantity(lambda o: True, lambda block, orders: ([math.nan] * len(orders), False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     assert main(SWEEP_ARGS) == 3
     assert "non-finite" in capsys.readouterr().err
 
 
 def test_a_sweep_that_exits_three_leaves_no_output_file(monkeypatch, tmp_path):
-    bad = Quantity(
-        "hoa", True, lambda o: True, lambda block, orders: ([math.nan] * len(orders), False)
-    )
+    bad = Quantity(lambda o: True, lambda block, orders: ([math.nan] * len(orders), False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     out = tmp_path / "rows.csv"
     assert main(SWEEP_ARGS + ["--out", str(out)]) == 3
@@ -462,3 +458,72 @@ assert quditnc.cli.main({config_args!r}) == 0
     assert len(json.loads((tmp_path / "flags.json").read_text())) == 4
     rows = json.loads((tmp_path / "config.json").read_text())
     assert [(row["d"], row["a3"]) for row in rows][:2] == [(2, "singular"), (2, "singular")]
+
+
+@pytest.mark.parametrize("order", [1000000, 10000000, 10**20])
+def test_a_huge_hosps_order_exits_three_before_its_moments_are_built(monkeypatch, capsys, order):
+    # C(order, r) leaves the double range within a few dozen shells: no more
+    # factorial moments than that may be built first.
+    built = []
+    moment = fock.StateBlock.factorial_moment
+
+    def counted(self, k):
+        built.append(k)
+        if len(built) > 300:
+            pytest.fail("hosps built more than 300 factorial moments")
+        return moment(self, k)
+
+    monkeypatch.setattr(fock.StateBlock, "factorial_moment", counted)
+    args = ["sweep", "--kind", "linear", "--d", "5", "--range", "0.5:1", "--steps", "2"]
+    assert main([*args, "--quantities", f"hosps:{order}"]) == 3
+    where = "kind=linear d=5 amplitude=0.5"
+    assert capsys.readouterr().err == f"numerical failure: hosps_{order} is non-finite at {where}\n"
+
+
+@pytest.mark.parametrize("d", ["0", "1", "-3"])
+def test_the_klyshko_verb_refuses_fewer_than_two_levels(capsys, d):
+    assert main(["klyshko", "--kind", "linear", f"--d={d}", "--amplitudes", "1"]) == 2
+    assert capsys.readouterr().err == "error: dim must be at least 2\n"
+
+
+HUGE_LEVEL_COUNTS = {
+    "report": (["report", "--kind", "nonlinear", "--d", "100000", "--amplitude", "1"], 10**10),
+    "sweep-nonlinear": (
+        ["sweep", "--kind", "nonlinear", "--d", "100000", "--range", "0:1", "--steps", "2"]
+        + ["--quantities", "hoa:1"],
+        10**10,
+    ),
+    "klyshko": (
+        ["klyshko", "--kind", "linear", "--d", "300000000", "--amplitudes", "1"], 3 * 10**8
+    ),
+    "sweep-linear": (
+        ["sweep", "--kind", "linear", "--d", "300000000", "--range", "0:1", "--steps", "2"]
+        + ["--quantities", "hoa:1"],
+        6 * 10**8,
+    ),
+}
+
+
+@pytest.mark.parametrize("args,entries", HUGE_LEVEL_COUNTS.values(), ids=HUGE_LEVEL_COUNTS)
+def test_a_huge_level_count_exits_two_before_the_state_build(monkeypatch, capsys, args, entries):
+    def build(*args, **kwargs):
+        pytest.fail("the state build was reached")
+
+    for name in ("he_roots", "_linear_coefficients", "_nonlinear_coefficients", "_log_factorials"):
+        monkeypatch.setattr(states, name, build)
+    monkeypatch.setattr(states.np.linalg, "eigh", build)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the state build holds {entries} entries, more than 134217728\n"
+
+
+def test_a_nonlinear_report_near_the_double_limit_exits_two_without_a_warning(capsys):
+    # pytest turns a RuntimeWarning into an error: a warning fails this test.
+    assert main(["report", "--kind", "nonlinear", "--d", "5", "--amplitude", "1e308"]) == 2
+    assert capsys.readouterr().err == "error: amps must be finite\n"
+
+
+def test_a_range_whose_width_overflows_exits_two_without_a_warning(capsys):
+    args = ["sweep", "--kind", "nonlinear", "--d", "3", "--range=-1e308:1e308", "--steps", "3"]
+    assert main([*args, "--quantities", "hoa:1"]) == 2
+    assert capsys.readouterr().err == "error: amplitude range must be finite\n"

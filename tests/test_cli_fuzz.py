@@ -1,0 +1,120 @@
+"""Drawn command lines for every verb, run in-process: each ends in exit 0, 2
+or 3 with nothing raised, and an exit-0 call writes the same bytes twice.
+
+pytest turns a RuntimeWarning into an error, so a warning fails the test too.
+The heavy state builds are replaced by checks that fail the test past the
+drawn sizes: a guard that lets a huge level count through cannot allocate.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quditnc import states
+from quditnc.cli import main
+from quditnc.sweep import QUANTITIES
+
+DRAWN_LEVELS = 12
+
+KINDS = st.sampled_from(["linear", "nonlinear"])
+DIMS = st.integers(-2, DRAWN_LEVELS).map(str)
+HUGE = st.sampled_from([2**63, 2**64, 10**20])
+NUMBERS = ["0", "1.0", "-1.3", "2.5", "1e-320", "1e308", "-1e308", "Td/2", "td/4", "TD / 4"]
+AMPLITUDES = st.sampled_from([*NUMBERS, "nan", "inf", "-inf", "x", "1:2", ""])
+
+# Half of each sweep field is drawn well formed, so that many sweeps run.
+SWEEP_DIMS = st.one_of(st.integers(2, DRAWN_LEVELS).map(str), DIMS)
+RANGES = st.one_of(
+    st.tuples(st.sampled_from(["-1.3", "0", "1.0"]), st.sampled_from(["2.5", "Td/2", "td/4"])),
+    st.tuples(AMPLITUDES, AMPLITUDES),
+)
+STEPS = st.one_of(st.integers(2, 5), st.integers(-1, 5))
+VALID_TOKENS = st.one_of(
+    st.sampled_from([ident for ident, q in QUANTITIES.items() if q.check_order is None]),
+    st.tuples(st.sampled_from(["hoa", "hosps"]), st.one_of(st.integers(1, 12), HUGE)),
+    st.tuples(st.just("hos"), st.sampled_from([2, 4, 6, 8])),
+    st.tuples(st.just("klyshko"), st.one_of(st.integers(0, 12), HUGE)),
+)
+WILD_TOKENS = st.tuples(
+    st.sampled_from([*QUANTITIES, "bogus"]), st.one_of(st.integers(-2, 12), HUGE)
+)
+TOKENS = st.one_of(VALID_TOKENS, WILD_TOKENS).map(
+    lambda token: token if isinstance(token, str) else f"{token[0]}:{token[1]}"
+)
+
+
+@st.composite
+def sweep_argv(draw):
+    d = ",".join(draw(st.lists(SWEEP_DIMS, min_size=1, max_size=2)))
+    start, stop = draw(RANGES)
+    quantities = ",".join(draw(st.lists(TOKENS, min_size=1, max_size=3)))
+    return ["sweep", "--kind", draw(KINDS), f"--d={d}", f"--range={start}:{stop}",
+            "--steps", str(draw(STEPS)), f"--quantities={quantities}",
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@st.composite
+def report_argv(draw):
+    return ["report", "--kind", draw(KINDS), f"--d={draw(DIMS)}", f"--amplitude={draw(AMPLITUDES)}"]
+
+
+@st.composite
+def klyshko_argv(draw):
+    amplitudes = ",".join(draw(st.lists(AMPLITUDES, min_size=1, max_size=3)))
+    return ["klyshko", "--kind", draw(KINDS), f"--d={draw(DIMS)}", f"--amplitudes={amplitudes}"]
+
+
+TOLERANCES = st.sampled_from(["0.005", "0.1", "0", "-1", "nan", "inf", "1e308", "x"])
+ARGV = st.one_of(
+    sweep_argv(),
+    sweep_argv(),
+    report_argv(),
+    klyshko_argv(),
+    TOLERANCES.map(lambda t: ["table1", f"--tolerance={t}"]),
+)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _within_the_drawn_sizes(fn):
+    def checked(d, *args):
+        if d > DRAWN_LEVELS:
+            pytest.fail(f"a state build on {d} levels was reached")
+        return fn(d, *args)
+
+    return checked
+
+
+SWEEP = ["sweep", "--range", "0.5:1", "--steps", "2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+@example([*SWEEP, "--kind", "linear", "--d", "5", "--quantities", "hosps:10000000"])
+@example(["klyshko", "--kind", "linear", "--d", "0", "--amplitudes", "1"])
+@example(["report", "--kind", "nonlinear", "--d", "100000", "--amplitude", "1"])
+@example([*SWEEP, "--kind", "nonlinear", "--d", "100000", "--quantities", "hoa:1"])
+@example(["klyshko", "--kind", "linear", "--d", "300000000", "--amplitudes", "1"])
+@example([*SWEEP, "--kind", "linear", "--d", "300000000", "--quantities", "hoa:1"])
+@example(["report", "--kind", "nonlinear", "--d", "5", "--amplitude", "1e308"])
+@example([*SWEEP, "--kind", "nonlinear", "--d", "3", "--range=-1e308:1e308", "--quantities", "a3"])
+def test_every_command_ends_in_exit_0_2_or_3(argv):
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("he_roots", "_linear_coefficients", "_nonlinear_coefficients"):
+            patch.setattr(states, name, _within_the_drawn_sizes(getattr(states, name)))
+        code, out, err = _run(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert _run(argv) == (0, out, err)

@@ -12,7 +12,6 @@ from scipy.special import gammaln
 
 from quditnc import (
     FockVector,
-    QcsSpec,
     StateKind,
     build_state,
     he_roots,
@@ -23,6 +22,7 @@ from quditnc import (
     photon_probabilities,
 )
 from quditnc.oracle import displacement_exponential
+from quditnc import states
 from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_blocks
 
 
@@ -220,24 +220,24 @@ def test_dim_domain():
 
 
 def test_spec_coerces_kind_and_validates():
-    spec = QcsSpec("linear", 3, 1.0)
-    assert spec.kind is StateKind.LINEAR
-    assert isinstance(spec.amplitude, complex)
+    state = build_state("linear", 3, 1.0)
+    assert state.amps.tolist() == build_state(StateKind.LINEAR, 3, 1.0 + 0j).amps.tolist()
+    assert state.amps.dtype == complex
     with pytest.raises(ValueError, match="dim must be at least 2"):
-        QcsSpec("nonlinear", 1, 1.0)
+        build_state("nonlinear", 1, 1.0)
     with pytest.raises(ValueError, match="amplitude must be finite"):
-        QcsSpec("linear", 3, float("nan"))
+        build_state("linear", 3, float("nan"))
     with pytest.raises(ValueError, match="amplitude must be finite"):
-        QcsSpec("linear", 3, complex(0.0, math.inf))
+        build_state("linear", 3, complex(0.0, math.inf))
     with pytest.raises(ValueError, match="is not a valid StateKind"):
-        QcsSpec("squeezed", 3, 1.0)
+        build_state("squeezed", 3, 1.0)
 
 
 def test_build_state_dispatch():
-    a = build_state(QcsSpec(StateKind.NONLINEAR, 3, 0.7))
+    a = build_state(StateKind.NONLINEAR, 3, 0.7)
     b = nonlinear_qcs(3, 0.7)
     assert np.allclose(a.amps, b.amps)
-    c = build_state(QcsSpec(StateKind.LINEAR, 3, 0.7))
+    c = build_state(StateKind.LINEAR, 3, 0.7)
     d = linear_qcs(3, 0.7)
     assert np.allclose(c.amps, d.amps)
 
@@ -324,3 +324,30 @@ def test_state_blocks_validates_like_a_spec():
     with pytest.raises(ValueError):
         _block_rows("squeezed", 4, [0.5])
     assert _block_rows(StateKind.LINEAR, 4, []) == []
+
+
+class _Built(Exception):
+    """The state build was reached: the budget let the size through."""
+
+
+def test_the_state_build_budget_refuses_only_what_is_over_it(monkeypatch):
+    def build(*args):
+        raise _Built
+
+    monkeypatch.setattr(states, "he_roots", build)
+    monkeypatch.setattr(states, "_linear_coefficients", build)
+    block = [1.0] * block_rows(5000)
+    assert len(block) == 256
+    # The nonlinear family's d x d eigenproblem: 11585**2 <= 2**27 < 11586**2.
+    with pytest.raises(_Built):
+        states.state_block("nonlinear", 11585, block)
+    message = "^the state build holds {} entries, more than 134217728$"
+    with pytest.raises(ValueError, match=message.format(11586**2)):
+        states.state_block("nonlinear", 11586, [1.0])
+    # A linear block of 256 states runs up to 2**19 levels.
+    with pytest.raises(_Built):
+        states.state_block("linear", 2**19, block)
+    with pytest.raises(ValueError, match=message.format(256 * (2**19 + 1))):
+        states.state_block("linear", 2**19 + 1, block)
+    with pytest.raises(_Built):
+        states.state_block("linear", 2**27, [1.0])

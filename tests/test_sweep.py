@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from quditnc import (
     NumericalError,
-    QcsSpec,
     StateKind,
     SweepSpec,
     anticlassicality,
@@ -200,9 +199,7 @@ def test_run_sweep_emits_singular_sentinel():
 
 
 def test_run_sweep_raises_on_non_finite_values(monkeypatch):
-    bad = Quantity(
-        "hoa", True, lambda o: True, lambda block, orders: ([math.inf] * len(orders), False)
-    )
+    bad = Quantity(lambda o: True, lambda block, orders: ([math.inf] * len(orders), False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     with pytest.raises(NumericalError):
         run_sweep(_spec())
@@ -224,7 +221,7 @@ def _bad_from(row, value):
 def test_run_sweep_names_the_first_non_finite_cell(monkeypatch, hoa_row, klyshko_row, column, row):
     # Row by row first, then in column order within the row.
     for ident, first_bad, value in (("hoa", hoa_row, np.inf), ("klyshko", klyshko_row, np.nan)):
-        bad = Quantity(ident, True, lambda o: True, _bad_from(first_bad, value))
+        bad = Quantity(lambda o: True, _bad_from(first_bad, value))
         monkeypatch.setitem(QUANTITIES, ident, bad)
     spec = _spec(d_list=(4, 3), steps=6, quantities=(("hoa", 1), ("klyshko", 0)))
     amplitude = np.linspace(0.0, 3.0, 6).tolist()[row]
@@ -253,7 +250,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
     expected = []
     for d in (3, 12):
         for amp in np.linspace(0.05, period(d) / 2.0, spec.steps):
-            state = build_state(QcsSpec(StateKind.NONLINEAR, d, complex(amp)))
+            state = build_state(StateKind.NONLINEAR, d, complex(amp))
             values = {
                 column_name(ident, order): float(per_state[ident](state, order))
                 for ident, order in quantities
