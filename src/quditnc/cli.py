@@ -63,9 +63,12 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     import json  # loaded only where JSON is read or written: a CSV sweep never needs it
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad text or JSON, or nested past the limit
+        raise ValueError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
+        raise ValueError("malformed config: the top level is not a JSON object")
     keys = ("state_kind", "d_list", "amp_start", "amp_stop", "steps", "quantities", "format")
     unknown = [key for key in raw if key not in keys]
     if unknown:
@@ -88,9 +91,11 @@ def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
     for item in value:
         if isinstance(item, str):
             out.extend(_parse_quantities(item))
-        else:
+        elif isinstance(item, list) and len(item) == 2:
             ident, order = item
             out.append((str(ident), None if order is None else _integer(order, "order")))
+        else:
+            raise TypeError(f"a quantity must be a token or an [id, order] pair, got {item!r}")
     return tuple(out)
 
 

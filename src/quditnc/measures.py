@@ -116,11 +116,15 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _purity_weights(d: int) -> tuple[float, ...]:
-    # C(2n, n)/4^n for n < d: below 1 and correctly rounded by the integer division.
-    # Each C(2n, n) comes exactly from the last: C(2n + 2, n + 1) = C(2n, n) 2(2n + 1)/(n + 1).
+    # C(2n, n)/4^n for n < d: below 1, and correctly rounded as the division would be.  The
+    # top 64 bits of C(2n, n), their lowest one set if any bit below them is (a sticky bit),
+    # round once to a double, and ldexp scales it by 2^(s - 2n) exactly.  Each C(2n, n) comes
+    # exactly from the last: C(2n + 2, n + 1) = C(2n, n) 2(2n + 1)/(n + 1).
     weights, central = [], 1
     for n in range(d):
-        weights.append(central / 4**n)
+        s = max(central.bit_length() - 64, 0)
+        top = central >> s
+        weights.append(math.ldexp(top | (top << s != central), s - 2 * n))
         central = central * 2 * (2 * n + 1) // (n + 1)
     return tuple(weights)
 
@@ -164,12 +168,11 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
     """The exact measures of the split states among the sweep quantity ids
     ``idents`` ("negativity_exact", "concurrence_exact"), for every row.
 
-    The values are kept on the block.  Those not kept yet are computed
-    together, at most TWO_MODE_CHUNK two-mode amplitudes at a time: each
-    chunk is one product of the rows' Hankel windows with the splitter's
-    sqrt(C) matrix, and serves every measure asked for with its
-    decomposition or product and their row sums.  The closing formulas
-    run once per block.  The rows whose amplitudes have no imaginary part
+    They are computed together, at most TWO_MODE_CHUNK two-mode amplitudes
+    at a time: each chunk is one product of the rows' Hankel windows with
+    the splitter's sqrt(C) matrix, and serves every measure asked for with
+    its decomposition or product and their row sums.  The closing formulas
+    run once per call.  The rows whose amplitudes have no imaginary part
     are chunked apart from the others and split into float64 matrices, so
     each row takes its route (eigenvalues or SVD) whatever block it sits in.
     """
@@ -178,23 +181,19 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
         "concurrence_exact": (_purities, _concurrences),
     }
     names = [ident for ident in dict.fromkeys(idents) if ident in kernels]
-    missing = [name for name in names if ("exact", name) not in block.kept]
-    if missing:
-        sqrt_binomial = _split_table(block.dim).sqrt_binomial
-        step = max(1, TWO_MODE_CHUNK // block.dim**2)
-        sums = {name: np.empty(len(block)) for name in missing}
-        complex_rows = block.amps.imag.any(axis=1)
-        for rows, amps in ((~complex_rows, block.amps.real), (complex_rows, block.amps)):
-            index = np.flatnonzero(rows)
-            windows = _windows(amps[index])
-            for first in range(0, len(index), step):
-                chunk = slice(first, first + step)
-                stack = windows[chunk] * sqrt_binomial
-                for name in missing:
-                    sums[name][index[chunk]] = kernels[name][0](stack)
-        for name in missing:
-            block.kept["exact", name] = kernels[name][1](sums[name])
-    return {name: block.kept["exact", name] for name in names}
+    sqrt_binomial = _split_table(block.dim).sqrt_binomial
+    step = max(1, TWO_MODE_CHUNK // block.dim**2)
+    sums = {name: np.empty(len(block)) for name in names}
+    complex_rows = block.amps.imag.any(axis=1)
+    for rows, amps in ((~complex_rows, block.amps.real), (complex_rows, block.amps)):
+        index = np.flatnonzero(rows)
+        windows = _windows(amps[index])
+        for first in range(0, len(index), step):
+            chunk = slice(first, first + step)
+            stack = windows[chunk] * sqrt_binomial
+            for name in names:
+                sums[name][index[chunk]] = kernels[name][0](stack)
+    return {name: kernels[name][1](sums[name]) for name in names}
 
 
 def log_negativity_exact(state: FockVector) -> float:

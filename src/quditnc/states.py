@@ -7,7 +7,8 @@ quadrature a + a+, whose eigenvalues, the roots of the degree-d probabilists'
 Hermite polynomial, pair as +-x: the sum splits into cosine (even levels) and sine
 (odd levels) parts and is exactly real at a real amplitude >= 0.  ``he_roots``
 computes the eigenbasis once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs``
-truncates the Poissonian Fock expansion and renormalizes.  The two
+truncates the Poissonian Fock expansion and renormalizes.  In both families the
+state at a real -a is (-1)^n c_n(a), and ``state_block`` builds it so.  The two
 families behave very differently: the nonlinear state is periodic in the
 amplitude argument while the linear one is not.
 """
@@ -104,7 +105,8 @@ def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
         c_n = e^{i n phi0} (1, 1, -1, -1)[n mod 4] sum_k V[n, k] V[0, k] cs_n(x_k |alpha|).
 
     A real alpha >= 0 (phi0 = 0) thus gives real amplitudes; only rows with phi0 != 0 take the
-    phase.  Each row is its own (2, d) @ (d, d) product: its bits do not depend on its block.
+    phase, and ``state_block`` sends no real alpha < 0 here.  Each row is its own
+    (2, d) @ (d, d) product: its bits do not depend on its block.
     """
     basis = he_roots(d)
     alphas = np.atleast_1d(np.asarray(alphas, complex))
@@ -146,8 +148,9 @@ def state_block(
     """The normalized states of one family and level count, one row per amplitude.
 
     Each row equals the single state ``nonlinear_qcs(d, amplitude)`` or
-    ``linear_qcs(d, amplitude)`` bit for bit.  A build whose largest array
-    would hold more than MAX_ENTRIES entries is refused before it starts.
+    ``linear_qcs(d, amplitude)`` bit for bit.  A real amplitude a < 0 is built
+    at |a|, and the real parts of its odd levels are negated.  A build whose
+    largest array would hold more than MAX_ENTRIES entries is refused before it starts.
     """
     kind = StateKind(kind)
     if d < 2:
@@ -159,11 +162,19 @@ def state_block(
         raise ValueError(f"the state build holds {entries} entries, more than {MAX_ENTRIES}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitude must be finite")
+    # A real a < 0 gives (-1)^n c_n(|a|) in both families: built so, its row is exactly real.
+    mirrored = (amps.imag == 0) & (amps.real < 0)
+    amps = np.where(mirrored, -amps.real, amps)
     if kind is StateKind.LINEAR:
         raw = _linear_coefficients(d, amps.tolist())
     else:
         raw = _nonlinear_coefficients(d, amps)
-    return StateBlock(normalized_rows(raw))
+    rows = normalized_rows(raw)
+    if mirrored.any():  # negating the real parts of the odd levels is exact
+        rows = rows.copy()
+        rows.real[mirrored, 1::2] *= -1
+        rows.setflags(write=False)
+    return StateBlock(rows)
 
 
 def nonlinear_qcs(d: int, alpha: complex) -> FockVector:

@@ -33,10 +33,6 @@ __all__ = [
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
 SINGULAR_SENTINEL = "singular"
 
-#: The most cells (amplitudes and values, over every level count) a sweep
-#: holds: the state build's budget.  A larger grid is refused before any allocation.
-SWEEP_CELLS = MAX_ENTRIES
-
 
 class NumericalError(RuntimeError):
     """A sweep produced a non-finite value outside the singular-ratio path."""
@@ -65,20 +61,21 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 class Quantity(NamedTuple):
     """A family of sweep columns: ``check_order`` accepts its orders (``None``: it takes none),
-    and ``fn(block, orders)`` gives one column per order, each the values of the block's states
-    as an array or a scalar that broadcasts over the block, and the mask of the states whose
-    cells in every one of these columns get the singular sentinel (an array or a bool)."""
+    and ``fn(block, pairs)`` gives one column per (id, order) pair, each the values of the
+    block's states as an array or a scalar that broadcasts over the block, and the mask of the
+    states whose cells in every one of these columns get the singular sentinel (an array or a
+    bool).  Ids whose Quantities are equal share one ``fn`` call."""
 
     check_order: Callable[[int], bool] | None
     fn: Callable[[StateBlock, list], tuple[Sequence[np.ndarray | float], np.ndarray | bool]]
 
 
 def _each_order(kernel) -> Callable:
-    """``fn(block, orders)`` from ``kernel(block, order)``, one call per order."""
+    """``fn(block, pairs)`` from ``kernel(block, order)``, one call per pair."""
 
-    def fn(block: StateBlock, orders: list) -> tuple[list, bool]:
+    def fn(block: StateBlock, pairs: list) -> tuple[list, bool]:
         columns = []
-        for order in orders:
+        for _, order in pairs:
             try:
                 columns.append(kernel(block, order))
             except OverflowError:  # a coefficient left the double range, whatever the state
@@ -92,8 +89,14 @@ def _plain(kernel) -> Quantity:
     return Quantity(None, _each_order(lambda b, _: kernel(b)))
 
 
-def _exact(ident: str) -> Quantity:
-    return _plain(lambda b: exact_measures(b, [ident])[ident])
+def _exact(block: StateBlock, pairs: list) -> tuple[list, bool]:
+    # Both exact measures from one pass over the two-mode amplitudes.
+    idents = [ident for ident, _ in pairs]
+    try:
+        values = exact_measures(block, idents)
+    except OverflowError:  # the splitter's sqrt(C(n, j)) leaves the double range from d = 1031
+        return [math.inf] * len(pairs), False
+    return [values[ident] for ident in idents], False
 
 
 def _a3(block: StateBlock, _) -> tuple:
@@ -101,8 +104,8 @@ def _a3(block: StateBlock, _) -> tuple:
     return (value,), singular
 
 
-def _klyshko(block: StateBlock, levels: list) -> tuple:
-    return klyshko_block(block, levels).T, False
+def _klyshko(block: StateBlock, pairs: list) -> tuple:
+    return klyshko_block(block, [level for _, level in pairs]).T, False
 
 
 QUANTITIES: dict[str, Quantity] = {
@@ -112,9 +115,9 @@ QUANTITIES: dict[str, Quantity] = {
     "a3": Quantity(None, _a3),
     "klyshko": Quantity(lambda o: o >= 0, _klyshko),
     "negativity_closed_form": _plain(negativity_closed_form_block),
-    "negativity_exact": _exact("negativity_exact"),
+    "negativity_exact": Quantity(None, _exact),
     "concurrence_closed_form": _plain(concurrence_closed_form_block),
-    "concurrence_exact": _exact("concurrence_exact"),
+    "concurrence_exact": Quantity(None, _exact),
     "anticlassicality": _plain(lambda b: anticlassicality_block(b, False)[0]),
     "anticlassicality_excl_vacuum": _plain(lambda b: anticlassicality_block(b, True)[0]),
 }
@@ -122,21 +125,16 @@ QUANTITIES: dict[str, Quantity] = {
 
 def evaluate(block: StateBlock, quantities) -> tuple[np.ndarray, np.ndarray]:
     """The (id, order) columns of ``quantities`` on every state of the block: the (Q, S)
-    values and the (Q, S) mask of the sentinel cells.  Each id is one call of its ``fn`` with
-    all its orders, after the exact measures share each chunk of two-mode amplitudes; an
-    overflow inside a quantity reads inf in its columns."""
-    families: dict[str, list[int]] = {}  # id -> its columns
+    values and the (Q, S) mask of the sentinel cells.  The columns of one ``Quantity`` (the
+    two exact measures share one) are one call of its ``fn`` with their (id, order) pairs;
+    an overflow inside a quantity reads inf in its columns."""
+    groups: dict[Quantity, list[int]] = {}  # a Quantity -> its columns
     for j, (ident, _) in enumerate(quantities):
-        families.setdefault(ident, []).append(j)
+        groups.setdefault(QUANTITIES[ident], []).append(j)
     values = np.empty((len(quantities), len(block)))
     singular = np.zeros((len(quantities), len(block)), dtype=bool)
-    try:
-        exact_measures(block, families)
-    except OverflowError:  # each exact column meets it again and reads inf
-        pass
-    for ident, columns in families.items():
-        orders = [quantities[j][1] for j in columns]
-        cells, singular[columns] = QUANTITIES[ident].fn(block, orders)
+    for quantity, columns in groups.items():
+        cells, singular[columns] = quantity.fn(block, [quantities[j] for j in columns])
         for j, column in zip(columns, cells):
             values[j] = column
     return values, singular
@@ -184,8 +182,8 @@ class SweepSpec(NamedTuple):
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
         cells = len(set(self.d_list)) * self.steps * (len(self.quantities) + 1)
-        if cells > SWEEP_CELLS:
-            raise ValueError(f"the grid holds {cells} cells, more than the {SWEEP_CELLS} allowed")
+        if cells > MAX_ENTRIES:  # the state build's budget, checked before any allocation
+            raise ValueError(f"the grid holds {cells} cells, more than the {MAX_ENTRIES} allowed")
 
 
 class SweepResult:

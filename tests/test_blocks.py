@@ -45,7 +45,7 @@ def _bits(cells):
 
 def _cells(block, ident, order):
     # A column as the sweep serializes it: floats, and the sentinel where masked.
-    (values,), singular = QUANTITIES[ident].fn(block, [order])
+    (values,), singular = QUANTITIES[ident].fn(block, [(ident, order)])
     singular = np.broadcast_to(singular, len(block)).tolist()
     return [SINGULAR_SENTINEL if s else v for v, s in zip(values.tolist(), singular)]
 
@@ -267,8 +267,12 @@ def test_libm_pow_is_python_float_power():
 
 def _linear_per_state(d, beta):
     # The truncated Poisson expansion one amplitude at a time: the arithmetic
-    # the block build must reproduce.
+    # the block build must reproduce.  A real beta < 0 is the mirror of -beta.
     beta = complex(beta)
+    if beta.imag == 0 and beta.real < 0:
+        amps = _linear_per_state(d, -beta.real).copy()
+        amps.real[1::2] *= -1
+        return amps
     levels = np.arange(d)
     if beta == 0:
         amps = np.zeros(d, dtype=complex)

@@ -351,6 +351,27 @@ def test_config_names_the_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed config: unknown key 'fromat'\n"
 
 
+def test_a_deeply_nested_config_is_malformed(tmp_path, capsys):
+    # json.loads raises RecursionError long before it reaches the innermost array.
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed config: ")
+    assert "Traceback" not in err
+
+
+def test_a_quantity_pair_of_one_item_is_malformed(tmp_path, capsys):
+    spec = {"state_kind": "linear", "d_list": [3], "amp_start": 0.5, "amp_stop": 2.0, "steps": 3}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**spec, "quantities": [["hoa"]]}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed config: a quantity must be a token or an [id, order] pair, "
+        "got ['hoa']\n"
+    )
+
+
 @pytest.mark.parametrize("kind,d", [("linear", 1031), ("linear", 2000), ("nonlinear", 1031)])
 def test_a_report_past_1030_levels_exits_three(capsys, kind, d):
     # The splitter's sqrt(C(n, j)) leaves the double range from d = 1031.

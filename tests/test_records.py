@@ -73,14 +73,22 @@ def test_factorial_moment_weights_are_built_on_a_miss_only(monkeypatch):
     assert block.factorial_moment(3) is first
 
 
-@pytest.mark.parametrize("d", [2, 7, 40, 1000])
+@pytest.mark.parametrize("d", [2, 7, 40, 1000, 5000])
 def test_purity_weights_are_kept_per_d_and_keep_their_bits(d):
+    # C(2n, n) as exact integers, each from the last (math.comb at every n takes seconds
+    # at d = 5000), and divided exactly rounded by 4^n.
+    central = [1]
+    for n in range(1, d):
+        central.append(central[-1] * 2 * (2 * n - 1) // n)
+    assert central[-1] == math.comb(2 * d - 2, d - 1)
+    truth = [c / 4**n for n, c in enumerate(central)]
     weights = measures._purity_weights(d)
-    assert weights == tuple(math.comb(2 * n, n) / 4**n for n in range(d))
+    assert weights == tuple(truth)
     assert measures._purity_weights(d) is weights
-    block = state_block("nonlinear", d, [0.3, 2.0])
+    # The nonlinear build's dense eigh would take tens of seconds at d = 5000.
+    block = state_block("nonlinear" if d <= 1000 else "linear", d, [0.3, 2.0])
     moduli = np.float_power(np.hypot(block.amps.real, block.amps.imag), 4)
     want = np.zeros(len(block))
     for n in range(d):
-        want = want + moduli[:, n] * (math.comb(2 * n, n) / 4**n)
+        want = want + moduli[:, n] * truth[n]
     assert measures._purity_proxy(block).tolist() == want.tolist()

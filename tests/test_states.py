@@ -22,7 +22,7 @@ from quditnc import (
     photon_probabilities,
 )
 from quditnc.oracle import displacement_exponential
-from quditnc import states
+from quditnc import measures, states
 from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_blocks
 
 
@@ -63,9 +63,30 @@ def test_nonlinear_state_is_exactly_real_at_a_real_nonnegative_amplitude(d):
     amplitudes = [0.0, 0.3, period(d) / 4.0, period(d) / 2.0, 11.7, complex(1.5, -0.0)]
     for alpha in amplitudes:
         assert not nonlinear_qcs(d, alpha).amps.imag.any(), alpha
-    block = next(state_blocks(StateKind.NONLINEAR, d, amplitudes + [1.3 - 2.2j, -0.6]))
+    block = next(state_blocks(StateKind.NONLINEAR, d, amplitudes + [1.3 - 2.2j, -0.6j]))
     assert not block.amps[: len(amplitudes)].imag.any()
     assert block.amps[len(amplitudes) :].imag.any(axis=1).all()
+
+
+@pytest.mark.parametrize("kind", ["nonlinear", "linear"])
+@pytest.mark.parametrize("d", [2, 8, 60])
+def test_a_real_negative_amplitude_gives_the_exactly_real_mirror_state(kind, d):
+    # c_n(-a) = (-1)^n c_n(a) in both families: the real parts of the odd levels negated, bit
+    # for bit, and the measures of the split state unchanged, each on its real route.
+    amplitudes = [0.3, 1.0, period(d) / 4.0, period(d) / 2.0, 3.0, 11.7]
+    names = ["negativity_exact", "concurrence_exact"]
+    for a in amplitudes:
+        plus, minus = build_state(kind, d, a).amps, build_state(kind, d, -a).amps
+        assert not minus.imag.any(), a
+        mirror = plus.copy()
+        mirror.real[1::2] *= -1
+        assert minus.tobytes() == mirror.tobytes(), a
+    block = states.state_block(kind, d, [*amplitudes, *(-a for a in amplitudes)])
+    assert not block.amps.imag.any()
+    exact = measures.exact_measures(block, names)
+    half = len(amplitudes)
+    for name in names:
+        assert np.max(np.abs(exact[name][:half] - exact[name][half:])) <= 1e-12, name
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 20, 60])
@@ -268,6 +289,17 @@ def _per_state_coefficients(d, alpha):
     return c
 
 
+def _per_state(d, alpha):
+    # The normalized state of _per_state_coefficients; a real alpha < 0 is the
+    # mirror of -alpha, the real parts of its odd levels negated.
+    alpha = complex(alpha)
+    if alpha.imag == 0 and alpha.real < 0:
+        amps = _per_state(d, -alpha.real).copy()
+        amps.real[1::2] *= -1
+        return amps
+    return FockVector(_per_state_coefficients(d, alpha)).amps
+
+
 def test_log_factorials_equal_gammaln_bit_for_bit():
     # n = 0..1999 covers the exact products below 13, the Stirling series, and
     # the range from n = 999 where cephes switches to a shorter polynomial.
@@ -291,7 +323,7 @@ def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
     real = [0.0, 0.3, period(d) / 4.0, period(d) / 2.0, 11.7, -2.5]
     cplx = list(rng.uniform(0.0, 8.0, 6) * np.exp(1j * rng.uniform(-math.pi, math.pi, 6)))
     amplitudes = real + cplx
-    expected = [FockVector(_per_state_coefficients(d, a)).amps for a in amplitudes]
+    expected = [_per_state(d, a) for a in amplitudes]
     built = _block_rows(StateKind.NONLINEAR, d, amplitudes)
     assert len(built) == len(amplitudes)
     for amp, want, got in zip(amplitudes, expected, built):
@@ -306,7 +338,7 @@ def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
     built = _block_rows("nonlinear", d, amplitudes)
     assert len(built) == len(amplitudes)
     for amp, row in zip(amplitudes, built):
-        assert _same_bits(row, FockVector(_per_state_coefficients(d, amp)).amps), amp
+        assert _same_bits(row, _per_state(d, amp)), amp
 
 
 def test_state_blocks_linear_family_matches_linear_qcs():
