@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import reprlib
 import shutil
 import sys
 from contextlib import nullcontext
@@ -59,6 +60,26 @@ def _parse_range(text: str) -> tuple[str, str]:
     return start.strip(), stop.strip()
 
 
+#: What each config key must hold, and the test of it.  JSON values have exact types, so a
+#: bool is no int: int() would truncate 3.9 and float(true) would sweep from 1.0.
+_CONFIG_KEYS = {
+    "state_kind": ("'linear' or 'nonlinear'", lambda v: v in ("linear", "nonlinear")),
+    "d_list": ("a list of integers", lambda v: type(v) is list and all(type(d) is int for d in v)),
+    "amp_start": ("a number or a token", lambda v: type(v) in (int, float, str)),
+    "amp_stop": ("a number or a token", lambda v: type(v) in (int, float, str)),
+    "steps": ("an integer", lambda v: type(v) is int),
+    "quantities": ("a string or a list", lambda v: type(v) in (str, list)),
+    "format": ("'csv' or 'json'", lambda v: v in ("csv", "json")),
+}
+
+
+def _malformed(what: str, value) -> ValueError:
+    # The value is echoed six levels deep at most and cut to 40 characters.
+    text = reprlib.repr(value)
+    text = text if len(text) <= 40 else text[:37] + "..."
+    return ValueError(f"malformed config: {what}, got {text}")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -69,18 +90,14 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("malformed config: the top level is not a JSON object")
-    keys = ("state_kind", "d_list", "amp_start", "amp_stop", "steps", "quantities", "format")
-    unknown = [key for key in raw if key not in keys]
+    unknown = [key for key in raw if key not in _CONFIG_KEYS]
     if unknown:
-        raise ValueError(f"malformed config: unknown key {unknown[0]!r}")
+        raise ValueError(f"malformed config: unknown key {reprlib.repr(unknown[0])}")
+    for key, value in raw.items():
+        want, ok = _CONFIG_KEYS[key]
+        if not ok(value):
+            raise _malformed(f"{key} must be {want}", value)
     return raw
-
-
-def _integer(value, name: str) -> int:
-    # int() would truncate 3.9 and accept true: a config number must be a JSON integer.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
@@ -91,52 +108,46 @@ def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
     for item in value:
         if isinstance(item, str):
             out.extend(_parse_quantities(item))
-        elif isinstance(item, list) and len(item) == 2:
-            ident, order = item
-            out.append((str(ident), None if order is None else _integer(order, "order")))
+        elif isinstance(item, list) and len(item) == 2 and isinstance(item[0], str):
+            if not (item[1] is None or type(item[1]) is int):
+                raise _malformed("a quantity order must be an integer or null", item[1])
+            out.append(tuple(item))
         else:
-            raise TypeError(f"a quantity must be a token or an [id, order] pair, got {item!r}")
+            raise _malformed("a quantity must be a token or an [id, order] pair", item)
     return tuple(out)
 
 
 def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     cfg = _load_config(args.config)
-    try:
-        kind = args.kind if args.kind is not None else cfg.get("state_kind")
-        if kind is None:
-            raise ValueError("a state kind is required (--kind or config)")
-        d_list = _parse_d_list(args.d) if args.d is not None else tuple(cfg.get("d_list", ()))
-        if args.range is not None:
-            amp_start, amp_stop = _parse_range(args.range)
-        else:
-            amp_start = cfg.get("amp_start")
-            amp_stop = cfg.get("amp_stop")
-            if amp_start is None or amp_stop is None:
-                raise ValueError("an amplitude range is required (--range or config)")
-            for name in ("amp_start", "amp_stop"):
-                if isinstance(cfg[name], bool):  # float(true) would sweep from 1.0
-                    raise TypeError(f"{name} must be a number or a token, got {cfg[name]!r}")
-        steps = args.steps if args.steps is not None else cfg.get("steps")
-        if steps is None:
-            raise ValueError("a step count is required (--steps or config)")
-        if args.quantities is not None:
-            quantities = _parse_quantities(args.quantities)
-        elif "quantities" in cfg:
-            quantities = _config_quantities(cfg["quantities"])
-        else:
-            raise ValueError("quantities are required (--quantities or config)")
-        fmt = args.format if args.format is not None else cfg.get("format", "csv")
-        return SweepSpec(
-            state_kind=StateKind(kind),
-            d_list=tuple(_integer(d, "d") for d in d_list),
-            amp_start=amp_start,
-            amp_stop=amp_stop,
-            steps=_integer(steps, "steps"),
-            quantities=quantities,
-            output_format=fmt,
-        )
-    except TypeError as exc:  # a config value of the wrong JSON type, e.g. "steps": [3]
-        raise ValueError(f"malformed config: {exc}") from None
+    kind = args.kind if args.kind is not None else cfg.get("state_kind")
+    if kind is None:
+        raise ValueError("a state kind is required (--kind or config)")
+    d_list = _parse_d_list(args.d) if args.d is not None else tuple(cfg.get("d_list", ()))
+    if args.range is not None:
+        amp_start, amp_stop = _parse_range(args.range)
+    else:
+        amp_start = cfg.get("amp_start")
+        amp_stop = cfg.get("amp_stop")
+        if amp_start is None or amp_stop is None:
+            raise ValueError("an amplitude range is required (--range or config)")
+    steps = args.steps if args.steps is not None else cfg.get("steps")
+    if steps is None:
+        raise ValueError("a step count is required (--steps or config)")
+    if args.quantities is not None:
+        quantities = _parse_quantities(args.quantities)
+    elif "quantities" in cfg:
+        quantities = _config_quantities(cfg["quantities"])
+    else:
+        raise ValueError("quantities are required (--quantities or config)")
+    return SweepSpec(
+        state_kind=StateKind(kind),
+        d_list=d_list,
+        amp_start=amp_start,
+        amp_stop=amp_stop,
+        steps=steps,
+        quantities=quantities,
+        output_format=args.format if args.format is not None else cfg.get("format", "csv"),
+    )
 
 
 def _emit(payload, out: str | None) -> int:

@@ -5,10 +5,10 @@ Two inequivalent truncations of the optical coherent state are provided.
 vacuum; its amplitudes are evaluated in the eigenbasis of the truncated
 quadrature a + a+, whose eigenvalues, the roots of the degree-d probabilists'
 Hermite polynomial, pair as +-x: the sum splits into cosine (even levels) and sine
-(odd levels) parts and is exactly real at a real amplitude >= 0.  ``he_roots``
-computes the eigenbasis once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs``
-truncates the Poissonian Fock expansion and renormalizes.  In both families the
-state at a real -a is (-1)^n c_n(a), and ``state_block`` builds it so.  The two
+(odd levels) parts and is exactly real.  ``he_roots`` computes the eigenbasis
+once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs`` truncates
+the Poissonian Fock expansion and renormalizes.  Both families are built at the
+modulus r = |a| and take the amplitude's phase in ``state_block`` alone.  The two
 families behave very differently: the nonlinear state is periodic in the
 amplitude argument while the linear one is not.
 """
@@ -89,57 +89,38 @@ def he_roots(d: int) -> HermiteRootSet:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge amplitude gives nan rows, refused later
-def _nonlinear_coefficients(d: int, alphas) -> np.ndarray:
-    """Raw amplitudes exp(alpha a+ - alpha* a)|0>, one row per amplitude, before renormalizing.
+def _nonlinear_coefficients(d: int, moduli: np.ndarray) -> np.ndarray:
+    """Raw real amplitudes exp(r (a+ - a))|0>, one row per modulus r > 0, before normalizing.
 
-    The generator is e^{i phi0} a+ - e^{-i phi0} a, which the level phases
-    e^{i n (phi0 - pi/2)} turn into i |alpha| (a + a+).  Expanding the vacuum
-    in the eigenbasis V of a + a+ gives, for level n,
+    The level phases i^(-n) turn the generator r (a+ - a) into i r (a + a+).
+    Expanding the vacuum in the eigenbasis V of a + a+ gives, for level n,
 
-        c_n = e^{i n (phi0 - pi/2)} sum_k V[n, k] V[0, k] e^{i x_k |alpha|},
+        c_n = i^(-n) sum_k V[n, k] V[0, k] e^{i x_k r},
 
     which does not depend on the signs of V's columns.  The roots pair as
     +-x_k, and V[n, k] V[0, k] is even in x_k for even n and odd for odd n, so
     the sum keeps its cosine part at even n and its sine part at odd n:
 
-        c_n = e^{i n phi0} (1, 1, -1, -1)[n mod 4] sum_k V[n, k] V[0, k] cs_n(x_k |alpha|).
+        c_n = (1, 1, -1, -1)[n mod 4] sum_k V[n, k] V[0, k] cs_n(x_k r).
 
-    A real alpha >= 0 (phi0 = 0) thus gives real amplitudes; only rows with phi0 != 0 take the
-    phase, and ``state_block`` sends no real alpha < 0 here.  Each row is its own
-    (2, d) @ (d, d) product: its bits do not depend on its block.
+    Each row is its own (2, d) @ (d, d) product: its bits do not depend on its block.
     """
     basis = he_roots(d)
-    alphas = np.atleast_1d(np.asarray(alphas, complex))
     levels = np.arange(d)
-    x = basis.roots * np.hypot(alphas.real, alphas.imag)[:, None]
+    x = basis.roots * moduli[:, None]
     sums = np.matmul(basis.vectors[0] * np.stack([np.cos(x), np.sin(x)], axis=1), basis.vectors.T)
     sign = np.array([1.0, 1.0, -1.0, -1.0])[levels % 4]
-    c = (np.where(levels % 2, sums[:, 1], sums[:, 0]) * sign).astype(complex)
-    phi0 = np.arctan2(alphas.imag, alphas.real)
-    turned = phi0 != 0.0
-    c[turned] *= np.exp(1j * levels * phi0[turned, None])
-    return c
+    return np.where(levels % 2, sums[:, 1], sums[:, 0]) * sign
 
 
-def _linear_coefficients(d: int, betas: list[complex]) -> np.ndarray:
-    """Unit rows proportional to beta^n / sqrt(n!), one per amplitude.
-
-    Magnitudes are evaluated in the log domain so large |beta| stays
-    well-conditioned; beta = 0 gives the vacuum.
-    """
-    levels = np.arange(d)
-    c = np.zeros((len(betas), d), dtype=complex)
-    c[:, 0] = 1.0
-    rows = [i for i, beta in enumerate(betas) if beta != 0]
-    if rows:
-        log_modulus = np.array([math.log(abs(betas[i])) for i in rows])
-        phase = np.array([math.atan2(betas[i].imag, betas[i].real) for i in rows])
-        log_mag = levels * log_modulus[:, None] - 0.5 * _log_factorials(d)
-        log_mag -= log_mag.max(axis=1, keepdims=True)
-        mag = np.exp(log_mag)
-        mag /= np.sqrt(row_dots(mag, mag))[:, None]
-        c[rows] = mag * np.exp(1j * levels * phase[:, None])
-    return c
+def _linear_coefficients(d: int, moduli: np.ndarray) -> np.ndarray:
+    """Unit rows proportional to r^n / sqrt(n!), one per modulus r > 0, in the log domain."""
+    log_modulus = np.array([math.log(r) for r in moduli.tolist()])
+    log_mag = np.arange(d) * log_modulus[:, None] - 0.5 * _log_factorials(d)
+    log_mag -= log_mag.max(axis=1, keepdims=True)
+    mag = np.exp(log_mag)
+    mag /= np.sqrt(row_dots(mag, mag))[:, None]
+    return mag
 
 
 def state_block(
@@ -147,10 +128,13 @@ def state_block(
 ) -> StateBlock:
     """The normalized states of one family and level count, one row per amplitude.
 
-    Each row equals the single state ``nonlinear_qcs(d, amplitude)`` or
-    ``linear_qcs(d, amplitude)`` bit for bit.  A real amplitude a < 0 is built
-    at |a|, and the real parts of its odd levels are negated.  A build whose
-    largest array would hold more than MAX_ENTRIES entries is refused before it starts.
+    Both families are phase covariant: the state at r e^{i phi} is e^{i n phi} times the
+    state at r.  So each row is built at r = |a|, as the exact vacuum at r = 0 and by the
+    family's coefficient function above it, and normalized.  Then a complex amplitude's
+    row is multiplied by e^{i n phi}, and a real a < 0 negates the real parts of its odd
+    levels, which is exact and leaves the row real.  Each row equals the single state
+    ``nonlinear_qcs(d, a)`` or ``linear_qcs(d, a)`` bit for bit.  A build whose largest
+    array would hold more than MAX_ENTRIES entries is refused before it starts.
     """
     kind = StateKind(kind)
     if d < 2:
@@ -162,16 +146,19 @@ def state_block(
         raise ValueError(f"the state build holds {entries} entries, more than {MAX_ENTRIES}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitude must be finite")
-    # A real a < 0 gives (-1)^n c_n(|a|) in both families: built so, its row is exactly real.
-    mirrored = (amps.imag == 0) & (amps.real < 0)
-    amps = np.where(mirrored, -amps.real, amps)
-    if kind is StateKind.LINEAR:
-        raw = _linear_coefficients(d, amps.tolist())
-    else:
-        raw = _nonlinear_coefficients(d, amps)
+    r = np.hypot(amps.real, amps.imag)
+    built = r > 0
+    build = _linear_coefficients if kind is StateKind.LINEAR else _nonlinear_coefficients
+    coefficients = build(d, r[built]) if built.any() else np.empty((0, d))  # no he_roots call
+    # Complex as the rows end (real rows' norms round otherwise), made once the build is done.
+    raw = np.zeros((len(amps), d), complex)
+    raw[~built, 0] = 1.0
+    raw.real[built] = coefficients
     rows = normalized_rows(raw)
-    if mirrored.any():  # negating the real parts of the odd levels is exact
+    turned, mirrored = amps.imag != 0, (amps.imag == 0) & (amps.real < 0)
+    if turned.any() or mirrored.any():
         rows = rows.copy()
+        rows[turned] *= np.exp(1j * np.arange(d) * np.arctan2(amps.imag, amps.real)[turned, None])
         rows.real[mirrored, 1::2] *= -1
         rows.setflags(write=False)
     return StateBlock(rows)
@@ -181,8 +168,9 @@ def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     """Truncated-displacement coherent state on d levels.
 
     Applies exp(alpha a+ - alpha* a), with the ladder operators cut to the
-    first d levels, to the vacuum.  At alpha = 0 this is the vacuum; for
-    d = 2 and d = 3 the amplitude dependence is exactly periodic.
+    first d levels, to the vacuum.  At alpha = 0 this is the vacuum exactly,
+    and at any real alpha the state is exactly real; for d = 2 and d = 3 the
+    amplitude dependence is exactly periodic.
     """
     return build_state(StateKind.NONLINEAR, d, alpha)
 

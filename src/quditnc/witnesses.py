@@ -8,6 +8,7 @@ drive it to zero or above.  A value of exactly zero is not flagged.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -166,9 +167,10 @@ def klyshko_block(block: StateBlock, levels) -> np.ndarray:
 
     A level from d on reads exactly 0, as its three probabilities do: it is
     taken as level d, decided on the Python int, so no level meets int64 overflow.
+    A level that is not an integer raises TypeError.
     """
     d = block.dim
-    n = np.array([level if level < d else d for level in levels], dtype=int)
+    n = np.array([level if level < d else d for level in map(operator.index, levels)], dtype=int)
     if (n < 0).any():
         raise ValueError("level index must be non-negative")
     p = np.zeros((len(block), d + 3))  # the probabilities, then levels d .. d + 2 at 0

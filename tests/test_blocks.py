@@ -267,23 +267,23 @@ def test_libm_pow_is_python_float_power():
 
 def _linear_per_state(d, beta):
     # The truncated Poisson expansion one amplitude at a time: the arithmetic
-    # the block build must reproduce.  A real beta < 0 is the mirror of -beta.
+    # the block build must reproduce.  It is built at r = |beta|, the vacuum at
+    # r = 0, and normalized; then a complex beta multiplies level n by
+    # e^{i n phi}, and a real beta < 0 negates the real parts of the odd levels.
     beta = complex(beta)
-    if beta.imag == 0 and beta.real < 0:
-        amps = _linear_per_state(d, -beta.real).copy()
-        amps.real[1::2] *= -1
-        return amps
     levels = np.arange(d)
-    if beta == 0:
-        amps = np.zeros(d, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(amps).amps
-    log_mag = levels * math.log(abs(beta)) - 0.5 * gammaln(levels + 1.0)
-    log_mag -= log_mag.max()
-    mag = np.exp(log_mag)
-    mag /= np.linalg.norm(mag)
-    phase = math.atan2(beta.imag, beta.real)
-    return FockVector(mag * np.exp(1j * levels * phase)).amps
+    mag = np.eye(d)[0]
+    if beta != 0:
+        log_mag = levels * math.log(abs(beta)) - 0.5 * gammaln(levels + 1.0)
+        log_mag -= log_mag.max()
+        mag = np.exp(log_mag)
+        mag /= np.linalg.norm(mag)
+    amps = FockVector(mag).amps.copy()
+    if beta.imag != 0:
+        amps *= np.exp(1j * levels * math.atan2(beta.imag, beta.real))
+    elif beta.real < 0:
+        amps.real[1::2] *= -1
+    return amps
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 20, 60, 90])

@@ -372,6 +372,52 @@ def test_a_quantity_pair_of_one_item_is_malformed(tmp_path, capsys):
     )
 
 
+def _malformed_config_error(tmp_path, capsys, **fields):
+    spec = {"state_kind": "linear", "d_list": [3], "amp_start": 0.5, "amp_stop": 2.0, "steps": 3,
+            "quantities": "hoa:1"}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**spec, **fields}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    return capsys.readouterr().err
+
+
+def test_a_config_state_kind_that_names_no_kind_is_malformed(tmp_path, capsys):
+    assert _malformed_config_error(tmp_path, capsys, state_kind=3.9) == (
+        "error: malformed config: state_kind must be 'linear' or 'nonlinear', got 3.9\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["format", "steps", "state_kind", "d_list"])
+def test_a_deeply_nested_config_value_is_malformed_and_echoed_short(tmp_path, capsys, key):
+    # The whole 900-deep value was echoed, about 1.8 KB of stderr.
+    err = _malformed_config_error(tmp_path, capsys, **{key: json.loads("[" * 900 + "]" * 900)})
+    assert err.startswith(f"error: malformed config: {key} must be ")
+    assert len(err.encode()) < 300
+
+
+def test_a_config_quantities_object_is_malformed(tmp_path, capsys):
+    # Iterating an object read its keys: {"hoa": 1} became the token "hoa", with no order.
+    assert _malformed_config_error(tmp_path, capsys, quantities={"hoa": 1}) == (
+        "error: malformed config: quantities must be a string or a list, got {'hoa': 1}\n"
+    )
+
+
+def test_a_config_quantity_pair_whose_id_is_not_a_string_is_malformed(tmp_path, capsys):
+    # str() made the id 3 into the quantity '3'.
+    assert _malformed_config_error(tmp_path, capsys, quantities=[[3, 1]]) == (
+        "error: malformed config: a quantity must be a token or an [id, order] pair, got [3, 1]\n"
+    )
+
+
+@pytest.mark.parametrize("d", [5, 40])
+def test_the_nonlinear_vacuum_report_flags_nothing(capsys, d):
+    # Built by the eigenbasis sum, the vacuum carried 1e-16 roundoff that flagged 2 witnesses
+    # at d = 5 and 20 at d = 40.
+    assert main(["report", "--kind", "nonlinear", "--d", str(d), "--amplitude", "0"]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    assert witnesses and not [w for w in witnesses if w["nonclassical"]]
+
+
 @pytest.mark.parametrize("kind,d", [("linear", 1031), ("linear", 2000), ("nonlinear", 1031)])
 def test_a_report_past_1030_levels_exits_three(capsys, kind, d):
     # The splitter's sqrt(C(n, j)) leaves the double range from d = 1031.

@@ -128,6 +128,7 @@ def _ends_cleanly(argv, drawn):
         assert "Traceback" not in err
         if code == 0:
             assert _run(argv) == (0, out, err)
+    return err
 
 
 # A config file: well formed, or with some fields of the wrong value or JSON type.
@@ -197,7 +198,10 @@ CONFIG_FLAGS = st.sampled_from([[], ["--format", "json"], ["--steps", "2"], ["--
 @example(b"[" * 100_000 + b"]" * 100_000, [])
 @example(json.dumps({"state_kind": "linear", "d_list": [3], "amp_start": 0.5, "amp_stop": 2,
                      "steps": 3, "quantities": [["hoa"]]}).encode(), [])
+@example(b'{"state_kind": "linear", "format": ' + b"[" * 900 + b"]" * 900 + b"}", [])
+@example(b'{"state_kind": 3.9}', [])
 def test_every_config_ends_in_exit_0_2_or_3(tmp_path, text, flags):
     cfg = tmp_path / "sweep.json"
     cfg.write_bytes(text)
-    _ends_cleanly(["sweep", "--config", str(cfg), *flags], text[:200])
+    err = _ends_cleanly(["sweep", "--config", str(cfg), *flags], text[:200])
+    assert len(err.encode()) < 300, err[:300]  # a config value is echoed cut short

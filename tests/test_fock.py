@@ -109,6 +109,17 @@ def test_number_moment_matches_probability_sum():
         assert number_moment(s, n) == pytest.approx(direct, abs=1e-12)
 
 
+def test_number_moment_refuses_an_order_that_is_not_an_integer():
+    # A float order reached j**1.5: number_moment(state, 1.5) returned <N^1.5>.
+    s = linear_qcs(6, 1.7)
+    for moment in (number_moment, normal_moment):
+        with pytest.raises(TypeError):
+            moment(s, 1.5)
+    with pytest.raises(TypeError):
+        number_moment(s, 2.0)
+    assert number_moment(s, np.int64(2)) == number_moment(s, 2)
+
+
 def test_moment_order_bounds():
     s = fock_state(1)
     for bad in (0, 5):

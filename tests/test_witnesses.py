@@ -226,6 +226,17 @@ def test_klyshko_order_domain():
         klyshko(NL_D3, -1)
 
 
+def test_klyshko_refuses_a_level_that_is_not_an_integer():
+    # A float level was cast to int: klyshko(state, 1.5) read level 1.
+    for bad in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            klyshko(NL_D3, bad)
+    assert klyshko(NL_D3, np.int64(0)) == klyshko(NL_D3, 0)
+    for huge in (2**63, 2**64):
+        value = klyshko(NL_D3, huge)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=50, deadline=None)
 def test_klyshko_two_level_states_never_positive(p1):
