@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import reprlib
+import math
 import shutil
 import sys
 from contextlib import nullcontext
@@ -15,12 +15,12 @@ from .states import StateKind, build_state
 from .sweep import (
     NumericalError,
     SweepSpec,
+    echo,
     klyshko_bars,
-    measure_report,
+    report,
     resolve_amplitude,
     run_sweep,
     table1_search,
-    witness_report,
     write_rows_csv,
     write_rows_json,
 )
@@ -37,7 +37,7 @@ def _parse_quantities(text: str) -> tuple[tuple[str, int | None], ...]:
             try:
                 order = int(order_text)
             except ValueError:
-                raise ValueError(f"bad order in quantity token {chunk!r}") from None
+                raise ValueError(f"bad order in quantity token {echo(chunk)}") from None
             out.append((ident.strip(), order))
         else:
             out.append((chunk, None))
@@ -50,13 +50,13 @@ def _parse_d_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"bad level-count list {text!r}") from None
+        raise ValueError(f"bad level-count list {echo(text)}") from None
 
 
 def _parse_range(text: str) -> tuple[str, str]:
     start, sep, stop = text.partition(":")
     if not sep or not start.strip() or not stop.strip():
-        raise ValueError(f"range must look like start:stop, got {text!r}")
+        raise ValueError(f"range must look like start:stop, got {echo(text)}")
     return start.strip(), stop.strip()
 
 
@@ -74,10 +74,7 @@ _CONFIG_KEYS = {
 
 
 def _malformed(what: str, value) -> ValueError:
-    # The value is echoed six levels deep at most and cut to 40 characters.
-    text = reprlib.repr(value)
-    text = text if len(text) <= 40 else text[:37] + "..."
-    return ValueError(f"malformed config: {what}, got {text}")
+    return ValueError(f"malformed config: {what}, got {echo(value)}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -92,7 +89,7 @@ def _load_config(path: str | None) -> dict:
         raise ValueError("malformed config: the top level is not a JSON object")
     unknown = [key for key in raw if key not in _CONFIG_KEYS]
     if unknown:
-        raise ValueError(f"malformed config: unknown key {reprlib.repr(unknown[0])}")
+        raise ValueError(f"malformed config: unknown key {echo(unknown[0])}")
     for key, value in raw.items():
         want, ok = _CONFIG_KEYS[key]
         if not ok(value):
@@ -182,18 +179,15 @@ def _cmd_klyshko(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     amp = resolve_amplitude(args.amplitude, args.d)
-    state = build_state(args.kind, args.d, amp)
-    try:
-        measures = measure_report(state)
-    except OverflowError:  # the splitter's sqrt(C(n, j)) leaves the double range from d = 1031
+    battery = report(build_state(args.kind, args.d, amp))
+    if any(map(math.isinf, battery["measures"].values())):  # the splitter, from d = 1031
         where = f"kind={args.kind} d={args.d} amplitude={amp!r}"
-        raise NumericalError(f"the report overflows the double range at {where}") from None
+        raise NumericalError(f"the report overflows the double range at {where}")
     payload = {
         "kind": args.kind,
         "d": args.d,
         "amplitude": amp,
-        "witnesses": witness_report(state),
-        "measures": measures,
+        **battery,
     }
     return _emit(payload, args.out)
 

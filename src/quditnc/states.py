@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def build_state(kind: StateKind | str, d: int, amplitude: complex) -> FockVector
     return FockVector._of_normalized(state_block(kind, d, [amplitude]).amps[0])
 
 
-#: Entries (amplitudes x levels) that state_blocks builds together: 256 amplitudes at
+#: Entries (amplitudes x levels) that a sweep builds together: 256 amplitudes at
 #: d = 60.  It bounds the (block, d) arrays of a long amplitude grid.
 BLOCK_ENTRIES = 256 * 60
 
@@ -218,13 +218,3 @@ STATE_BLOCK = 256
 def block_rows(d: int) -> int:
     """Amplitudes per block at d levels: as many as fit in BLOCK_ENTRIES, at least STATE_BLOCK."""
     return max(STATE_BLOCK, BLOCK_ENTRIES // max(d, 1))  # state_block refuses d < 2
-
-
-def state_blocks(
-    kind: StateKind | str, d: int, amplitudes: Iterable[complex]
-) -> Iterator[StateBlock]:
-    """``state_block`` over ``block_rows(d)`` amplitudes at a time, in order."""
-    amps = list(amplitudes)
-    step = block_rows(d)
-    for first in range(0, len(amps), step):
-        yield state_block(kind, d, amps[first : first + step])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
+from collections import Counter
 from typing import Callable, IO, NamedTuple, Sequence
 
 import numpy as np
@@ -15,7 +17,7 @@ from .measures import (
     exact_measures,
     negativity_closed_form_block,
 )
-from .states import MAX_ENTRIES, StateKind, period, state_block, state_blocks
+from .states import MAX_ENTRIES, StateKind, block_rows, period, state_block
 from .witnesses import (
     agarwal_tara_block,
     hoa_block,
@@ -26,8 +28,8 @@ from .witnesses import (
 )
 
 __all__ = [
-    "NumericalError", "SweepResult", "SweepSpec", "klyshko_bars", "measure_report", "run_sweep",
-    "table1_search", "witness_report",
+    "NumericalError", "SweepResult", "SweepSpec", "klyshko_bars", "report", "run_sweep",
+    "table1_search",
 ]
 
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
@@ -36,6 +38,13 @@ SINGULAR_SENTINEL = "singular"
 
 class NumericalError(RuntimeError):
     """A sweep produced a non-finite value outside the singular-ratio path."""
+
+
+def echo(value) -> str:
+    """A user value as a message shows it: its repr (a list or dict six levels deep at
+    most, by reprlib), cut to 40 characters."""
+    text = reprlib.repr(value) if isinstance(value, (list, dict)) else repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def resolve_amplitude(value: float | str, d: int) -> float:
@@ -56,7 +65,7 @@ def resolve_amplitude(value: float | str, d: int) -> float:
         return period(d) / 2.0
     if lowered == "td/4":
         return period(d) / 4.0
-    raise ValueError(f"unrecognized amplitude token {value!r}")
+    raise ValueError(f"unrecognized amplitude token {echo(value)}")
 
 
 class Quantity(NamedTuple):
@@ -167,20 +176,20 @@ class SweepSpec(NamedTuple):
         for ident, order in self.quantities:
             q = QUANTITIES.get(ident)
             if q is None:
-                raise ValueError(f"unknown quantity {ident!r}")
+                raise ValueError(f"unknown quantity {echo(ident)}")
             if q.check_order is None:
                 if order is not None:
                     raise ValueError(f"quantity {ident!r} does not take an order")
             elif order is None:
                 raise ValueError(f"quantity {ident!r} requires an order")
             elif not q.check_order(order):
-                raise ValueError(f"order {order} is out of range for {ident!r}")
+                raise ValueError(f"order {echo(order)} is out of range for {ident!r}")
         names = [column_name(ident, order) for ident, order in self.quantities]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"quantity {name!r} is requested twice")
+        for name, count in Counter(names).items():  # keyed in request order
+            if count > 1:
+                raise ValueError(f"quantity {echo(name)} is requested twice")
         if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
+            raise ValueError(f"unknown format {echo(self.output_format)}")
         cells = len(set(self.d_list)) * self.steps * (len(self.quantities) + 1)
         if cells > MAX_ENTRIES:  # the state build's budget, checked before any allocation
             raise ValueError(f"the grid holds {cells} cells, more than the {MAX_ENTRIES} allowed")
@@ -203,10 +212,10 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
-    Each block of states of one d (see ``states.state_blocks``) goes through
-    ``evaluate`` into that d's column arrays.  A singular moment-matrix ratio
-    is masked as the sentinel; any other non-finite value, or an overflow
-    inside a quantity, aborts with NumericalError naming the first such cell,
+    Each d's amplitudes are cut into blocks of ``block_rows(d)``; each block is one
+    ``state_block`` that ``evaluate`` writes into that d's column arrays.  A singular
+    moment-matrix ratio is masked as the sentinel; any other non-finite value, or an
+    overflow inside a quantity, aborts with NumericalError naming the first such cell,
     row by row and in column order within a row.
     """
     spec.validate()
@@ -223,9 +232,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         amps = np.linspace(start, stop, spec.steps)
         values = np.empty((len(names), spec.steps))
         singular = np.zeros((len(names), spec.steps), dtype=bool)
-        first = 0
-        for block in state_blocks(spec.state_kind, d, amps.tolist()):
-            rows = slice(first, first + len(block))
+        step = block_rows(d)
+        for first in range(0, spec.steps, step):
+            rows = slice(first, first + step)
+            block = state_block(spec.state_kind, d, amps[rows].tolist())
             values[:, rows], singular[:, rows] = evaluate(block, spec.quantities)
             bad = ~(np.isfinite(values[:, rows]) | singular[:, rows])
             if bad.any():
@@ -235,7 +245,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     f"{names[j]} is non-finite at kind={kind} d={d} "
                     f"amplitude={float(amps[first + i])!r}"
                 )
-            first += len(block)
         levels.append((d, amps, values, singular))
     return SweepResult(kind, names, tuple(levels))
 
@@ -408,16 +417,13 @@ def klyshko_bars(
 ) -> dict:
     """Klyshko values per level for each requested amplitude.
 
-    The levels are ``klyshko_levels(d)``, as in ``witness_report``.
+    The levels are ``klyshko_levels(d)``, as in ``report``.  The amplitudes are one
+    ``state_block``, under its budget.
     """
     state_kind = StateKind(state_kind)
     amps = [resolve_amplitude(raw, d) for raw in amplitudes]
     levels = klyshko_levels(d)
-    values = [
-        row
-        for block in state_blocks(state_kind, d, amps)
-        for row in klyshko_block(block, levels).tolist()
-    ]
+    values = klyshko_block(state_block(state_kind, d, amps), levels).tolist()
     entries = [
         {
             "amplitude_token": str(raw),
@@ -429,48 +435,38 @@ def klyshko_bars(
     return {"kind": state_kind.value, "d": d, "entries": entries}
 
 
-#: The witnesses ``witness_report`` evaluates, before Klyshko's levels.
+#: The witnesses ``report`` evaluates, before Klyshko's levels.
 REPORT_WITNESSES = (
     ("hoa", 1), ("hoa", 2), ("hoa", 3), ("hos", 2), ("hos", 4),
     ("hosps", 2), ("hosps", 3), ("hosps", 4), ("a3", None),
 )
 
-#: The measures ``measure_report`` evaluates, in its key order.
+#: The measures ``report`` evaluates, in its key order.
 REPORT_MEASURES = (
     "negativity_closed_form", "negativity_exact", "concurrence_closed_form", "concurrence_exact",
     "anticlassicality", "anticlassicality_excl_vacuum",
 )
 
 
-def witness_report(state: FockVector) -> list[dict]:
-    """The standard witness battery of one state, as the sweep evaluates it:
-    hoa at orders 1-3, hos at 2 and 4, hosps at 2-4, a3, and klyshko at
-    ``klyshko_levels(d)``, one dict (name, order, value, nonclassical) each.
+def report(state: FockVector) -> dict:
+    """The standard battery of one state, as one ``evaluate`` call on a block of one.
 
-    The moment-matrix entry is omitted when its denominator is singular
-    (on |0>, |1> and every two-level state), so every reported value is
-    finite.  Flags are strict: zero does not count as nonclassical.
+    ``witnesses``: hoa at orders 1-3, hos at 2 and 4, hosps at 2-4, a3, and klyshko at
+    ``klyshko_levels(d)``, one dict (name, order, value, nonclassical) each.  a3 is left
+    out where its denominator is singular (on |0>, |1> and every two-level state).  Flags
+    are strict: zero does not count as nonclassical.  ``measures``: each measure (inf
+    where it leaves the double range, as the splitter's sqrt(C(n, j)) does from d = 1031
+    on), then ``argmax_n``, the level of the vacuum-excluded anticlassicality.
     """
-    quantities = REPORT_WITNESSES + tuple(("klyshko", n) for n in klyshko_levels(state.dim))
-    values, singular = evaluate(StateBlock.of(state), quantities)
-    return [
+    witnesses = REPORT_WITNESSES + tuple(("klyshko", n) for n in klyshko_levels(state.dim))
+    block = StateBlock.of(state)
+    values, singular = evaluate(block, witnesses + tuple((m, None) for m in REPORT_MEASURES))
+    values, singular = values[:, 0].tolist(), singular[:, 0].tolist()
+    measures = dict(zip(REPORT_MEASURES, values[len(witnesses):]))
+    measures["argmax_n"] = int(anticlassicality_block(block, True)[1][0])
+    entries = [
         {"name": ident, "order": order, "value": value, "nonclassical": value < 0.0}
-        for (ident, order), value, masked in zip(quantities, values[:, 0].tolist(), singular[:, 0])
+        for (ident, order), value, masked in zip(witnesses, values, singular)
         if not masked
     ]
-
-
-def measure_report(state: FockVector) -> dict:
-    """Every measure of one state, as the sweep evaluates it, and ``argmax_n``,
-    the level of the vacuum-excluded anticlassicality.
-
-    Raises OverflowError when a measure leaves the double range (the
-    splitter's sqrt(C(n, j)) from d = 1031 on).
-    """
-    block = StateBlock.of(state)
-    values, _ = evaluate(block, [(ident, None) for ident in REPORT_MEASURES])
-    if np.isinf(values).any():
-        raise OverflowError("a beam-splitter measure leaves the double range")
-    report = dict(zip(REPORT_MEASURES, values[:, 0].tolist()))
-    report["argmax_n"] = int(anticlassicality_block(block, True)[1][0])
-    return report
+    return {"witnesses": entries, "measures": measures}

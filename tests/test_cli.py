@@ -142,6 +142,53 @@ def test_duplicate_quantity_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: quantity 'a3' is requested twice\n"
 
 
+#: A user token of 5,000 characters, and an order of 4,000 digits (int() takes up to 4,300).
+LONG = "x" * 5000
+DIGITS = "3" * 4000
+SWEEP_TO = ["sweep", "--kind", "linear", "--steps", "2"]
+QUANTITIES_AT = [*SWEEP_TO, "--d", "5", "--range", "0:1", "--quantities"]
+LONG_TOKENS = {  # argv, the message's prefix, the echoed value, and the message's suffix
+    "range-amplitude": ([*SWEEP_TO, "--d", "5", f"--range=0:{LONG}", "--quantities", "hoa:1"],
+                        "unrecognized amplitude token ", LONG, ""),
+    "report-amplitude": (["report", "--kind", "linear", "--d", "5", f"--amplitude={LONG}"],
+                         "unrecognized amplitude token ", LONG, ""),
+    "klyshko-amplitudes": (["klyshko", "--kind", "linear", "--d", "5", f"--amplitudes=1,{LONG}"],
+                           "unrecognized amplitude token ", LONG, ""),
+    "unknown-quantity": ([*QUANTITIES_AT, LONG], "unknown quantity ", LONG, ""),
+    "bad-order": ([*QUANTITIES_AT, f"hoa:{LONG}"],
+                  "bad order in quantity token ", f"hoa:{LONG}", ""),
+    "level-count-list": ([*SWEEP_TO, "--d", f"5,{LONG}", "--range", "0:1", "--quantities", "hoa:1"],
+                         "bad level-count list ", f"5,{LONG}", ""),
+    "range-shape": ([*SWEEP_TO, "--d", "5", f"--range={LONG}", "--quantities", "hoa:1"],
+                    "range must look like start:stop, got ", LONG, ""),
+    "order-out-of-range": ([*QUANTITIES_AT, f"hos:{DIGITS}"],
+                           "order ", int(DIGITS), " is out of range for 'hos'"),
+    "requested-twice": ([*QUANTITIES_AT, f"klyshko:{DIGITS},klyshko:{DIGITS}"],
+                        "quantity ", f"klyshko_{DIGITS}", " is requested twice"),
+}
+
+
+@pytest.mark.parametrize("args,prefix,value,suffix", LONG_TOKENS.values(), ids=LONG_TOKENS)
+def test_a_long_user_token_is_echoed_cut_to_40_characters(capsys, args, prefix, value, suffix):
+    # Each message echoed the whole token: 5,027-5,047 bytes of stderr.
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {prefix}{repr(value)[:37]}...{suffix}\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("key", ["amp_start", "amp_stop"])
+def test_a_long_config_amplitude_token_is_echoed_cut_to_40_characters(tmp_path, capsys, key):
+    err = _malformed_config_error(tmp_path, capsys, **{key: LONG})
+    assert err == f"error: unrecognized amplitude token {repr(LONG)[:37]}...\n"
+    assert len(err.encode()) < 300
+
+
+def test_a_user_token_whose_repr_fits_in_40_characters_is_echoed_whole(capsys):
+    assert main([*QUANTITIES_AT, "negativity_potential_closed_form"]) == 2
+    assert capsys.readouterr().err == "error: unknown quantity 'negativity_potential_closed_form'\n"
+
+
 @pytest.mark.parametrize(
     "kind,window",
     [("linear", "0:1e400"), ("linear", "inf:inf"), ("nonlinear", "0:inf")],
@@ -582,6 +629,20 @@ def test_a_huge_level_count_exits_two_before_the_state_build(monkeypatch, capsys
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err == f"error: the state build holds {entries} entries, more than 134217728\n"
+
+
+def test_a_klyshko_list_over_the_state_build_budget_exits_two(monkeypatch, capsys):
+    # The amplitudes are one block: 257 of them at 2**19 levels are over 2**27 entries.  In
+    # blocks of 256 amplitudes, each block was within the budget and the list was built.
+    def build(*args, **kwargs):
+        pytest.fail("the state build was reached")
+
+    for name in ("_linear_coefficients", "_log_factorials"):
+        monkeypatch.setattr(states, name, build)
+    amplitudes = ",".join(["1"] * 257)
+    assert main(["klyshko", "--kind", "linear", f"--d={2**19}", f"--amplitudes={amplitudes}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the state build holds {257 * 2**19} entries, more than 134217728\n"
 
 
 def test_a_nonlinear_report_near_the_double_limit_exits_two_without_a_warning(capsys):

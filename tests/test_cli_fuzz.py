@@ -103,6 +103,8 @@ def _within_the_drawn_sizes(fn):
 
 
 SWEEP = ["sweep", "--range", "0.5:1", "--steps", "2"]
+LONG = "x" * 5000  # a user token is echoed cut to 40 characters
+DIGITS = "3" * 4000  # an order that int() parses
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,8 +117,18 @@ SWEEP = ["sweep", "--range", "0.5:1", "--steps", "2"]
 @example([*SWEEP, "--kind", "linear", "--d", "300000000", "--quantities", "hoa:1"])
 @example(["report", "--kind", "nonlinear", "--d", "5", "--amplitude", "1e308"])
 @example([*SWEEP, "--kind", "nonlinear", "--d", "3", "--range=-1e308:1e308", "--quantities", "a3"])
+@example([*SWEEP, "--kind", "linear", "--d", "5", "--quantities", LONG])
+@example([*SWEEP, "--kind", "linear", "--d", "5", "--quantities", f"hoa:{LONG}"])
+@example([*SWEEP, "--kind", "linear", "--d", "5", "--quantities", f"hos:{DIGITS}"])
+@example([*SWEEP, "--kind", "linear", "--d", "5", "--quantities", f"hoa:{DIGITS},hoa:{DIGITS}"])
+@example([*SWEEP, "--kind", "linear", "--d", f"5,{LONG}", "--quantities", "hoa:1"])
+@example([*SWEEP, "--kind", "linear", "--d", "5", f"--range={LONG}", "--quantities", "a3"])
+@example([*SWEEP, "--kind", "linear", "--d", "5", f"--range=0:{LONG}", "--quantities", "a3"])
+@example(["report", "--kind", "linear", "--d", "5", f"--amplitude={LONG}"])
+@example(["klyshko", "--kind", "linear", "--d", "5", f"--amplitudes={LONG}"])
 def test_every_command_ends_in_exit_0_2_or_3(argv):
-    _ends_cleanly(argv, argv)
+    err = _ends_cleanly(argv, argv)
+    assert len(err.encode()) < 300, err[:300]  # a user token is echoed cut short
 
 
 def _ends_cleanly(argv, drawn):

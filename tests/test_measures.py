@@ -14,10 +14,10 @@ from quditnc import (
     fock_state,
     linear_qcs,
     log_negativity_exact,
-    measure_report,
     negativity_potential_closed_form,
     nonlinear_qcs,
     period,
+    report,
 )
 from quditnc import measures
 from quditnc.fock import StateBlock
@@ -149,7 +149,7 @@ def test_excluded_variant_never_exceeds_full_maximum():
 
 
 def test_measure_report_fields_and_vacuum_values():
-    payload = measure_report(fock_state(0, dim=3))
+    payload = report(fock_state(0, dim=3))["measures"]
     assert set(payload) == {
         "negativity_closed_form",
         "negativity_exact",
@@ -167,9 +167,9 @@ def test_measure_report_fields_and_vacuum_values():
 
 def test_measure_report_argmax_tracks_excluded_variant():
     s = nonlinear_qcs(4, 1.5)
-    report = measure_report(s)
+    payload = report(s)["measures"]
     _, level = anticlassicality(s, exclude_vacuum=True)
-    assert report["argmax_n"] == level
+    assert payload["argmax_n"] == level
 
 
 def test_negativity_grows_with_level_count():

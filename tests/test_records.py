@@ -11,9 +11,8 @@ from quditnc import (
     SweepSpec,
     klyshko_bars,
     linear_qcs,
-    measure_report,
     nonlinear_qcs,
-    witness_report,
+    report,
 )
 from quditnc import fock, measures
 from quditnc.states import he_roots, state_block
@@ -41,7 +40,9 @@ def test_a_field_cannot_be_assigned(record, field):
 
 @pytest.mark.parametrize("state", [nonlinear_qcs(5, 1.2), linear_qcs(3, 0.7)])
 def test_report_keys_keep_their_order(state):
-    assert list(measure_report(state)) == [
+    battery = report(state)
+    assert list(battery) == ["witnesses", "measures"]
+    assert list(battery["measures"]) == [
         "negativity_closed_form",
         "negativity_exact",
         "concurrence_closed_form",
@@ -50,7 +51,7 @@ def test_report_keys_keep_their_order(state):
         "anticlassicality_excl_vacuum",
         "argmax_n",
     ]
-    entries = witness_report(state)
+    entries = battery["witnesses"]
     assert entries
     for entry in entries:
         assert list(entry) == ["name", "order", "value", "nonclassical"]
@@ -60,8 +61,8 @@ def test_report_keys_keep_their_order(state):
 def test_report_and_klyshko_verb_show_the_same_levels(d):
     levels = list(klyshko_levels(d))
     assert levels == list(range(max(d - 2, 1)))
-    report = witness_report(nonlinear_qcs(d, 0.8))
-    assert [e["order"] for e in report if e["name"] == "klyshko"] == levels
+    entries = report(nonlinear_qcs(d, 0.8))["witnesses"]
+    assert [e["order"] for e in entries if e["name"] == "klyshko"] == levels
     bars = klyshko_bars(StateKind.NONLINEAR, d, [0.8])["entries"][0]["bars"]
     assert [bar["n"] for bar in bars] == levels
 

@@ -23,7 +23,7 @@ from quditnc import (
 )
 from quditnc.oracle import displacement_exponential
 from quditnc import measures, states
-from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_blocks
+from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_block
 
 
 def test_he_roots_small_degrees():
@@ -63,7 +63,7 @@ def test_nonlinear_state_is_exactly_real_at_a_real_nonnegative_amplitude(d):
     amplitudes = [0.0, 0.3, period(d) / 4.0, period(d) / 2.0, 11.7, complex(1.5, -0.0)]
     for alpha in amplitudes:
         assert not nonlinear_qcs(d, alpha).amps.imag.any(), alpha
-    block = next(state_blocks(StateKind.NONLINEAR, d, amplitudes + [1.3 - 2.2j, -0.6j]))
+    block = state_block(StateKind.NONLINEAR, d, amplitudes + [1.3 - 2.2j, -0.6j])
     assert not block.amps[: len(amplitudes)].imag.any()
     assert block.amps[len(amplitudes) :].imag.any(axis=1).all()
 
@@ -342,7 +342,10 @@ def _same_bits(a, b):
 
 
 def _block_rows(kind, d, amplitudes):
-    return [row for block in state_blocks(kind, d, amplitudes) for row in block.amps]
+    # The rows of the blocks a sweep builds: state_block on block_rows(d) amplitudes at a time.
+    amps, step = list(amplitudes), block_rows(d)
+    blocks = (state_block(kind, d, amps[i : i + step]) for i in range(0, len(amps), step))
+    return [row for block in blocks for row in block.amps]
 
 
 @pytest.mark.parametrize("d", range(2, 61))
@@ -362,7 +365,7 @@ def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
 def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
     d = 9
     amplitudes = np.linspace(-0.4, 2.0 * period(d), block_rows(d) + 5)
-    assert len(list(state_blocks("nonlinear", d, amplitudes))) == 2
+    assert block_rows(d) < len(amplitudes) <= 2 * block_rows(d)  # two blocks
     built = _block_rows("nonlinear", d, amplitudes)
     assert len(built) == len(amplitudes)
     for amp, row in zip(amplitudes, built):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +147,17 @@ def test_validate_rejects_a_quantity_requested_twice():
     with pytest.raises(ValueError, match="'hoa_1' is requested twice"):
         _spec(quantities=(("hoa", 1), ("a3", None), ("hoa", 1))).validate()
     _spec(quantities=(("hoa", 1), ("hoa", 2))).validate()
+    # The first name in request order that occurs twice, not the first repeat.
+    with pytest.raises(ValueError, match="^quantity 'hoa_1' is requested twice$"):
+        _spec(quantities=(("hoa", 1), ("hoa", 2), ("hoa", 2), ("hoa", 1))).validate()
+
+
+def test_validate_finds_a_repeated_column_in_one_pass():
+    # One count per name: names.count for every name took 17 s at 32,000 columns.
+    spec = _spec(quantities=tuple(("klyshko", n) for n in range(50_000)))
+    started = time.perf_counter()
+    spec.validate()
+    assert time.perf_counter() - started < 2.0
 
 
 def test_validate_caps_the_cells_of_the_grid():
@@ -341,7 +353,7 @@ def test_output_bytes_do_not_depend_on_the_block_layout(monkeypatch, kind, rule)
     assert block_rows(60) < spec.steps
     assert not states.state_block(kind, 5, [-1.0]).amps.imag.any()
     assert ",singular," in want[0] and '"singular"' in want[1]
-    monkeypatch.setattr(states, "block_rows", rule)
+    monkeypatch.setattr(sweep, "block_rows", rule)
     assert outputs() == want
 
 
@@ -355,7 +367,9 @@ def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch
 
     def columns():
         out = {}
-        for block in states.state_blocks(kind, 7, amplitudes):
+        step = sweep.block_rows(7)
+        for first in range(0, len(amplitudes), step):
+            block = sweep.state_block(kind, 7, amplitudes[first : first + step])
             for ident, orders in families.items():
                 pairs = [(ident, order) for order in orders]
                 values, singular = QUANTITIES[ident].fn(block, pairs)
@@ -369,7 +383,7 @@ def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch
 
     want = columns()
     assert SINGULAR_SENTINEL in want["a3"]  # the vacuum row
-    monkeypatch.setattr(states, "block_rows", rule)
+    monkeypatch.setattr(sweep, "block_rows", rule)
     assert columns() == want
 
 
@@ -379,9 +393,9 @@ def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
 ):
     # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two.
     built, calls = [], []
-    state_block = states.state_block
+    state_block = sweep.state_block
     klyshko_block = sweep.klyshko_block
-    monkeypatch.setattr(states, "state_block", lambda *a: built.append(a) or state_block(*a))
+    monkeypatch.setattr(sweep, "state_block", lambda *a: built.append(a) or state_block(*a))
     monkeypatch.setattr(
         sweep, "klyshko_block", lambda b, n: calls.append(list(n)) or klyshko_block(b, n)
     )
@@ -549,3 +563,26 @@ def test_table1_search_reports_matches_and_misses():
 def test_table1_search_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         table1_search(0.0)
+
+
+def test_report_makes_one_evaluate_call(monkeypatch):
+    calls = []
+    evaluate = sweep.evaluate
+    monkeypatch.setattr(sweep, "evaluate", lambda b, q: calls.append(q) or evaluate(b, q))
+    battery = sweep.report(build_state(StateKind.NONLINEAR, 6, 1.1))
+    klyshko_levels = tuple(("klyshko", n) for n in range(4))
+    measures = tuple((ident, None) for ident in sweep.REPORT_MEASURES)
+    assert calls == [sweep.REPORT_WITNESSES + klyshko_levels + measures]
+    assert len(battery["witnesses"]) == len(sweep.REPORT_WITNESSES) + 4
+    assert list(battery["measures"]) == [*sweep.REPORT_MEASURES, "argmax_n"]
+
+
+def test_a_report_past_1030_levels_reads_inf_where_a_measure_overflows():
+    battery = sweep.report(build_state(StateKind.LINEAR, 1031, 1.0))
+    values = [entry["value"] for entry in battery["witnesses"]]
+    assert len(values) == 1038 and all(map(math.isfinite, values))
+    measures = battery["measures"]
+    for name in ("negativity_closed_form", "negativity_exact", "concurrence_exact"):
+        assert measures[name] == math.inf, name
+    for name in ("concurrence_closed_form", "anticlassicality", "anticlassicality_excl_vacuum"):
+        assert math.isfinite(measures[name]), name

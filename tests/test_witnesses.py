@@ -26,7 +26,7 @@ from quditnc import (
     nonlinear_qcs,
     number_moment,
     period,
-    witness_report,
+    report,
 )
 from quditnc.oracle import central_quadrature_moment
 
@@ -247,34 +247,33 @@ def test_klyshko_two_level_states_never_positive(p1):
 
 
 def test_witness_report_structure():
-    report = witness_report(NL_D3)
-    names = [(e["name"], e["order"]) for e in report]
+    entries = report(NL_D3)["witnesses"]
+    names = [(e["name"], e["order"]) for e in entries]
     assert ("hoa", 1) in names
     assert ("hos", 4) in names
     assert ("hosps", 3) in names
     assert ("a3", None) in names
     assert ("klyshko", 0) in names
-    dicts = report
-    assert set(dicts[0]) == {"name", "order", "value", "nonclassical"}
+    assert set(entries[0]) == {"name", "order", "value", "nonclassical"}
 
 
 def test_witness_report_omits_singular_ratio():
-    report = witness_report(fock_state(1))
-    assert all(e["name"] != "a3" for e in report)
+    entries = report(fock_state(1))["witnesses"]
+    assert all(e["name"] != "a3" for e in entries)
     # Default Klyshko levels stop inside the support (one level for d = 2).
-    klyshko_entries = [e for e in report if e["name"] == "klyshko"]
+    klyshko_entries = [e for e in entries if e["name"] == "klyshko"]
     assert [e["order"] for e in klyshko_entries] == [0]
 
 
 def test_witness_report_zero_is_not_flagged():
-    report = witness_report(fock_state(0, dim=3))
-    for entry in report:
+    entries = report(fock_state(0, dim=3))["witnesses"]
+    for entry in entries:
         if entry["value"] == 0.0:
             assert not entry["nonclassical"]
 
 
 def test_witness_report_flags_negative_values():
-    report = witness_report(fock_state(1))
-    flagged = {(e["name"], e["order"]) for e in report if e["nonclassical"]}
+    entries = report(fock_state(1))["witnesses"]
+    flagged = {(e["name"], e["order"]) for e in entries if e["nonclassical"]}
     assert ("hoa", 1) in flagged
     assert ("klyshko", 0) in flagged
