@@ -11,9 +11,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
-from .states import StateKind, build_state
+from .states import NumericalError, StateKind, build_state
 from .sweep import (
-    NumericalError,
     SweepSpec,
     echo,
     klyshko_bars,
@@ -58,6 +57,31 @@ def _parse_range(text: str) -> tuple[str, str]:
     if not sep or not start.strip() or not stop.strip():
         raise ValueError(f"range must look like start:stop, got {echo(text)}")
     return start.strip(), stop.strip()
+
+
+def _flag(convert, what: str, hint: str = ""):
+    """An argparse ``type=`` that converts a flag's value and, on a ValueError, words
+    argparse's message with the value cut by ``sweep.echo``: argparse shows it whole."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what}: {echo(text)}{hint}") from None
+
+    return parse
+
+
+def _choices(*names: str) -> dict:
+    """``choices=`` for the help text, and a ``type=`` that refuses any other token first."""
+
+    def pick(text: str) -> str:
+        if text not in names:
+            raise ValueError(text)
+        return text
+
+    hint = f" (choose from {', '.join(map(repr, names))})"
+    return {"choices": names, "type": _flag(pick, "choice", hint)}
 
 
 #: What each config key must hold, and the test of it.  JSON values have exact types, so a
@@ -211,20 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="evaluate quantities over an amplitude grid", formatter_class=formatter
     )
-    sweep.add_argument("--kind", choices=["linear", "nonlinear"])
+    sweep.add_argument("--kind", **_choices("linear", "nonlinear"))
     sweep.add_argument("--d", help="comma-separated level counts, e.g. 3,4")
     sweep.add_argument(
         "--range",
         help="amplitude range start:stop; Td/2 and Td/4 resolve per level count; "
         "write a negative start as --range=-1:1",
     )
-    sweep.add_argument("--steps", type=int)
+    sweep.add_argument("--steps", type=_flag(int, "int value"))
     sweep.add_argument(
         "--quantities",
         help="comma-separated ids, ordered ones as id:order, e.g. hoa:1,a3",
     )
     sweep.add_argument("--out", help="output path (default: stdout)")
-    sweep.add_argument("--format", choices=["csv", "json"])
+    sweep.add_argument("--format", **_choices("csv", "json"))
     sweep.add_argument("--config", help="JSON file with SweepSpec fields; flags win")
     sweep.set_defaults(handler=_cmd_sweep)
 
@@ -233,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="search level counts for anticlassicality targets",
         formatter_class=formatter,
     )
-    table1.add_argument("--tolerance", type=float, default=0.005)
+    table1.add_argument("--tolerance", type=_flag(float, "float value"), default=0.005)
     table1.add_argument("--out")
     table1.set_defaults(handler=_cmd_table1)
 
     kly = sub.add_parser(
         "klyshko", help="per-level probability bars for one family", formatter_class=formatter
     )
-    kly.add_argument("--kind", required=True, choices=["linear", "nonlinear"])
-    kly.add_argument("--d", required=True, type=int)
+    kly.add_argument("--kind", required=True, **_choices("linear", "nonlinear"))
+    kly.add_argument("--d", required=True, type=_flag(int, "int value"))
     kly.add_argument(
         "--amplitudes", required=True, help="comma-separated values or Td/2, Td/4"
     )
@@ -251,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="all witnesses and measures for one state", formatter_class=formatter
     )
-    report.add_argument("--kind", required=True, choices=["linear", "nonlinear"])
-    report.add_argument("--d", required=True, type=int)
+    report.add_argument("--kind", required=True, **_choices("linear", "nonlinear"))
+    report.add_argument("--d", required=True, type=_flag(int, "int value"))
     report.add_argument("--amplitude", required=True)
     report.add_argument("--out")
     report.set_defaults(handler=_cmd_report)
@@ -262,14 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # parse_args, with the tokens echoed cut
+        parser.error(f"unrecognized arguments: {echo(' '.join(unknown))}")
     try:
         return args.handler(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # str(exc) shows it whole
+            message = f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,14 @@ __all__ = [
 NORM_TOL = 1e-6
 
 
+class NormError(ValueError):
+    """A row's norm deviates from 1 by more than ``NORM_TOL``; ``row`` is its index."""
+
+    def __init__(self, row: int, norm: float) -> None:
+        super().__init__(f"amplitude norm {norm!r} deviates from 1 by more than {NORM_TOL}")
+        self.row = row
+
+
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The dot product of each row of x with the same row of y (or with y itself).
 
@@ -45,17 +53,18 @@ def level_sum(x: np.ndarray, weights) -> np.ndarray:
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of a complex (S, d) array divided by its norm, read-only.
 
-    Rows whose norm deviates from 1 by more than ``NORM_TOL`` are rejected;
-    smaller deviations (numerical roundoff from upstream constructions) are
-    silently renormalized.  The norm is ``np.linalg.norm``'s, row by row.
+    The first row whose norm deviates from 1 by more than ``NORM_TOL`` is rejected
+    with a ``NormError``; smaller deviations (numerical roundoff from upstream
+    constructions) are silently renormalized.  The norm is ``np.linalg.norm``'s,
+    row by row.
     """
     if not np.all(np.isfinite(raw.real)) or not np.all(np.isfinite(raw.imag)):
         raise ValueError("amps must be finite")
     norms = np.sqrt(row_dots(raw.real, raw.real) + row_dots(raw.imag, raw.imag))
     off = np.abs(norms - 1.0) > NORM_TOL
     if off.any():
-        norm = float(norms[off.argmax()])
-        raise ValueError(f"amplitude norm {norm!r} deviates from 1 by more than {NORM_TOL}")
+        row = int(off.argmax())
+        raise NormError(row, float(norms[row]))
     out = raw / norms[:, None]
     out.setflags(write=False)
     return out

@@ -22,12 +22,18 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, StateBlock, normalized_rows, row_dots
+from .fock import FockVector, NormError, StateBlock, normalized_rows, row_dots
 
 __all__ = [
-    "HermiteRootSet", "StateKind", "build_state", "he_roots", "linear_qcs", "nonlinear_qcs",
-    "period",
+    "HermiteRootSet", "NumericalError", "StateKind", "build_state", "he_roots", "linear_qcs",
+    "nonlinear_qcs", "period",
 ]
+
+
+class NumericalError(RuntimeError):
+    """Valid input gave an invalid result: a state built off its norm, or a non-finite
+    value outside the singular-ratio path."""
+
 
 # Cephes lgam (Moshier, Methods and Programs for Mathematical Functions, 1989): log sqrt(2 pi)
 # and the correction to Stirling's series, a polynomial in 1/x^2, highest power first. Cephes
@@ -134,7 +140,8 @@ def state_block(
     row is multiplied by e^{i n phi}, and a real a < 0 negates the real parts of its odd
     levels, which is exact and leaves the row real.  Each row equals the single state
     ``nonlinear_qcs(d, a)`` or ``linear_qcs(d, a)`` bit for bit.  A build whose largest
-    array would hold more than MAX_ENTRIES entries is refused before it starts.
+    array would hold more than MAX_ENTRIES entries is refused before it starts, and a
+    built row whose norm is off by more than ``NORM_TOL`` raises NumericalError.
     """
     kind = StateKind(kind)
     if d < 2:
@@ -154,7 +161,12 @@ def state_block(
     raw = np.zeros((len(amps), d), complex)
     raw[~built, 0] = 1.0
     raw.real[built] = coefficients
-    rows = normalized_rows(raw)
+    try:
+        rows = normalized_rows(raw)
+    except NormError as exc:  # the amplitude was valid: the build lost unitarity
+        a = complex(amps[exc.row])
+        where = f"kind={kind.value} d={d} amplitude={a.real if a.imag == 0 else a!r}"
+        raise NumericalError(f"the built state's {exc} at {where}") from None
     turned, mirrored = amps.imag != 0, (amps.imag == 0) & (amps.real < 0)
     if turned.any() or mirrored.any():
         rows = rows.copy()

@@ -17,7 +17,7 @@ from .measures import (
     exact_measures,
     negativity_closed_form_block,
 )
-from .states import MAX_ENTRIES, StateKind, block_rows, period, state_block
+from .states import MAX_ENTRIES, NumericalError, StateKind, block_rows, period, state_block
 from .witnesses import (
     agarwal_tara_block,
     hoa_block,
@@ -28,16 +28,11 @@ from .witnesses import (
 )
 
 __all__ = [
-    "NumericalError", "SweepResult", "SweepSpec", "klyshko_bars", "report", "run_sweep",
-    "table1_search",
+    "SweepResult", "SweepSpec", "klyshko_bars", "report", "run_sweep", "table1_search",
 ]
 
 #: Emitted in place of a number when the moment-matrix ratio is undefined.
 SINGULAR_SENTINEL = "singular"
-
-
-class NumericalError(RuntimeError):
-    """A sweep produced a non-finite value outside the singular-ratio path."""
 
 
 def echo(value) -> str:

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, config handling."""
 
+import errno
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditnc
@@ -147,6 +149,7 @@ LONG = "x" * 5000
 DIGITS = "3" * 4000
 SWEEP_TO = ["sweep", "--kind", "linear", "--steps", "2"]
 QUANTITIES_AT = [*SWEEP_TO, "--d", "5", "--range", "0:1", "--quantities"]
+NAME_TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
 LONG_TOKENS = {  # argv, the message's prefix, the echoed value, and the message's suffix
     "range-amplitude": ([*SWEEP_TO, "--d", "5", f"--range=0:{LONG}", "--quantities", "hoa:1"],
                         "unrecognized amplitude token ", LONG, ""),
@@ -165,14 +168,38 @@ LONG_TOKENS = {  # argv, the message's prefix, the echoed value, and the message
                            "order ", int(DIGITS), " is out of range for 'hos'"),
     "requested-twice": ([*QUANTITIES_AT, f"klyshko:{DIGITS},klyshko:{DIGITS}"],
                         "quantity ", f"klyshko_{DIGITS}", " is requested twice"),
+    # argparse's own messages, after its usage lines.
+    "steps": ([*SWEEP_TO[:-2], f"--steps={LONG}"], "argument --steps: invalid int value: ", LONG, ""),
+    "kind": (["sweep", f"--kind={LONG}"],
+             "argument --kind: invalid choice: ", LONG, " (choose from 'linear', 'nonlinear')"),
+    "format": ([*SWEEP_TO, f"--format={LONG}"],
+               "argument --format: invalid choice: ", LONG, " (choose from 'csv', 'json')"),
+    "report-d": (["report", "--kind", "linear", "--amplitude", "1", f"--d={LONG}"],
+                 "argument --d: invalid int value: ", LONG, ""),
+    "tolerance": (["table1", f"--tolerance={LONG}"],
+                  "argument --tolerance: invalid float value: ", LONG, ""),
+    "unrecognized": ([*QUANTITIES_AT, "hoa:1", LONG], "unrecognized arguments: ", LONG, ""),
+    # The OSError of a path with a 5,000-character name.
+    "out": ([*QUANTITIES_AT, "hoa:1", f"--out={LONG}"], NAME_TOO_LONG, LONG, ""),
+    "config": (["sweep", f"--config={LONG}"], NAME_TOO_LONG, LONG, ""),
+    "report-out": (["report", "--kind", "linear", "--d", "5", "--amplitude", "1", f"--out={LONG}"],
+                   NAME_TOO_LONG, LONG, ""),
 }
 
 
 @pytest.mark.parametrize("args,prefix,value,suffix", LONG_TOKENS.values(), ids=LONG_TOKENS)
 def test_a_long_user_token_is_echoed_cut_to_40_characters(capsys, args, prefix, value, suffix):
-    # Each message echoed the whole token: 5,027-5,047 bytes of stderr.
-    assert main(args) == 2
-    err = capsys.readouterr().err
+    # Each message echoed the whole token: 5,027-5,308 bytes of stderr.
+    try:
+        code = main(args)
+        err = capsys.readouterr().err
+    except SystemExit as exc:  # argparse: its usage lines, then "quditnc[ VERB]: error: ..."
+        code, err = exc.code, capsys.readouterr().err
+        assert err.startswith("usage: quditnc ")
+        assert len(err.encode()) < 700
+        prog, _, err = err.splitlines(keepends=True)[-1].partition(": ")
+        assert prog in ("quditnc", f"quditnc {args[0]}")
+    assert code == 2
     assert err == f"error: {prefix}{repr(value)[:37]}...{suffix}\n"
     assert len(err.encode()) < 300
 
@@ -474,6 +501,34 @@ def test_a_report_past_1030_levels_exits_three(capsys, kind, d):
     assert err == (
         "numerical failure: the report overflows the double range "
         f"at kind={kind} d={d} amplitude=1.0\n"
+    )
+
+
+def test_a_sweep_names_the_first_amplitude_whose_build_loses_its_norm(monkeypatch, capsys):
+    build = states._linear_coefficients
+
+    def off(d, moduli):
+        rows = build(d, moduli)
+        return rows * np.where(moduli >= 1.0, 1.01, 1.0)[:, None]
+
+    monkeypatch.setattr(states, "_linear_coefficients", off)
+    args = ["sweep", "--kind", "linear", "--d", "4", "--range=-2:2", "--steps", "5"]
+    assert main([*args, "--quantities", "hoa:1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the built state's amplitude norm 1.0")
+    assert err.endswith(" deviates from 1 by more than 1e-06 at kind=linear d=4 amplitude=-2.0\n")
+
+
+def test_a_build_that_loses_its_norm_exits_three_and_names_the_state(capsys):
+    # The input is valid: at |alpha| = 1e14 he_roots' root pairing (7.1e-15 at d = 60) puts
+    # the raw norm off by 1.1e-4.  The exactly paired half-basis build (ROADMAP item 5) keeps
+    # it within 6e-16, and this test then needs another trigger.
+    assert main(["report", "--kind", "nonlinear", "--d", "60", "--amplitude", "1e14"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: the built state's amplitude norm 0.9")
+    assert err.endswith(
+        " deviates from 1 by more than 1e-06 at kind=nonlinear d=60 amplitude=100000000000000.0\n"
     )
 
 

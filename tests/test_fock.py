@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quditnc import (
     FockVector,
+    NumericalError,
     fock_state,
     linear_qcs,
     mean_photon,
@@ -30,6 +31,12 @@ def test_fockvector_rejects_bad_norm():
         FockVector([1.0, 1.0])
     with pytest.raises(ValueError):
         FockVector([0.5])
+
+
+def test_a_user_vector_off_its_norm_is_a_value_error_not_a_numerical_failure():
+    with pytest.raises(ValueError, match=r"^amplitude norm 1\.414\d* deviates from 1 by") as info:
+        FockVector([1.0, 1.0])
+    assert not isinstance(info.value, NumericalError)
 
 
 def test_fockvector_rejects_bad_shapes():
