@@ -5,23 +5,24 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import shutil
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .states import NumericalError, StateKind, build_state
+from .states import KINDS, NumericalError, build_state
 from .sweep import (
+    WRITERS,
     SweepSpec,
+    cut,
     echo,
     klyshko_bars,
     report,
     resolve_amplitude,
     run_sweep,
     table1_search,
-    write_rows_csv,
-    write_rows_json,
 )
 
 
@@ -59,44 +60,6 @@ def _parse_range(text: str) -> tuple[str, str]:
     return start.strip(), stop.strip()
 
 
-def _flag(convert, what: str, hint: str = ""):
-    """An argparse ``type=`` that converts a flag's value and, on a ValueError, words
-    argparse's message with the value cut by ``sweep.echo``: argparse shows it whole."""
-
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {what}: {echo(text)}{hint}") from None
-
-    return parse
-
-
-def _choices(*names: str) -> dict:
-    """``choices=`` for the help text, and a ``type=`` that refuses any other token first."""
-
-    def pick(text: str) -> str:
-        if text not in names:
-            raise ValueError(text)
-        return text
-
-    hint = f" (choose from {', '.join(map(repr, names))})"
-    return {"choices": names, "type": _flag(pick, "choice", hint)}
-
-
-#: What each config key must hold, and the test of it.  JSON values have exact types, so a
-#: bool is no int: int() would truncate 3.9 and float(true) would sweep from 1.0.
-_CONFIG_KEYS = {
-    "state_kind": ("'linear' or 'nonlinear'", lambda v: v in ("linear", "nonlinear")),
-    "d_list": ("a list of integers", lambda v: type(v) is list and all(type(d) is int for d in v)),
-    "amp_start": ("a number or a token", lambda v: type(v) in (int, float, str)),
-    "amp_stop": ("a number or a token", lambda v: type(v) in (int, float, str)),
-    "steps": ("an integer", lambda v: type(v) is int),
-    "quantities": ("a string or a list", lambda v: type(v) in (str, list)),
-    "format": ("'csv' or 'json'", lambda v: v in ("csv", "json")),
-}
-
-
 def _malformed(what: str, value) -> ValueError:
     return ValueError(f"malformed config: {what}, got {echo(value)}")
 
@@ -111,11 +74,12 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("malformed config: the top level is not a JSON object")
-    unknown = [key for key in raw if key not in _CONFIG_KEYS]
+    settings = {key: setting for setting in _SWEEP_SETTINGS for key in setting.keys}
+    unknown = [key for key in raw if key not in settings]
     if unknown:
         raise ValueError(f"malformed config: unknown key {echo(unknown[0])}")
     for key, value in raw.items():
-        want, ok = _CONFIG_KEYS[key]
+        want, ok = settings[key].check
         if not ok(value):
             raise _malformed(f"{key} must be {want}", value)
     return raw
@@ -138,37 +102,67 @@ def _config_quantities(value) -> tuple[tuple[str, int | None], ...]:
     return tuple(out)
 
 
+def _one_of(names) -> tuple[str, Callable]:
+    # A config key's check for a name: ``in`` on a dict would raise TypeError on a list.
+    return " or ".join(map(repr, names)), lambda v: type(v) is str and v in names
+
+
+class _Setting(NamedTuple):
+    """A ``sweep`` flag and its ``add_argument`` options; its config keys and their check,
+    what each must hold and its test (JSON values have exact types, so a bool is no int:
+    int() would truncate 3.9 and float(true) would sweep from 1.0); how the flag's text, or
+    else the config's values, give those keys' values; and what to say when neither is
+    given, if one must be.  A flag with no config keys sets no SweepSpec field."""
+
+    flag: str
+    options: dict
+    keys: tuple[str, ...] = ()
+    check: tuple[str, Callable[[object], bool]] | None = None
+    parse: Callable[[str], tuple] = lambda text: (text,)
+    read: Callable[..., tuple] = lambda *values: values
+    required: str | None = None
+
+
+#: The ``sweep`` flags in help order.  Flags win over the config; the config key ``format``
+#: is the field ``output_format``, and a sweep given no level counts has none.
+_SWEEP_SETTINGS = (
+    _Setting("--kind", {"choices": KINDS}, ("state_kind",), _one_of(KINDS),
+             required="a state kind is required"),
+    _Setting("--d", {"help": "comma-separated level counts, e.g. 3,4"}, ("d_list",),
+             ("a list of integers", lambda v: type(v) is list and all(type(d) is int for d in v)),
+             lambda text: (_parse_d_list(text),), lambda v: (tuple(v),)),
+    _Setting("--range", {"help": "amplitude range start:stop; Td/2 and Td/4 resolve per level "
+                                 "count; write a negative start as --range=-1:1"},
+             ("amp_start", "amp_stop"),
+             ("a number or a token", lambda v: type(v) in (int, float, str)), _parse_range,
+             required="an amplitude range is required"),
+    _Setting("--steps", {"type": int}, ("steps",), ("an integer", lambda v: type(v) is int),
+             required="a step count is required"),
+    _Setting("--quantities", {"help": "comma-separated ids, ordered ones as id:order, e.g. "
+                                      "hoa:1,a3"},
+             ("quantities",), ("a string or a list", lambda v: type(v) in (str, list)),
+             lambda text: (_parse_quantities(text),), lambda v: (_config_quantities(v),),
+             "quantities are required"),
+    _Setting("--out", {"help": "output path (default: stdout)"}),
+    _Setting("--format", {"choices": WRITERS}, ("format",), _one_of(WRITERS)),
+    _Setting("--config", {"help": "JSON file with SweepSpec fields; flags win"}),
+)
+
+
 def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     cfg = _load_config(args.config)
-    kind = args.kind if args.kind is not None else cfg.get("state_kind")
-    if kind is None:
-        raise ValueError("a state kind is required (--kind or config)")
-    d_list = _parse_d_list(args.d) if args.d is not None else tuple(cfg.get("d_list", ()))
-    if args.range is not None:
-        amp_start, amp_stop = _parse_range(args.range)
-    else:
-        amp_start = cfg.get("amp_start")
-        amp_stop = cfg.get("amp_stop")
-        if amp_start is None or amp_stop is None:
-            raise ValueError("an amplitude range is required (--range or config)")
-    steps = args.steps if args.steps is not None else cfg.get("steps")
-    if steps is None:
-        raise ValueError("a step count is required (--steps or config)")
-    if args.quantities is not None:
-        quantities = _parse_quantities(args.quantities)
-    elif "quantities" in cfg:
-        quantities = _config_quantities(cfg["quantities"])
-    else:
-        raise ValueError("quantities are required (--quantities or config)")
-    return SweepSpec(
-        state_kind=StateKind(kind),
-        d_list=d_list,
-        amp_start=amp_start,
-        amp_stop=amp_stop,
-        steps=steps,
-        quantities=quantities,
-        output_format=args.format if args.format is not None else cfg.get("format", "csv"),
-    )
+    fields = {"d_list": ()}
+    for setting in _SWEEP_SETTINGS:
+        text = getattr(args, setting.flag[2:])
+        if text is not None:
+            fields.update(zip(setting.keys, setting.parse(text)))
+        elif all(key in cfg for key in setting.keys):
+            fields.update(zip(setting.keys, setting.read(*map(cfg.get, setting.keys))))
+        elif setting.required:
+            raise ValueError(f"{setting.required} ({setting.flag} or config)")
+    if "format" in fields:
+        fields["output_format"] = fields.pop("format")
+    return SweepSpec(**fields)
 
 
 def _emit(payload, out: str | None) -> int:
@@ -184,9 +178,8 @@ def _emit(payload, out: str | None) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
     result = run_sweep(spec)  # before --out is opened: a failed sweep leaves no file
-    write = write_rows_csv if spec.output_format == "csv" else write_rows_json
     with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as stream:
-        write(result, stream)
+        WRITERS[spec.output_format](result, stream)
     return 0
 
 
@@ -198,7 +191,7 @@ def _cmd_klyshko(args: argparse.Namespace) -> int:
     amplitudes = [tok.strip() for tok in args.amplitudes.split(",") if tok.strip()]
     if not amplitudes:
         raise ValueError("at least one amplitude is required")
-    return _emit(klyshko_bars(StateKind(args.kind), args.d, amplitudes), args.out)
+    return _emit(klyshko_bars(args.kind, args.d, amplitudes), args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -216,67 +209,54 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return _emit(payload, args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, and its subparsers, with each user token in a message (a repr,
+    or a bare word, as in "ambiguous option: --=...") cut as ``sweep.echo`` cuts it:
+    argparse shows the token whole."""
+
+    def error(self, message: str):
+        token = r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"|\S{41,}"
+        super().error(re.sub(token, lambda m: cut(m[0]), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # HelpFormatter would probe the terminal for every parser and argument (an
     # environment lookup and an ioctl each): take its width once, by its rule.
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
-    parser = argparse.ArgumentParser(
+    make = functools.partial(_Parser, formatter_class=formatter)
+    parser = make(
         prog="quditnc",
-        formatter_class=formatter,
         description=(
             "Finite-level coherent states: nonclassicality witness sweeps, "
             "anticlassicality searches, and per-state reports."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
-    sweep = sub.add_parser(
-        "sweep", help="evaluate quantities over an amplitude grid", formatter_class=formatter
-    )
-    sweep.add_argument("--kind", **_choices("linear", "nonlinear"))
-    sweep.add_argument("--d", help="comma-separated level counts, e.g. 3,4")
-    sweep.add_argument(
-        "--range",
-        help="amplitude range start:stop; Td/2 and Td/4 resolve per level count; "
-        "write a negative start as --range=-1:1",
-    )
-    sweep.add_argument("--steps", type=_flag(int, "int value"))
-    sweep.add_argument(
-        "--quantities",
-        help="comma-separated ids, ordered ones as id:order, e.g. hoa:1,a3",
-    )
-    sweep.add_argument("--out", help="output path (default: stdout)")
-    sweep.add_argument("--format", **_choices("csv", "json"))
-    sweep.add_argument("--config", help="JSON file with SweepSpec fields; flags win")
+    sweep = sub.add_parser("sweep", help="evaluate quantities over an amplitude grid")
+    for setting in _SWEEP_SETTINGS:
+        sweep.add_argument(setting.flag, **setting.options)
     sweep.set_defaults(handler=_cmd_sweep)
 
-    table1 = sub.add_parser(
-        "table1",
-        help="search level counts for anticlassicality targets",
-        formatter_class=formatter,
-    )
-    table1.add_argument("--tolerance", type=_flag(float, "float value"), default=0.005)
+    table1 = sub.add_parser("table1", help="search level counts for anticlassicality targets")
+    table1.add_argument("--tolerance", type=float, default=0.005)
     table1.add_argument("--out")
     table1.set_defaults(handler=_cmd_table1)
 
-    kly = sub.add_parser(
-        "klyshko", help="per-level probability bars for one family", formatter_class=formatter
-    )
-    kly.add_argument("--kind", required=True, **_choices("linear", "nonlinear"))
-    kly.add_argument("--d", required=True, type=_flag(int, "int value"))
+    kly = sub.add_parser("klyshko", help="per-level probability bars for one family")
+    kly.add_argument("--kind", required=True, choices=KINDS)
+    kly.add_argument("--d", required=True, type=int)
     kly.add_argument(
         "--amplitudes", required=True, help="comma-separated values or Td/2, Td/4"
     )
     kly.add_argument("--out")
     kly.set_defaults(handler=_cmd_klyshko)
 
-    report = sub.add_parser(
-        "report", help="all witnesses and measures for one state", formatter_class=formatter
-    )
-    report.add_argument("--kind", required=True, **_choices("linear", "nonlinear"))
-    report.add_argument("--d", required=True, type=_flag(int, "int value"))
+    report = sub.add_parser("report", help="all witnesses and measures for one state")
+    report.add_argument("--kind", required=True, choices=KINDS)
+    report.add_argument("--d", required=True, type=int)
     report.add_argument("--amplitude", required=True)
     report.add_argument("--out")
     report.set_defaults(handler=_cmd_report)
@@ -287,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args, unknown = parser.parse_known_args(argv)
-    if unknown:  # parse_args, with the tokens echoed cut
-        parser.error(f"unrecognized arguments: {echo(' '.join(unknown))}")
+    if unknown:  # parse_args, with the tokens shown as a repr
+        parser.error(f"unrecognized arguments: {' '.join(unknown)!r}")
     try:
         return args.handler(args)
     except NumericalError as exc:

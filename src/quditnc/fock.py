@@ -53,15 +53,13 @@ def level_sum(x: np.ndarray, weights) -> np.ndarray:
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of a complex (S, d) array divided by its norm, read-only.
 
-    The first row whose norm deviates from 1 by more than ``NORM_TOL`` is rejected
-    with a ``NormError``; smaller deviations (numerical roundoff from upstream
-    constructions) are silently renormalized.  The norm is ``np.linalg.norm``'s,
-    row by row.
+    The first row whose norm deviates from 1 by more than ``NORM_TOL``, or is not
+    finite, is rejected with a ``NormError``; smaller deviations (numerical roundoff
+    from upstream constructions) are silently renormalized.  The norm is
+    ``np.linalg.norm``'s, row by row.
     """
-    if not np.all(np.isfinite(raw.real)) or not np.all(np.isfinite(raw.imag)):
-        raise ValueError("amps must be finite")
     norms = np.sqrt(row_dots(raw.real, raw.real) + row_dots(raw.imag, raw.imag))
-    off = np.abs(norms - 1.0) > NORM_TOL
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # a nan norm compares false
     if off.any():
         row = int(off.argmax())
         raise NormError(row, float(norms[row]))

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import FockVector, StateBlock, level_sum
 
@@ -60,23 +61,6 @@ def _split_table(d: int) -> _SplitTable:
     for arr in table:
         arr.setflags(write=False)
     return table
-
-
-def _windows(amps: np.ndarray) -> np.ndarray:
-    """W[s, j, i] = amps[s, j + i] 2^(-(j+i)/2), 0 from j + i = d on, for an (S, d) array.
-
-    The Hankel view ``sliding_window_view(padded, d, axis=1)`` of each scaled
-    row zero-padded to 2d - 1 entries, made directly: its argument checks
-    take longer than a small-d chunk's product.  Times the table's
-    ``sqrt_binomial`` it is the two-mode amplitude matrix after the splitter:
-    |n> splits into a superposition over (j, n - j) with amplitude
-    2^(-n/2) sqrt(C(n, j)), at [j, n - j].
-    """
-    d = amps.shape[1]
-    padded = np.zeros((amps.shape[0], 2 * d - 1), dtype=amps.dtype)
-    np.multiply(amps, _split_table(d).scale, out=padded[:, :d])
-    row, entry = padded.strides
-    return np.ndarray((len(padded), d, d), padded.dtype, padded, 0, (row, entry, entry))
 
 
 def _moduli(block: StateBlock) -> np.ndarray:
@@ -181,16 +165,21 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
         "concurrence_exact": (_purities, _concurrences),
     }
     names = [ident for ident in dict.fromkeys(idents) if ident in kernels]
-    sqrt_binomial = _split_table(block.dim).sqrt_binomial
-    step = max(1, TWO_MODE_CHUNK // block.dim**2)
+    d, table = block.dim, _split_table(block.dim)
+    step = max(1, TWO_MODE_CHUNK // d**2)
     sums = {name: np.empty(len(block)) for name in names}
     complex_rows = block.amps.imag.any(axis=1)
     for rows, amps in ((~complex_rows, block.amps.real), (complex_rows, block.amps)):
         index = np.flatnonzero(rows)
-        windows = _windows(amps[index])
+        # W[s, j, i] = c_{j+i} 2^(-(j+i)/2), 0 from j + i = d on: the Hankel windows of each
+        # scaled row, zero-padded to 2d - 1.  Times sqrt_binomial it is the two-mode matrix
+        # after the splitter: |n> goes to (j, n - j) with amplitude 2^(-n/2) sqrt(C(n, j)).
+        padded = np.zeros((len(index), 2 * d - 1), amps.dtype)
+        np.multiply(amps[index], table.scale, out=padded[:, :d])
+        windows = sliding_window_view(padded, d, axis=1)
         for first in range(0, len(index), step):
             chunk = slice(first, first + step)
-            stack = windows[chunk] * sqrt_binomial
+            stack = windows[chunk] * table.sqrt_binomial
             for name in names:
                 sums[name][index[chunk]] = kernels[name][0](stack)
     return {name: kernels[name][1](sums[name]) for name in names}

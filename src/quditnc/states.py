@@ -16,7 +16,6 @@ amplitude argument while the linear one is not.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -25,7 +24,7 @@ import numpy as np
 from .fock import FockVector, NormError, StateBlock, normalized_rows, row_dots
 
 __all__ = [
-    "HermiteRootSet", "NumericalError", "StateKind", "build_state", "he_roots", "linear_qcs",
+    "KINDS", "HermiteRootSet", "NumericalError", "build_state", "he_roots", "linear_qcs",
     "nonlinear_qcs", "period",
 ]
 
@@ -66,17 +65,15 @@ def _log_factorials(d: int) -> np.ndarray:
 MAX_ENTRIES = 2**27
 
 
-class StateKind(str, Enum):
-    LINEAR = "linear"
-    NONLINEAR = "nonlinear"
+#: The two families, by the names that select them everywhere.
+KINDS = ("linear", "nonlinear")
 
 
 class HermiteRootSet(NamedTuple):
-    """The roots x_k of He_degree, ascending, and the unit eigenvectors of its
+    """The roots x_k of He_d, ascending, and the unit eigenvectors of its
     Jacobi matrix as columns: vectors[n, k] = +-He_n(x_k) sqrt(w_k / n!), with w_k
     the Gauss weights (Golub and Welsch, Math. Comp. 23, 1969)."""
 
-    degree: int
     roots: np.ndarray
     vectors: np.ndarray
 
@@ -91,7 +88,7 @@ def he_roots(d: int) -> HermiteRootSet:
     roots, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, d)), k=-1))
     roots.setflags(write=False)
     vectors.setflags(write=False)
-    return HermiteRootSet(degree=d, roots=roots, vectors=vectors)
+    return HermiteRootSet(roots, vectors)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge amplitude gives nan rows, refused later
@@ -129,9 +126,7 @@ def _linear_coefficients(d: int, moduli: np.ndarray) -> np.ndarray:
     return mag
 
 
-def state_block(
-    kind: StateKind | str, d: int, amplitudes: Iterable[complex]
-) -> StateBlock:
+def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
     """The normalized states of one family and level count, one row per amplitude.
 
     Both families are phase covariant: the state at r e^{i phi} is e^{i n phi} times the
@@ -141,21 +136,23 @@ def state_block(
     levels, which is exact and leaves the row real.  Each row equals the single state
     ``nonlinear_qcs(d, a)`` or ``linear_qcs(d, a)`` bit for bit.  A build whose largest
     array would hold more than MAX_ENTRIES entries is refused before it starts, and a
-    built row whose norm is off by more than ``NORM_TOL`` raises NumericalError.
+    built row whose norm is off by more than ``NORM_TOL``, or not finite, raises
+    NumericalError.
     """
-    kind = StateKind(kind)
+    if kind not in KINDS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {kind!r}")
     if d < 2:
         raise ValueError("dim must be at least 2")
     amps = np.asarray(list(amplitudes), complex)
     # The largest array the build makes: the block, or the nonlinear family's d x d eigenproblem.
-    entries = max(len(amps), d if kind is StateKind.NONLINEAR else 0) * d
+    entries = max(len(amps), d if kind == "nonlinear" else 0) * d
     if entries > MAX_ENTRIES:
         raise ValueError(f"the state build holds {entries} entries, more than {MAX_ENTRIES}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitude must be finite")
     r = np.hypot(amps.real, amps.imag)
     built = r > 0
-    build = _linear_coefficients if kind is StateKind.LINEAR else _nonlinear_coefficients
+    build = _linear_coefficients if kind == "linear" else _nonlinear_coefficients
     coefficients = build(d, r[built]) if built.any() else np.empty((0, d))  # no he_roots call
     # Complex as the rows end (real rows' norms round otherwise), made once the build is done.
     raw = np.zeros((len(amps), d), complex)
@@ -165,7 +162,7 @@ def state_block(
         rows = normalized_rows(raw)
     except NormError as exc:  # the amplitude was valid: the build lost unitarity
         a = complex(amps[exc.row])
-        where = f"kind={kind.value} d={d} amplitude={a.real if a.imag == 0 else a!r}"
+        where = f"kind={kind} d={d} amplitude={a.real if a.imag == 0 else a!r}"
         raise NumericalError(f"the built state's {exc} at {where}") from None
     turned, mirrored = amps.imag != 0, (amps.imag == 0) & (amps.real < 0)
     if turned.any() or mirrored.any():
@@ -184,7 +181,7 @@ def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
     and at any real alpha the state is exactly real; for d = 2 and d = 3 the
     amplitude dependence is exactly periodic.
     """
-    return build_state(StateKind.NONLINEAR, d, alpha)
+    return build_state("nonlinear", d, alpha)
 
 
 def linear_qcs(d: int, beta: complex) -> FockVector:
@@ -194,7 +191,7 @@ def linear_qcs(d: int, beta: complex) -> FockVector:
     levels.  Magnitudes are evaluated in the log domain so large |beta|
     stays well-conditioned.
     """
-    return build_state(StateKind.LINEAR, d, beta)
+    return build_state("linear", d, beta)
 
 
 def period(d: int) -> float:
@@ -213,7 +210,7 @@ def period(d: int) -> float:
     return math.sqrt(4.0 * d + 2.0)
 
 
-def build_state(kind: StateKind | str, d: int, amplitude: complex) -> FockVector:
+def build_state(kind: str, d: int, amplitude: complex) -> FockVector:
     """One state of a family on d levels: row 0 of ``state_block``."""
     return FockVector._of_normalized(state_block(kind, d, [amplitude]).amps[0])
 

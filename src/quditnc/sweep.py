@@ -17,7 +17,7 @@ from .measures import (
     exact_measures,
     negativity_closed_form_block,
 )
-from .states import MAX_ENTRIES, NumericalError, StateKind, block_rows, period, state_block
+from .states import KINDS, MAX_ENTRIES, NumericalError, block_rows, period, state_block
 from .witnesses import (
     agarwal_tara_block,
     hoa_block,
@@ -37,8 +37,12 @@ SINGULAR_SENTINEL = "singular"
 
 def echo(value) -> str:
     """A user value as a message shows it: its repr (a list or dict six levels deep at
-    most, by reprlib), cut to 40 characters."""
-    text = reprlib.repr(value) if isinstance(value, (list, dict)) else repr(value)
+    most, by reprlib), cut by ``cut``."""
+    return cut(reprlib.repr(value) if isinstance(value, (list, dict)) else repr(value))
+
+
+def cut(text: str) -> str:
+    """A shown value cut to 40 characters, the last three of them "..."."""
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -151,7 +155,7 @@ def column_name(ident: str, order: int | None) -> str:
 class SweepSpec(NamedTuple):
     """One sweep: a state family evaluated on a (d, amplitude) grid."""
 
-    state_kind: StateKind
+    state_kind: str
     d_list: tuple[int, ...]
     amp_start: float | str
     amp_stop: float | str
@@ -183,7 +187,7 @@ class SweepSpec(NamedTuple):
         for name, count in Counter(names).items():  # keyed in request order
             if count > 1:
                 raise ValueError(f"quantity {echo(name)} is requested twice")
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in WRITERS:
             raise ValueError(f"unknown format {echo(self.output_format)}")
         cells = len(set(self.d_list)) * self.steps * (len(self.quantities) + 1)
         if cells > MAX_ENTRIES:  # the state build's budget, checked before any allocation
@@ -214,7 +218,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     row by row and in column order within a row.
     """
     spec.validate()
-    kind = spec.state_kind.value
+    kind = spec.state_kind
     names = tuple(column_name(ident, order) for ident, order in spec.quantities)
     levels = []
     for d in sorted(set(spec.d_list)):
@@ -230,7 +234,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         step = block_rows(d)
         for first in range(0, spec.steps, step):
             rows = slice(first, first + step)
-            block = state_block(spec.state_kind, d, amps[rows].tolist())
+            block = state_block(kind, d, amps[rows].tolist())
             values[:, rows], singular[:, rows] = evaluate(block, spec.quantities)
             bad = ~(np.isfinite(values[:, rows]) | singular[:, rows])
             if bad.any():
@@ -349,6 +353,10 @@ def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
     stream.write("[\n" + ",\n".join(objects) + "\n]\n")
 
 
+#: The output formats, each with its writer.
+WRITERS = {"csv": write_rows_csv, "json": write_rows_json}
+
+
 #: Anticlassicality targets searched by table1_search: amplitude token ->
 #: {family: target value}.
 TABLE1_TARGETS: tuple[tuple[str, dict[str, float]], ...] = (
@@ -371,27 +379,26 @@ def table1_search(tolerance: float) -> dict:
         raise ValueError("tolerance must be finite and positive")
     tokens = [token for token, _ in TABLE1_TARGETS]
     points: dict[tuple[str, str], list[dict]] = {}
-    for kind in (StateKind.NONLINEAR, StateKind.LINEAR):
+    for kind in KINDS:
         for d in TABLE1_D_RANGE:
             amps = [resolve_amplitude(token, d) for token in tokens]
             values, levels = anticlassicality_block(state_block(kind, d, amps), True)
             for token, amp, value, argmax_n in zip(tokens, amps, values.tolist(), levels.tolist()):
-                points.setdefault((token, kind.value), []).append(
+                points.setdefault((token, kind), []).append(
                     {"d": d, "amplitude": amp, "value": value, "argmax_n": argmax_n}
                 )
     cells = []
     for token, targets in TABLE1_TARGETS:
-        for kind in (StateKind.NONLINEAR, StateKind.LINEAR):
-            target = targets[kind.value]
+        for kind, target in targets.items():
             grid = [
                 {**point, "abs_error": abs(point["value"] - target)}
-                for point in points[token, kind.value]
+                for point in points[token, kind]
             ]
             matches = [g for g in grid if g["abs_error"] <= tolerance]
             nearest = min(grid, key=lambda g: g["abs_error"])
             cells.append(
                 {
-                    "kind": kind.value,
+                    "kind": kind,
                     "amplitude_token": token,
                     "target": target,
                     "matched": bool(matches),
@@ -407,15 +414,12 @@ def table1_search(tolerance: float) -> dict:
     }
 
 
-def klyshko_bars(
-    state_kind: StateKind, d: int, amplitudes: Sequence[float | str]
-) -> dict:
+def klyshko_bars(state_kind: str, d: int, amplitudes: Sequence[float | str]) -> dict:
     """Klyshko values per level for each requested amplitude.
 
     The levels are ``klyshko_levels(d)``, as in ``report``.  The amplitudes are one
     ``state_block``, under its budget.
     """
-    state_kind = StateKind(state_kind)
     amps = [resolve_amplitude(raw, d) for raw in amplitudes]
     levels = klyshko_levels(d)
     values = klyshko_block(state_block(state_kind, d, amps), levels).tolist()
@@ -427,7 +431,7 @@ def klyshko_bars(
         }
         for raw, amp, row in zip(amplitudes, amps, values)
     ]
-    return {"kind": state_kind.value, "d": d, "entries": entries}
+    return {"kind": state_kind, "d": d, "entries": entries}
 
 
 #: The witnesses ``report`` evaluates, before Klyshko's levels.

@@ -17,7 +17,6 @@ import pytest
 from quditnc import (
     FockVector,
     SingularMomentMatrix,
-    StateKind,
     SweepSpec,
     agarwal_tara,
     anticlassicality,
@@ -67,7 +66,7 @@ def _rel(x, y):
 
 def _grid_states(d):
     for amp in np.linspace(0.0, 2.0 * period(d), 20):
-        for kind in (StateKind.NONLINEAR, StateKind.LINEAR):
+        for kind in ("nonlinear", "linear"):
             yield build_state(kind, d, amp)
 
 
@@ -304,7 +303,7 @@ def test_criterion_9_determinism_and_speed(tmp_path):
             ("anticlassicality_excl_vacuum", None),
         )
         spec = SweepSpec(
-            state_kind=StateKind.NONLINEAR,
+            state_kind="nonlinear",
             d_list=(5,),
             amp_start=0.0,
             amp_stop="Td/2",

@@ -112,10 +112,16 @@ def test_bad_config_json_is_usage_error(tmp_path):
         # A misspelt or unknown key would otherwise be ignored: CSV, exit 0.
         {"fromat": "json"},
         {"output_format": "json"},
+        # A list or an object where a name belongs: no TypeError from the name lookup.
+        {"format": ["csv"]},
+        {"format": {"csv": 1}},
+        {"state_kind": ["linear"]},
+        {"state_kind": {"linear": 1}},
     ],
     ids=["d_list", "quantities", "steps", "d-float", "d-bool"]
     + ["steps-float", "steps-bool", "order-float", "amp_start-bool", "amp_stop-bool"]
-    + ["unknown-key", "output_format-key"],
+    + ["unknown-key", "output_format-key"]
+    + ["format-list", "format-object", "state_kind-list", "state_kind-object"],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
     spec = {
@@ -179,6 +185,11 @@ LONG_TOKENS = {  # argv, the message's prefix, the echoed value, and the message
     "tolerance": (["table1", f"--tolerance={LONG}"],
                   "argument --tolerance: invalid float value: ", LONG, ""),
     "unrecognized": ([*QUANTITIES_AT, "hoa:1", LONG], "unrecognized arguments: ", LONG, ""),
+    "verb": ([LONG], "argument command: invalid choice: ", LONG,
+             " (choose from 'sweep', 'table1', 'klyshko', 'report')"),
+    "help": (["sweep", f"--help={LONG}"], "argument -h/--help: ignored explicit argument ", LONG, ""),
+    "quoted": (["sweep", f"--kind={LONG}'"],  # its repr is in double quotes
+               "argument --kind: invalid choice: ", f"{LONG}'", " (choose from 'linear', 'nonlinear')"),
     # The OSError of a path with a 5,000-character name.
     "out": ([*QUANTITIES_AT, "hoa:1", f"--out={LONG}"], NAME_TOO_LONG, LONG, ""),
     "config": (["sweep", f"--config={LONG}"], NAME_TOO_LONG, LONG, ""),
@@ -700,10 +711,15 @@ def test_a_klyshko_list_over_the_state_build_budget_exits_two(monkeypatch, capsy
     assert err == f"error: the state build holds {257 * 2**19} entries, more than 134217728\n"
 
 
-def test_a_nonlinear_report_near_the_double_limit_exits_two_without_a_warning(capsys):
+@pytest.mark.parametrize("d", [5, 60])
+def test_a_nonlinear_report_near_the_double_limit_exits_three_without_a_warning(capsys, d):
+    # x_k r overflows and the build's rows are nan: the input is valid, the build failed.
     # pytest turns a RuntimeWarning into an error: a warning fails this test.
-    assert main(["report", "--kind", "nonlinear", "--d", "5", "--amplitude", "1e308"]) == 2
-    assert capsys.readouterr().err == "error: amps must be finite\n"
+    assert main(["report", "--kind", "nonlinear", "--d", str(d), "--amplitude", "1e308"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the built state's amplitude norm nan deviates from 1 by more than "
+        f"1e-06 at kind=nonlinear d={d} amplitude=1e+308\n"
+    )
 
 
 def test_a_range_whose_width_overflows_exits_two_without_a_warning(capsys):

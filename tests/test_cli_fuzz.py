@@ -126,6 +126,10 @@ DIGITS = "3" * 4000  # an order that int() parses
 @example([*SWEEP, "--kind", "linear", "--d", "5", f"--range=0:{LONG}", "--quantities", "a3"])
 @example(["report", "--kind", "linear", "--d", "5", f"--amplitude={LONG}"])
 @example(["klyshko", "--kind", "linear", "--d", "5", f"--amplitudes={LONG}"])
+@example([LONG])
+@example([f"{LONG}'"])
+@example(["table1", f"--help={LONG}"])
+@example(["table1", f"--={LONG}"])
 def test_every_command_ends_in_exit_0_2_or_3(argv):
     err = _ends_cleanly(argv, argv)
     assert len(err.encode()) < 300, err[:300]  # a user token is echoed cut short

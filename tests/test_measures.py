@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from quditnc import (
     FockVector,
@@ -26,9 +27,12 @@ PLUS = FockVector([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
 
 
 def _split(state):
-    # The two-mode amplitude matrix after the splitter, as exact_measures builds it.
-    sqrt_binomial = measures._split_table(state.dim).sqrt_binomial
-    return measures._windows(state.amps[None, :])[0] * sqrt_binomial
+    # The two-mode amplitude matrix after the splitter, as exact_measures builds it: the
+    # Hankel windows of the scaled amplitudes, zero-padded to 2d - 1, times sqrt(C).
+    d, table = state.dim, measures._split_table(state.dim)
+    padded = np.zeros(2 * d - 1, complex)
+    padded[:d] = state.amps * table.scale
+    return sliding_window_view(padded, d) * table.sqrt_binomial
 
 
 def test_beamsplit_single_photon():

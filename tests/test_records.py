@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from quditnc import (
-    StateKind,
     SweepSpec,
     klyshko_bars,
     linear_qcs,
@@ -19,7 +18,7 @@ from quditnc.states import he_roots, state_block
 from quditnc.sweep import QUANTITIES
 from quditnc.witnesses import klyshko_levels
 
-SWEEP = SweepSpec(StateKind.LINEAR, (3,), 0.5, 2.0, 4, (("hoa", 1),))
+SWEEP = SweepSpec("linear", (3,), 0.5, 2.0, 4, (("hoa", 1),))
 
 
 @pytest.mark.parametrize(
@@ -63,7 +62,7 @@ def test_report_and_klyshko_verb_show_the_same_levels(d):
     assert levels == list(range(max(d - 2, 1)))
     entries = report(nonlinear_qcs(d, 0.8))["witnesses"]
     assert [e["order"] for e in entries if e["name"] == "klyshko"] == levels
-    bars = klyshko_bars(StateKind.NONLINEAR, d, [0.8])["entries"][0]["bars"]
+    bars = klyshko_bars("nonlinear", d, [0.8])["entries"][0]["bars"]
     assert [bar["n"] for bar in bars] == levels
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from quditnc import (
     NumericalError,
-    StateKind,
     SweepSpec,
     anticlassicality,
     build_state,
@@ -111,7 +110,7 @@ def test_column_name():
 
 def _spec(**overrides):
     base = dict(
-        state_kind=StateKind.LINEAR,
+        state_kind="linear",
         d_list=(3,),
         amp_start=0.0,
         amp_stop=3.0,
@@ -189,7 +188,7 @@ def test_run_sweep_shape_and_order():
 
 
 def test_run_sweep_resolves_tokens_per_level_count():
-    spec = _spec(state_kind=StateKind.NONLINEAR, d_list=(2, 3), amp_stop="Td/2", steps=2)
+    spec = _spec(state_kind="nonlinear", d_list=(2, 3), amp_stop="Td/2", steps=2)
     amps = [amp for _, amp, _ in sweep_rows(run_sweep(spec))]
     assert amps[1] == pytest.approx(period(2) / 2.0)
     assert amps[3] == pytest.approx(period(3) / 2.0)
@@ -197,7 +196,7 @@ def test_run_sweep_resolves_tokens_per_level_count():
 
 def test_run_sweep_emits_singular_sentinel():
     spec = _spec(
-        state_kind=StateKind.NONLINEAR,
+        state_kind="nonlinear",
         d_list=(4,),
         amp_start=0.0,
         amp_stop=1.0,
@@ -252,7 +251,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
         "hoa": hoa,
     }
     spec = _spec(
-        state_kind=StateKind.NONLINEAR,
+        state_kind="nonlinear",
         d_list=(12, 3),
         amp_start=0.05,
         amp_stop="Td/2",
@@ -262,7 +261,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
     expected = []
     for d in (3, 12):
         for amp in np.linspace(0.05, period(d) / 2.0, spec.steps):
-            state = build_state(StateKind.NONLINEAR, d, complex(amp))
+            state = build_state("nonlinear", d, complex(amp))
             values = {
                 column_name(ident, order): float(per_state[ident](state, order))
                 for ident, order in quantities
@@ -278,7 +277,7 @@ WRITER_SPECS = pytest.mark.parametrize(
         # Criterion 9's eighteen columns over more amplitudes than one block
         # holds, and a3 is singular at amplitude 0.
         _spec(
-            state_kind=StateKind.NONLINEAR,
+            state_kind="nonlinear",
             d_list=(5,),
             amp_stop="Td/2",
             steps=block_rows(5) + 400,
@@ -287,7 +286,7 @@ WRITER_SPECS = pytest.mark.parametrize(
         # Three level counts, each split across two blocks or more; the sentinel
         # column changes its line format from one level count to the next.
         _spec(
-            state_kind=StateKind.NONLINEAR,
+            state_kind="nonlinear",
             d_list=(7, 2, 12),
             amp_start=0.05,
             amp_stop="Td/2",
@@ -335,7 +334,7 @@ def test_output_bytes_do_not_depend_on_the_block_layout(monkeypatch, kind, rule)
     # d = 60 spans two default blocks; every a3 cell is singular at d = 2, and so
     # is the vacuum's at amplitude 0; a negative amplitude is the mirror of a positive one.
     spec = _spec(
-        state_kind=StateKind(kind),
+        state_kind=kind,
         d_list=(60, 2, 5),
         amp_start=-2.0,
         amp_stop=2.0,
@@ -400,7 +399,7 @@ def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
         sweep, "klyshko_block", lambda b, n: calls.append(list(n)) or klyshko_block(b, n)
     )
     spec = _spec(
-        state_kind=StateKind.NONLINEAR,
+        state_kind="nonlinear",
         d_list=(d,),
         amp_stop="Td/2",
         steps=400,
@@ -488,7 +487,7 @@ def test_csv_round_trips_doubles():
 def test_csv_writes_sentinel_verbatim():
     result = run_sweep(
         _spec(
-            state_kind=StateKind.NONLINEAR,
+            state_kind="nonlinear",
             d_list=(4,),
             amp_stop=1.0,
             steps=2,
@@ -514,7 +513,7 @@ def test_sweep_is_deterministic():
 
 
 def test_klyshko_bars_two_levels():
-    table = klyshko_bars(StateKind.NONLINEAR, 2, ["Td/2"])
+    table = klyshko_bars("nonlinear", 2, ["Td/2"])
     assert table["d"] == 2
     bars = table["entries"][0]["bars"]
     assert len(bars) == 1
@@ -523,12 +522,12 @@ def test_klyshko_bars_two_levels():
 
 
 def test_klyshko_bars_exact_cancellation():
-    table = klyshko_bars(StateKind.LINEAR, 3, [1.0])
+    table = klyshko_bars("linear", 3, [1.0])
     assert table["entries"][0]["bars"][0]["value"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_klyshko_bars_six_levels_have_negative_entries():
-    table = klyshko_bars(StateKind.NONLINEAR, 6, ["Td/4", "Td/2"])
+    table = klyshko_bars("nonlinear", 6, ["Td/4", "Td/2"])
     for entry in table["entries"]:
         values = [bar["value"] for bar in entry["bars"]]
         assert len(values) == 4
@@ -569,7 +568,7 @@ def test_report_makes_one_evaluate_call(monkeypatch):
     calls = []
     evaluate = sweep.evaluate
     monkeypatch.setattr(sweep, "evaluate", lambda b, q: calls.append(q) or evaluate(b, q))
-    battery = sweep.report(build_state(StateKind.NONLINEAR, 6, 1.1))
+    battery = sweep.report(build_state("nonlinear", 6, 1.1))
     klyshko_levels = tuple(("klyshko", n) for n in range(4))
     measures = tuple((ident, None) for ident in sweep.REPORT_MEASURES)
     assert calls == [sweep.REPORT_WITNESSES + klyshko_levels + measures]
@@ -578,7 +577,7 @@ def test_report_makes_one_evaluate_call(monkeypatch):
 
 
 def test_a_report_past_1030_levels_reads_inf_where_a_measure_overflows():
-    battery = sweep.report(build_state(StateKind.LINEAR, 1031, 1.0))
+    battery = sweep.report(build_state("linear", 1031, 1.0))
     values = [entry["value"] for entry in battery["witnesses"]]
     assert len(values) == 1038 and all(map(math.isfinite, values))
     measures = battery["measures"]
