@@ -1,8 +1,8 @@
 """States with finite Fock support and the photon-number moments on them.
 
 Every moment is computed on a ``StateBlock``: S states of one level count,
-one per row of an (S, d) amplitude array.  The per-state functions below
-evaluate a block of one.
+one per row of an (S, d) amplitude array.  A ``FockVector`` is a block of
+one row, which the per-state functions below evaluate.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def level_sum(x: np.ndarray, weights) -> np.ndarray:
     """sum_n weights[n] x[:, n] for each row of an (S, d) array, left to right over n:
-    one level at a time over the whole block, as a loop would, with no per-row call."""
-    terms = x * weights
-    total = terms[:, 0].copy()
-    for n in range(1, terms.shape[1]):
-        total += terms[:, n]
-    return total
+    accumulate adds each row's terms in order, as a loop would, with no per-row call."""
+    return np.add.accumulate(x * weights, axis=1)[:, -1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a norm that overflows reads inf, refused below
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of a complex (S, d) array divided by its norm, read-only.
 
@@ -68,67 +65,36 @@ def normalized_rows(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-class FockVector:
-    """Normalized pure state on the Fock levels |0> .. |dim-1>.
-
-    Amplitude vectors whose norm deviates from 1 by more than ``NORM_TOL``
-    are rejected; smaller deviations (numerical roundoff from upstream
-    constructions) are silently renormalized.
-    """
-
-    __slots__ = ("dim", "amps")
-
-    def __init__(self, amps) -> None:
-        arr = np.atleast_1d(np.asarray(amps, dtype=complex))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("amps must be a non-empty one-dimensional sequence")
-        self.dim = int(arr.size)
-        self.amps = normalized_rows(arr[None, :])[0]
-
-    @classmethod
-    def _of_normalized(cls, row: np.ndarray) -> FockVector:
-        # A read-only row that normalized_rows already produced.
-        state = object.__new__(cls)
-        state.dim, state.amps = int(row.size), row
-        return state
-
-    def __repr__(self) -> str:
-        return f"FockVector(dim={self.dim})"
-
-
 class StateBlock:
-    """Normalized states on the same ``dim`` levels, one per row of ``amps``.
+    """Normalized states on the same ``dim`` levels, one per row of ``rows``.
 
     What several quantities read (the probabilities, the mean and its
     powers, the factorial and number moments) is computed once per block
-    and kept.  Every value of a row depends on that row alone.
+    and kept, read-only.  Every value of a row depends on that row alone.
     """
 
-    __slots__ = ("amps", "dim", "kept")
+    __slots__ = ("rows", "dim", "kept")
 
-    def __init__(self, amps: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray) -> None:
         # row_dots runs its BLAS dot on strided rows of any other layout, with other bits.
-        self.amps = np.ascontiguousarray(amps)
-        self.dim = int(amps.shape[1])
+        self.rows = np.ascontiguousarray(rows)
+        self.dim = int(rows.shape[1])
         self.kept: dict = {}
 
-    @classmethod
-    def of(cls, state: FockVector) -> StateBlock:
-        return cls(state.amps[None, :])
-
     def __len__(self) -> int:
-        return self.amps.shape[0]
+        return self.rows.shape[0]
 
     def memo(self, key, compute):
-        """compute() the first time key is asked for, the kept value after."""
+        """compute() the first time key is asked for, the kept (read-only) value after."""
         if key not in self.kept:
-            self.kept[key] = compute()
+            value = self.kept[key] = compute()
+            value.setflags(write=False)
         return self.kept[key]
 
     @property
     def probabilities(self) -> np.ndarray:
         """|c_n|^2, shape (S, dim)."""
-        return self.memo("p", lambda: np.abs(self.amps) ** 2)
+        return self.memo("p", lambda: np.abs(self.rows) ** 2)
 
     @property
     def mean(self) -> np.ndarray:
@@ -152,6 +118,38 @@ class StateBlock:
         )
 
 
+class FockVector(StateBlock):
+    """Normalized pure state on the Fock levels |0> .. |dim-1>: a block of one row.
+
+    Amplitude vectors whose norm deviates from 1 by more than ``NORM_TOL``
+    are rejected; smaller deviations (numerical roundoff from upstream
+    constructions) are silently renormalized.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, amps) -> None:
+        arr = np.atleast_1d(np.asarray(amps, dtype=complex))
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("amps must be a non-empty one-dimensional sequence")
+        super().__init__(normalized_rows(arr[None, :]))
+
+    @classmethod
+    def _of_normalized(cls, rows: np.ndarray) -> FockVector:
+        # A read-only (1, d) block that normalized_rows already produced.
+        state = object.__new__(cls)
+        StateBlock.__init__(state, rows)
+        return state
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The amplitudes c_0 .. c_(dim-1): the read-only row ``rows[0]``."""
+        return self.rows[0]
+
+    def __repr__(self) -> str:
+        return f"FockVector(dim={self.dim})"
+
+
 def fock_state(n: int, dim: int | None = None) -> FockVector:
     """The number state |n> embedded in ``dim`` levels (default: n + 1)."""
     if n < 0:
@@ -167,11 +165,11 @@ def fock_state(n: int, dim: int | None = None) -> FockVector:
 
 def photon_probabilities(state: FockVector) -> np.ndarray:
     """|c_n|^2 for n = 0 .. dim-1."""
-    return StateBlock.of(state).probabilities[0]
+    return state.probabilities[0]
 
 
 def mean_photon(state: FockVector) -> float:
-    return float(StateBlock.of(state).mean[0])
+    return float(state.mean[0])
 
 
 def normal_moment(state: FockVector, n: int) -> float:
@@ -182,11 +180,11 @@ def normal_moment(state: FockVector, n: int) -> float:
     """
     if not 1 <= n <= 4:
         raise ValueError("normal_moment supports orders 1..4")
-    return float(StateBlock.of(state).factorial_moment(n)[0])
+    return float(state.factorial_moment(n)[0])
 
 
 def number_moment(state: FockVector, n: int) -> float:
     """Photon-number moment <N^n> = sum_j j^n p_j, for integer orders 1 through 4."""
     if not 1 <= operator.index(n) <= 4:  # operator.index refuses 1.5 with TypeError
         raise ValueError("number_moment supports orders 1..4")
-    return float(StateBlock.of(state).number_moment(n)[0])
+    return float(state.number_moment(n)[0])

@@ -66,7 +66,7 @@ def _split_table(d: int) -> _SplitTable:
 def _moduli(block: StateBlock) -> np.ndarray:
     # |c_n| as abs() gives it for one amplitude (libm hypot); np.abs on a
     # complex array takes a SIMD route that differs in the last bit.
-    return block.memo("moduli", lambda: np.hypot(block.amps.real, block.amps.imag))
+    return block.memo("moduli", lambda: np.hypot(block.rows.real, block.rows.imag))
 
 
 def _log_negativities(norms: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def negativity_potential_closed_form(state: FockVector) -> float:
     states; an upper bound on superpositions (the absolute entry sum
     dominates the trace norm).
     """
-    return float(negativity_closed_form_block(StateBlock.of(state))[0])
+    return float(negativity_closed_form_block(state)[0])
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -134,7 +134,7 @@ def concurrence_closed_form(state: FockVector) -> float:
     sqrt(2 (1 - T)) where T keeps only the diagonal-in-n part of the
     reduced purity; exact on number states, an overestimate otherwise.
     """
-    return float(concurrence_closed_form_block(StateBlock.of(state))[0])
+    return float(concurrence_closed_form_block(state)[0])
 
 
 def _purities(stack: np.ndarray) -> np.ndarray:
@@ -168,9 +168,9 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
     d, table = block.dim, _split_table(block.dim)
     step = max(1, TWO_MODE_CHUNK // d**2)
     sums = {name: np.empty(len(block)) for name in names}
-    complex_rows = block.amps.imag.any(axis=1)
-    for rows, amps in ((~complex_rows, block.amps.real), (complex_rows, block.amps)):
-        index = np.flatnonzero(rows)
+    complex_rows = block.rows.imag.any(axis=1)
+    for picked, amps in ((~complex_rows, block.rows.real), (complex_rows, block.rows)):
+        index = np.flatnonzero(picked)
         # W[s, j, i] = c_{j+i} 2^(-(j+i)/2), 0 from j + i = d on: the Hankel windows of each
         # scaled row, zero-padded to 2d - 1.  Times sqrt_binomial it is the two-mode matrix
         # after the splitter: |n> goes to (j, n - j) with amplitude 2^(-n/2) sqrt(C(n, j)).
@@ -195,13 +195,13 @@ def log_negativity_exact(state: FockVector) -> float:
     singular values are the moduli of its eigenvalues.
     """
     name = "negativity_exact"
-    return float(exact_measures(StateBlock.of(state), [name])[name][0])
+    return float(exact_measures(state, [name])[name][0])
 
 
 def concurrence_exact(state: FockVector) -> float:
     """Concurrence of the split state from the exact reduced purity of one output mode."""
     name = "concurrence_exact"
-    return float(exact_measures(StateBlock.of(state), [name])[name][0])
+    return float(exact_measures(state, [name])[name][0])
 
 
 def anticlassicality_block(
@@ -224,5 +224,5 @@ def anticlassicality(state: FockVector, exclude_vacuum: bool) -> tuple[float, in
     With exclude_vacuum the search starts at level 1 (the vacuum population
     is not counted as nonclassical).  Ties resolve to the smaller level.
     """
-    value, idx = anticlassicality_block(StateBlock.of(state), exclude_vacuum)
+    value, idx = anticlassicality_block(state, exclude_vacuum)
     return float(value[0]), int(idx[0])

@@ -211,8 +211,8 @@ def period(d: int) -> float:
 
 
 def build_state(kind: str, d: int, amplitude: complex) -> FockVector:
-    """One state of a family on d levels: row 0 of ``state_block``."""
-    return FockVector._of_normalized(state_block(kind, d, [amplitude]).amps[0])
+    """One state of a family on d levels: the one-row block that ``state_block`` builds."""
+    return FockVector._of_normalized(state_block(kind, d, [amplitude]).rows)
 
 
 #: Entries (amplitudes x levels) that a sweep builds together: 256 amplitudes at

@@ -448,7 +448,7 @@ REPORT_MEASURES = (
 
 
 def report(state: FockVector) -> dict:
-    """The standard battery of one state, as one ``evaluate`` call on a block of one.
+    """The standard battery of one state, as one ``evaluate`` call on the state, a block of one.
 
     ``witnesses``: hoa at orders 1-3, hos at 2 and 4, hosps at 2-4, a3, and klyshko at
     ``klyshko_levels(d)``, one dict (name, order, value, nonclassical) each.  a3 is left
@@ -458,11 +458,10 @@ def report(state: FockVector) -> dict:
     on), then ``argmax_n``, the level of the vacuum-excluded anticlassicality.
     """
     witnesses = REPORT_WITNESSES + tuple(("klyshko", n) for n in klyshko_levels(state.dim))
-    block = StateBlock.of(state)
-    values, singular = evaluate(block, witnesses + tuple((m, None) for m in REPORT_MEASURES))
+    values, singular = evaluate(state, witnesses + tuple((m, None) for m in REPORT_MEASURES))
     values, singular = values[:, 0].tolist(), singular[:, 0].tolist()
     measures = dict(zip(REPORT_MEASURES, values[len(witnesses):]))
-    measures["argmax_n"] = int(anticlassicality_block(block, True)[1][0])
+    measures["argmax_n"] = int(anticlassicality_block(state, True)[1][0])
     entries = [
         {"name": ident, "order": order, "value": value, "nonclassical": value < 0.0}
         for (ident, order), value, masked in zip(witnesses, values, singular)

@@ -30,7 +30,7 @@ class SingularMomentMatrix(ArithmeticError):
 
 # Each witness is computed on a StateBlock, one value per row, in numpy's
 # ignore mode: a value that leaves the double range reads inf or nan, which
-# callers test for.  The per-state functions evaluate a block of one.
+# callers test for.  The per-state functions pass their state, a block of one.
 
 
 @np.errstate(all="ignore")
@@ -47,7 +47,7 @@ def hoa(state: FockVector, l: int) -> float:
     Negative values mean the (l+1)-quantum coincidences fall below what the
     mean photon number alone would give.
     """
-    return float(hoa_block(StateBlock.of(state), l)[0])
+    return float(hoa_block(state, l)[0])
 
 
 @np.errstate(all="ignore")
@@ -56,7 +56,7 @@ def hm_quadrature_block(block: StateBlock, n: int) -> np.ndarray:
     if n % 2 != 0 or not 2 <= n <= 8:
         raise ValueError("order must be even and within 2..8")
     v = np.zeros((len(block), block.dim + n // 2), dtype=complex)
-    v[:, : block.dim] = block.amps
+    v[:, : block.dim] = block.rows
     hop = np.sqrt(np.arange(1.0, v.shape[1]) / 2.0)
 
     def apply_x(u: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ def hm_quadrature_moment(state: FockVector, n: int) -> float:
     X - <X> acts exactly n/2 times; the moment is the squared norm of the
     result.
     """
-    return float(hm_quadrature_block(StateBlock.of(state), n)[0])
+    return float(hm_quadrature_block(state, n)[0])
 
 
 def hos_block(block: StateBlock, n: int) -> np.ndarray:
@@ -89,7 +89,7 @@ def hos_block(block: StateBlock, n: int) -> np.ndarray:
 def hos_witness(state: FockVector, n: int) -> float:
     """Squeezing witness: the n-th central quadrature moment minus its
     coherent-state value (n-1)!! / 2^(n/2).  Negative means squeezed."""
-    return float(hos_block(StateBlock.of(state), n)[0])
+    return float(hos_block(state, n)[0])
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +126,7 @@ def hosps(state: FockVector, l: int) -> float:
     A signed Stirling-number resummation of the antibunching excesses;
     at l = 2 it reduces to variance minus mean of the photon number.
     """
-    return float(hosps_block(StateBlock.of(state), l)[0])
+    return float(hosps_block(state, l)[0])
 
 
 def _hankel3(moments: list[np.ndarray]) -> np.ndarray:
@@ -155,7 +155,7 @@ def agarwal_tara(state: FockVector) -> float:
     moments and mu photon-number moments.  Raises SingularMomentMatrix when
     the denominator is below A3_SINGULAR_TOL in magnitude.
     """
-    value, singular = agarwal_tara_block(StateBlock.of(state))
+    value, singular = agarwal_tara_block(state)
     if singular[0]:
         raise SingularMomentMatrix("moment-matrix denominator is numerically singular")
     return float(value[0])
@@ -188,4 +188,4 @@ def klyshko(state: FockVector, n: int) -> float:
 
     Probabilities beyond the supported levels read as zero.
     """
-    return float(klyshko_block(StateBlock.of(state), [n])[0, 0])
+    return float(klyshko_block(state, [n])[0, 0])

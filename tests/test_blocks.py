@@ -6,13 +6,18 @@ columns must agree with the dense oracle at large d.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from quditnc import SweepSpec, linear_qcs, nonlinear_qcs, period, run_sweep
+from quditnc import (
+    SingularMomentMatrix, SweepSpec, agarwal_tara, anticlassicality, concurrence_closed_form,
+    concurrence_exact, hoa, hos_witness, hosps, klyshko, linear_qcs, log_negativity_exact,
+    negativity_potential_closed_form, nonlinear_qcs, period, run_sweep,
+)
 from quditnc import measures
 from quditnc.fock import FockVector, StateBlock, normalized_rows, row_dots
 from quditnc.oracle import ladder_matrix, normal_ordered_expectation
@@ -79,7 +84,7 @@ def test_a_fortran_ordered_block_gives_the_c_ordered_bits(d):
     amplitudes = list(np.linspace(0.0, period(d), 23)) + [1.3 * np.exp(0.8j), -0.6]
     for kind in ("nonlinear", "linear"):
         c_block = state_block(kind, d, amplitudes)
-        f_block = StateBlock(np.asfortranarray(c_block.amps))
+        f_block = StateBlock(np.asfortranarray(c_block.rows))
         assert f_block.mean.tobytes() == c_block.mean.tobytes()
         assert f_block.number_moment(3).tobytes() == c_block.number_moment(3).tobytes()
         for ident, order in ALL_QUANTITIES:
@@ -199,12 +204,39 @@ def test_block_kernels_reproduce_the_per_state_arithmetic_on_random_states():
     _assert_block_reproduces_per_state([FockVector(row) for row in raw])
 
 
+def _per_state_value(call, state):
+    try:
+        return repr(call(state))  # a float's repr gives back its bits
+    except SingularMomentMatrix:
+        return "singular"
+
+
+@pytest.mark.parametrize("kind", ["nonlinear", "linear"])
+@pytest.mark.parametrize("d", [5, 60])
+def test_per_state_calls_on_one_state_give_the_bits_of_fresh_states(kind, d):
+    # A state keeps its probabilities and moments: whatever was asked of it first, each
+    # per-state function returns the bits it returns on a fresh state.
+    calls = [partial(hoa, l=l) for l in (1, 2, 3)] + [partial(hos_witness, n=n) for n in (2, 4)]
+    calls += [partial(hosps, l=l) for l in (2, 3, 4)] + [agarwal_tara]
+    calls += [partial(klyshko, n=n) for n in range(d - 2)]
+    calls += [negativity_potential_closed_form, log_negativity_exact, concurrence_closed_form,
+              concurrence_exact, partial(anticlassicality, exclude_vacuum=False),
+              partial(anticlassicality, exclude_vacuum=True)]
+    family = nonlinear_qcs if kind == "nonlinear" else linear_qcs
+    for amp in (1.0, 1.3 * np.exp(0.8j)):
+        fresh = [_per_state_value(call, family(d, amp)) for call in calls]
+        state = family(d, amp)
+        assert [_per_state_value(call, state) for call in calls] == fresh, amp
+        state = family(d, amp)
+        assert [_per_state_value(call, state) for call in reversed(calls)] == fresh[::-1], amp
+
+
 def test_klyshko_block_reproduces_the_per_state_formula_at_every_level():
     rng = np.random.default_rng(6)
     raw = rng.standard_normal((2000, 8)) + 1j * rng.standard_normal((2000, 8))
     block = StateBlock(normalized_rows(raw / np.linalg.norm(raw, axis=1)[:, None]))
     got = klyshko_block(block, range(10)).tolist()
-    for row, p in zip(got, (np.abs(block.amps) ** 2).tolist()):
+    for row, p in zip(got, (np.abs(block.rows) ** 2).tolist()):
         at = p + [0.0, 0.0, 0.0, 0.0]
         assert row == [(n + 2) * at[n] * at[n + 2] - (n + 1) * at[n + 1] ** 2 for n in range(10)]
 
@@ -235,12 +267,12 @@ def test_a_block_mixing_real_and_complex_rows_gives_each_row_its_alone_value(mon
         for family in (linear_qcs, nonlinear_qcs)
     ]
     block = StateBlock(np.array([state.amps for state in states]))
-    assert 0 < block.amps.imag.any(axis=1).sum() < len(states)
+    assert 0 < block.rows.imag.any(axis=1).sum() < len(states)
     names = ["negativity_exact", "concurrence_exact"]
     monkeypatch.setattr(measures, "TWO_MODE_CHUNK", 3 * d**2)
     mixed = measures.exact_measures(block, names)
     for i, state in enumerate(states):
-        alone = measures.exact_measures(StateBlock.of(state), names)
+        alone = measures.exact_measures(state, names)
         for name in names:
             assert mixed[name][i].tobytes() == alone[name].tobytes(), (name, i)
 
@@ -294,7 +326,7 @@ def _linear_per_state(d, beta):
 def test_linear_block_matches_the_per_state_expansion_bit_for_bit(d):
     amplitudes = [0.0, 0.3, 1.0, 2.5 * np.exp(0.4j), -4.0, 9.0, 30.0]
     block = state_block("linear", d, amplitudes)
-    for amp, row in zip(amplitudes, block.amps):
+    for amp, row in zip(amplitudes, block.rows):
         want = _linear_per_state(d, amp)
         assert row.tobytes() == want.tobytes(), amp
         assert linear_qcs(d, amp).amps.tobytes() == want.tobytes(), amp

@@ -1,6 +1,7 @@
 """The FockVector state container and its photon-number moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from quditnc import (
     FockVector,
     NumericalError,
     fock_state,
+    hoa,
     linear_qcs,
     mean_photon,
     normal_moment,
     number_moment,
+    nonlinear_qcs,
     photon_probabilities,
 )
-from quditnc.fock import level_sum
+from quditnc.fock import StateBlock, level_sum
 
 
 def test_fockvector_accepts_tiny_norm_drift():
@@ -52,6 +55,36 @@ def test_fockvector_amps_are_read_only():
     v = fock_state(1)
     with pytest.raises(ValueError):
         v.amps[0] = 1.0
+
+
+def test_an_overflowing_vector_is_a_value_error_not_a_warning():
+    # Its squared norm overflows to inf: that is the NormError, with no RuntimeWarning first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^amplitude norm inf deviates"):
+            FockVector([1e200, 1e200])
+
+
+@pytest.mark.parametrize("state", [
+    FockVector([0.6, 0.8j]), fock_state(2, 5), linear_qcs(5, 1.0), nonlinear_qcs(5, 1.0),
+    nonlinear_qcs(60, 1.3 - 0.4j),
+], ids=["user", "number", "linear", "nonlinear", "nonlinear-complex-60"])
+def test_a_fockvector_is_a_state_block_of_one_row(state):
+    assert isinstance(state, StateBlock)
+    assert len(state) == 1 and state.rows.shape == (1, state.dim)
+    assert state.amps.ndim == 1 and not state.amps.flags.writeable
+    assert state.amps.tobytes() == state.rows[0].tobytes()
+    assert np.shares_memory(state.amps, state.rows)
+
+
+def test_kept_probabilities_are_read_only():
+    state = nonlinear_qcs(5, 1.0)
+    before = hoa(state, 1)
+    p = photon_probabilities(state)
+    with pytest.raises(ValueError):
+        p[0] = 1.0
+    assert np.shares_memory(photon_probabilities(state), p)  # kept, not computed again
+    assert hoa(state, 1) == before
 
 
 @given(

@@ -268,6 +268,6 @@ def test_purity_proxy_past_515_levels_matches_the_exact_sum():
         Fraction(abs(c)) ** 4 * Fraction(math.comb(2 * n, n), 4**n)
         for n, c in enumerate(state.amps.tolist())
     )
-    got = float(measures._purity_proxy(StateBlock.of(state))[0])
+    got = float(measures._purity_proxy(state)[0])
     assert abs(got - float(exact)) <= 1e-13 * float(exact)
     assert 0.0 < concurrence_closed_form(state) < math.sqrt(2.0)

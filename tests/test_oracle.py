@@ -8,6 +8,7 @@ import pytest
 from quditnc import (
     FockVector,
     fock_state,
+    hm_quadrature_moment,
     linear_qcs,
     mean_photon,
 )
@@ -112,6 +113,17 @@ def test_vacuum_central_quadrature_moments():
 
 def test_single_photon_second_central_moment():
     assert central_quadrature_moment(fock_state(1), 2) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_the_oracle_state_is_what_the_benchmark_gate_reads():
+    # The gate reads the oracle state's amps as a vector and passes the state back.
+    state = displacement_exponential(5, 1.0)
+    assert state.amps.ndim == 1 and state.amps.shape == (5,)
+    p = np.abs(state.amps) ** 2
+    assert float(np.dot(np.arange(5), p)) == pytest.approx(mean_photon(state), abs=1e-12)
+    assert central_quadrature_moment(state, 2) == pytest.approx(
+        hm_quadrature_moment(state, 2), abs=1e-12
+    )
 
 
 def test_central_quadrature_moment_order_domain():

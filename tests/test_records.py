@@ -87,7 +87,7 @@ def test_purity_weights_are_kept_per_d_and_keep_their_bits(d):
     assert measures._purity_weights(d) is weights
     # The nonlinear build's dense eigh would take tens of seconds at d = 5000.
     block = state_block("nonlinear" if d <= 1000 else "linear", d, [0.3, 2.0])
-    moduli = np.float_power(np.hypot(block.amps.real, block.amps.imag), 4)
+    moduli = np.float_power(np.hypot(block.rows.real, block.rows.imag), 4)
     want = np.zeros(len(block))
     for n in range(d):
         want = want + moduli[:, n] * truth[n]

@@ -63,8 +63,8 @@ def test_nonlinear_state_is_exactly_real_at_a_real_nonnegative_amplitude(d):
     for alpha in amplitudes:
         assert not nonlinear_qcs(d, alpha).amps.imag.any(), alpha
     block = state_block("nonlinear", d, amplitudes + [1.3 - 2.2j, -0.6j])
-    assert not block.amps[: len(amplitudes)].imag.any()
-    assert block.amps[len(amplitudes) :].imag.any(axis=1).all()
+    assert not block.rows[: len(amplitudes)].imag.any()
+    assert block.rows[len(amplitudes) :].imag.any(axis=1).all()
 
 
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
@@ -81,7 +81,7 @@ def test_a_real_negative_amplitude_gives_the_exactly_real_mirror_state(kind, d):
         mirror.real[1::2] *= -1
         assert minus.tobytes() == mirror.tobytes(), a
     block = states.state_block(kind, d, [*amplitudes, *(-a for a in amplitudes)])
-    assert not block.amps.imag.any()
+    assert not block.rows.imag.any()
     exact = measures.exact_measures(block, names)
     half = len(amplitudes)
     for name in names:
@@ -96,7 +96,7 @@ def test_a_zero_amplitude_is_exactly_the_vacuum(kind, d):
     for a in (0.0, -0.0, 0j):
         assert build_state(kind, d, a).amps.tolist() == vacuum, a
     block = states.state_block(kind, d, [0.0, 1.3, -0.0, 0j])
-    for row in block.amps[[0, 2, 3]]:
+    for row in block.rows[[0, 2, 3]]:
         assert row.tolist() == vacuum
 
 
@@ -112,7 +112,7 @@ def test_a_complex_amplitude_is_the_row_at_its_modulus_turned_by_its_phase(kind,
     turned = states.state_block(kind, d, amplitudes)
     at_r = states.state_block(kind, d, moduli)
     levels = np.arange(d)
-    for a, row, plain in zip(amplitudes, turned.amps, at_r.amps):
+    for a, row, plain in zip(amplitudes, turned.rows, at_r.rows):
         want = plain * np.exp(1j * levels * np.arctan2(a.imag, a.real))
         assert row.tobytes() == want.tobytes(), a
     names = ["negativity_exact", "concurrence_exact"]
@@ -344,7 +344,7 @@ def _block_rows(kind, d, amplitudes):
     # The rows of the blocks a sweep builds: state_block on block_rows(d) amplitudes at a time.
     amps, step = list(amplitudes), block_rows(d)
     blocks = (state_block(kind, d, amps[i : i + step]) for i in range(0, len(amps), step))
-    return [row for block in blocks for row in block.amps]
+    return [row for block in blocks for row in block.rows]
 
 
 @pytest.mark.parametrize("d", range(2, 61))

@@ -350,7 +350,7 @@ def test_output_bytes_do_not_depend_on_the_block_layout(monkeypatch, kind, rule)
 
     want = outputs()
     assert block_rows(60) < spec.steps
-    assert not states.state_block(kind, 5, [-1.0]).amps.imag.any()
+    assert not states.state_block(kind, 5, [-1.0]).rows.imag.any()
     assert ",singular," in want[0] and '"singular"' in want[1]
     monkeypatch.setattr(sweep, "block_rows", rule)
     assert outputs() == want
