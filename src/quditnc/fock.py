@@ -1,8 +1,8 @@
 """States with finite Fock support and the photon-number moments on them.
 
 Every moment is computed on a ``StateBlock``: S states of one level count,
-one per row of an (S, d) amplitude array.  A ``FockVector`` is a block of
-one row, which the per-state functions below evaluate.
+one per row of an (S, d) amplitude array, each moment one value per row.
+A ``FockVector`` is a block of one row.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ import operator
 
 import numpy as np
 
-__all__ = [
-    "FockVector", "fock_state", "mean_photon", "normal_moment", "number_moment",
-    "photon_probabilities",
-]
+__all__ = ["FockVector", "fock_state"]
 
 #: Constructors renormalize amplitude vectors whose norm is off by less than
 #: this and reject anything worse as a probable construction bug.
@@ -111,11 +108,14 @@ class StateBlock:
             self.probabilities, [float(math.perm(j, k)) for j in range(self.dim)]))
 
     def number_moment(self, n: int) -> np.ndarray:
-        """<N^n> = sum_j j^n p_j."""
-        return self.memo(
-            ("number_moment", n),
-            lambda: row_dots(self.probabilities, np.arange(self.dim, dtype=float) ** n),
-        )
+        """<N^n> = sum_j j^n p_j, for an integer order n >= 0."""
+
+        def compute():  # the order is checked on a miss only
+            if operator.index(n) < 0:  # operator.index refuses 1.5 with TypeError
+                raise ValueError("a number moment's order must be non-negative")
+            return row_dots(self.probabilities, np.arange(self.dim, dtype=float) ** n)
+
+        return self.memo(("number_moment", n), compute)
 
 
 class FockVector(StateBlock):
@@ -162,29 +162,3 @@ def fock_state(n: int, dim: int | None = None) -> FockVector:
     amps[n] = 1.0
     return FockVector(amps)
 
-
-def photon_probabilities(state: FockVector) -> np.ndarray:
-    """|c_n|^2 for n = 0 .. dim-1."""
-    return state.probabilities[0]
-
-
-def mean_photon(state: FockVector) -> float:
-    return float(state.mean[0])
-
-
-def normal_moment(state: FockVector, n: int) -> float:
-    """Normal-ordered moment <a+^n a^n>, the n-th factorial moment.
-
-    Orders 1 through 4 are supported, which is all the moment-matrix
-    criteria downstream require.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError("normal_moment supports orders 1..4")
-    return float(state.factorial_moment(n)[0])
-
-
-def number_moment(state: FockVector, n: int) -> float:
-    """Photon-number moment <N^n> = sum_j j^n p_j, for integer orders 1 through 4."""
-    if not 1 <= operator.index(n) <= 4:  # operator.index refuses 1.5 with TypeError
-        raise ValueError("number_moment supports orders 1..4")
-    return float(state.number_moment(n)[0])

@@ -6,6 +6,9 @@ the input.  Two routes are provided for both negativity and concurrence:
 an entrywise closed form, and the exact evaluation from the two-mode
 amplitudes.  The closed forms coincide with the exact values on number
 states and upper-bound them on superpositions.
+
+Each measure takes a ``StateBlock`` and gives one value per row; a
+``FockVector`` is a block of one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fock import FockVector, StateBlock, level_sum
+from .fock import StateBlock, level_sum
 
 __all__ = [
     "anticlassicality", "concurrence_closed_form", "concurrence_exact", "log_negativity_exact",
@@ -74,20 +77,15 @@ def _log_negativities(norms: np.ndarray) -> np.ndarray:
     return np.array([2.0 * math.log2(s) for s in norms.tolist()])
 
 
-def negativity_closed_form_block(block: StateBlock) -> np.ndarray:
-    """``negativity_potential_closed_form`` of every state of the block."""
-    table = _split_table(block.dim)
-    return _log_negativities(level_sum(_moduli(block) * table.scale, table.row_sums))
-
-
-def negativity_potential_closed_form(state: FockVector) -> float:
-    """Logarithmic negativity of the split state, entrywise closed form.
+def negativity_potential_closed_form(block: StateBlock) -> np.ndarray:
+    """Logarithmic negativity of each split state, entrywise closed form.
 
     2 log2 of the absolute sum of the two-mode amplitudes.  Exact on number
     states; an upper bound on superpositions (the absolute entry sum
     dominates the trace norm).
     """
-    return float(negativity_closed_form_block(state)[0])
+    table = _split_table(block.dim)
+    return _log_negativities(level_sum(_moduli(block) * table.scale, table.row_sums))
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -123,18 +121,13 @@ def _concurrences(purities: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(2.0 * (1.0 - purities), 0.0))
 
 
-def concurrence_closed_form_block(block: StateBlock) -> np.ndarray:
-    """``concurrence_closed_form`` of every state of the block."""
-    return _concurrences(_purity_proxy(block))
-
-
-def concurrence_closed_form(state: FockVector) -> float:
-    """Concurrence of the split state from the closed-form purity proxy.
+def concurrence_closed_form(block: StateBlock) -> np.ndarray:
+    """Concurrence of each split state from the closed-form purity proxy.
 
     sqrt(2 (1 - T)) where T keeps only the diagonal-in-n part of the
     reduced purity; exact on number states, an overestimate otherwise.
     """
-    return float(concurrence_closed_form_block(state)[0])
+    return _concurrences(_purity_proxy(block))
 
 
 def _purities(stack: np.ndarray) -> np.ndarray:
@@ -185,8 +178,8 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
     return {name: kernels[name][1](sums[name]) for name in names}
 
 
-def log_negativity_exact(state: FockVector) -> float:
-    """Exact logarithmic negativity of the split state: 2 log2 of the
+def log_negativity_exact(block: StateBlock) -> np.ndarray:
+    """Exact logarithmic negativity of each split state: 2 log2 of the
     singular-value sum of its two-mode amplitude matrix.
 
     For a pure two-mode state the trace norm of the partial transpose is
@@ -194,20 +187,20 @@ def log_negativity_exact(state: FockVector) -> float:
     amplitude matrix.  A real amplitude matrix is symmetric, and its
     singular values are the moduli of its eigenvalues.
     """
-    name = "negativity_exact"
-    return float(exact_measures(state, [name])[name][0])
+    return exact_measures(block, ["negativity_exact"])["negativity_exact"]
 
 
-def concurrence_exact(state: FockVector) -> float:
-    """Concurrence of the split state from the exact reduced purity of one output mode."""
-    name = "concurrence_exact"
-    return float(exact_measures(state, [name])[name][0])
+def concurrence_exact(block: StateBlock) -> np.ndarray:
+    """Concurrence of each split state from the exact reduced purity of one output mode."""
+    return exact_measures(block, ["concurrence_exact"])["concurrence_exact"]
 
 
-def anticlassicality_block(
-    block: StateBlock, exclude_vacuum: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``anticlassicality`` of every state of the block, as two arrays."""
+def anticlassicality(block: StateBlock, exclude_vacuum: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Largest number-state population of each state, and the level where it sits.
+
+    With exclude_vacuum the search starts at level 1 (the vacuum population
+    is not counted as nonclassical).  Ties resolve to the smaller level.
+    """
     p = block.probabilities
     if exclude_vacuum:
         if block.dim < 2:
@@ -216,13 +209,3 @@ def anticlassicality_block(
     else:
         idx = p.argmax(axis=1)
     return p[np.arange(len(block)), idx], idx
-
-
-def anticlassicality(state: FockVector, exclude_vacuum: bool) -> tuple[float, int]:
-    """Largest number-state population and where it sits.
-
-    With exclude_vacuum the search starts at level 1 (the vacuum population
-    is not counted as nonclassical).  Ties resolve to the smaller level.
-    """
-    value, idx = anticlassicality_block(state, exclude_vacuum)
-    return float(value[0]), int(idx[0])

@@ -12,20 +12,13 @@ import numpy as np
 
 from .fock import FockVector, StateBlock
 from .measures import (
-    anticlassicality_block,
-    concurrence_closed_form_block,
+    anticlassicality,
+    concurrence_closed_form,
     exact_measures,
-    negativity_closed_form_block,
+    negativity_potential_closed_form,
 )
 from .states import KINDS, MAX_ENTRIES, NumericalError, block_rows, period, state_block
-from .witnesses import (
-    agarwal_tara_block,
-    hoa_block,
-    hos_block,
-    hosps_block,
-    klyshko_block,
-    klyshko_levels,
-)
+from .witnesses import agarwal_tara, hoa, hos_witness, hosps, klyshko, klyshko_levels
 
 __all__ = [
     "SweepResult", "SweepSpec", "klyshko_bars", "report", "run_sweep", "table1_search",
@@ -108,26 +101,26 @@ def _exact(block: StateBlock, pairs: list) -> tuple[list, bool]:
 
 
 def _a3(block: StateBlock, _) -> tuple:
-    value, singular = agarwal_tara_block(block)
+    value, singular = agarwal_tara(block)
     return (value,), singular
 
 
 def _klyshko(block: StateBlock, pairs: list) -> tuple:
-    return klyshko_block(block, [level for _, level in pairs]).T, False
+    return klyshko(block, [level for _, level in pairs]).T, False
 
 
 QUANTITIES: dict[str, Quantity] = {
-    "hoa": Quantity(lambda o: o >= 1, _each_order(hoa_block)),
-    "hos": Quantity(lambda o: o % 2 == 0 and 2 <= o <= 8, _each_order(hos_block)),
-    "hosps": Quantity(lambda o: o >= 1, _each_order(hosps_block)),
+    "hoa": Quantity(lambda o: o >= 1, _each_order(hoa)),
+    "hos": Quantity(lambda o: o % 2 == 0 and 2 <= o <= 8, _each_order(hos_witness)),
+    "hosps": Quantity(lambda o: o >= 1, _each_order(hosps)),
     "a3": Quantity(None, _a3),
     "klyshko": Quantity(lambda o: o >= 0, _klyshko),
-    "negativity_closed_form": _plain(negativity_closed_form_block),
+    "negativity_closed_form": _plain(negativity_potential_closed_form),
     "negativity_exact": Quantity(None, _exact),
-    "concurrence_closed_form": _plain(concurrence_closed_form_block),
+    "concurrence_closed_form": _plain(concurrence_closed_form),
     "concurrence_exact": Quantity(None, _exact),
-    "anticlassicality": _plain(lambda b: anticlassicality_block(b, False)[0]),
-    "anticlassicality_excl_vacuum": _plain(lambda b: anticlassicality_block(b, True)[0]),
+    "anticlassicality": _plain(lambda b: anticlassicality(b, False)[0]),
+    "anticlassicality_excl_vacuum": _plain(lambda b: anticlassicality(b, True)[0]),
 }
 
 
@@ -382,7 +375,7 @@ def table1_search(tolerance: float) -> dict:
     for kind in KINDS:
         for d in TABLE1_D_RANGE:
             amps = [resolve_amplitude(token, d) for token in tokens]
-            values, levels = anticlassicality_block(state_block(kind, d, amps), True)
+            values, levels = anticlassicality(state_block(kind, d, amps), True)
             for token, amp, value, argmax_n in zip(tokens, amps, values.tolist(), levels.tolist()):
                 points.setdefault((token, kind), []).append(
                     {"d": d, "amplitude": amp, "value": value, "argmax_n": argmax_n}
@@ -422,7 +415,7 @@ def klyshko_bars(state_kind: str, d: int, amplitudes: Sequence[float | str]) -> 
     """
     amps = [resolve_amplitude(raw, d) for raw in amplitudes]
     levels = klyshko_levels(d)
-    values = klyshko_block(state_block(state_kind, d, amps), levels).tolist()
+    values = klyshko(state_block(state_kind, d, amps), levels).tolist()
     entries = [
         {
             "amplitude_token": str(raw),
@@ -461,7 +454,7 @@ def report(state: FockVector) -> dict:
     values, singular = evaluate(state, witnesses + tuple((m, None) for m in REPORT_MEASURES))
     values, singular = values[:, 0].tolist(), singular[:, 0].tolist()
     measures = dict(zip(REPORT_MEASURES, values[len(witnesses):]))
-    measures["argmax_n"] = int(anticlassicality_block(state, True)[1][0])
+    measures["argmax_n"] = int(anticlassicality(state, True)[1][0])
     entries = [
         {"name": ident, "order": order, "value": value, "nonclassical": value < 0.0}
         for (ident, order), value, masked in zip(witnesses, values, singular)

@@ -3,6 +3,11 @@
 Sign convention: every witness here is built so that a negative value
 certifies nonclassicality and classical (coherent, Poissonian) statistics
 drive it to zero or above.  A value of exactly zero is not flagged.
+
+Each witness takes a ``StateBlock`` and gives one value per row, in numpy's
+ignore mode: a value that leaves the double range reads inf or nan, which
+callers test for.  A ``FockVector`` is a block of one, so ``hoa(state, 1)[0]``
+is one state's value.
 """
 
 from __future__ import annotations
@@ -13,46 +18,34 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockVector, StateBlock, row_dots
+from .fock import StateBlock, row_dots
 
-__all__ = [
-    "SingularMomentMatrix", "agarwal_tara", "hm_quadrature_moment", "hoa", "hos_witness", "hosps",
-    "klyshko",
-]
+__all__ = ["agarwal_tara", "hm_quadrature_moment", "hoa", "hos_witness", "hosps", "klyshko"]
 
 #: Below this the difference of moment-matrix determinants counts as singular.
 A3_SINGULAR_TOL = 1e-12
 
 
-class SingularMomentMatrix(ArithmeticError):
-    """The moment-matrix ratio is undefined: its denominator vanishes."""
-
-
-# Each witness is computed on a StateBlock, one value per row, in numpy's
-# ignore mode: a value that leaves the double range reads inf or nan, which
-# callers test for.  The per-state functions pass their state, a block of one.
-
-
 @np.errstate(all="ignore")
-def hoa_block(block: StateBlock, l: int) -> np.ndarray:
-    """``hoa`` of every state of the block."""
+def hoa(block: StateBlock, l: int) -> np.ndarray:
+    """Antibunching witness of order l of each state: factorial moment minus mean power.
+
+    Negative values mean the (l+1)-quantum coincidences fall below what the
+    mean photon number alone would give.
+    """
     if l < 1:
         raise ValueError("order must be at least 1")
     return block.factorial_moment(l + 1) - block.mean_power(l + 1)
 
 
-def hoa(state: FockVector, l: int) -> float:
-    """Antibunching witness of order l: factorial moment minus mean power.
-
-    Negative values mean the (l+1)-quantum coincidences fall below what the
-    mean photon number alone would give.
-    """
-    return float(hoa_block(state, l)[0])
-
-
 @np.errstate(all="ignore")
-def hm_quadrature_block(block: StateBlock, n: int) -> np.ndarray:
-    """``hm_quadrature_moment`` of every state of the block."""
+def hm_quadrature_moment(block: StateBlock, n: int) -> np.ndarray:
+    """Central quadrature moment <(X - <X>)^n> of each state, X = (a + a+)/sqrt(2).
+
+    Each state is embedded in d + n/2 levels, on which the tridiagonal
+    X - <X> acts exactly n/2 times; the moment is the squared norm of the
+    result.
+    """
     if n % 2 != 0 or not 2 <= n <= 8:
         raise ValueError("order must be even and within 2..8")
     v = np.zeros((len(block), block.dim + n // 2), dtype=complex)
@@ -71,25 +64,10 @@ def hm_quadrature_block(block: StateBlock, n: int) -> np.ndarray:
     return row_dots(v.conj(), v).real
 
 
-def hm_quadrature_moment(state: FockVector, n: int) -> float:
-    """Central quadrature moment <(X - <X>)^n>, X = (a + a+)/sqrt(2).
-
-    The state is embedded in d + n/2 levels, on which the tridiagonal
-    X - <X> acts exactly n/2 times; the moment is the squared norm of the
-    result.
-    """
-    return float(hm_quadrature_block(state, n)[0])
-
-
-def hos_block(block: StateBlock, n: int) -> np.ndarray:
-    """``hos_witness`` of every state of the block."""
-    return hm_quadrature_block(block, n) - math.prod(range(n - 1, 0, -2)) / 2.0 ** (0.5 * n)
-
-
-def hos_witness(state: FockVector, n: int) -> float:
-    """Squeezing witness: the n-th central quadrature moment minus its
-    coherent-state value (n-1)!! / 2^(n/2).  Negative means squeezed."""
-    return float(hos_block(state, n)[0])
+def hos_witness(block: StateBlock, n: int) -> np.ndarray:
+    """Squeezing witness of each state: the n-th central quadrature moment minus
+    its coherent-state value (n-1)!! / 2^(n/2).  Negative means squeezed."""
+    return hm_quadrature_moment(block, n) - math.prod(range(n - 1, 0, -2)) / 2.0 ** (0.5 * n)
 
 
 @lru_cache(maxsize=None)
@@ -103,9 +81,11 @@ def _s2(r: int, k: int) -> int:
 
 
 @np.errstate(all="ignore")
-def hosps_block(block: StateBlock, l: int) -> np.ndarray:
-    """``hosps`` of every state of the block.
+def hosps(block: StateBlock, l: int) -> np.ndarray:
+    """Sub-Poissonian witness of order l of each state.
 
+    A signed Stirling-number resummation of the antibunching excesses;
+    at l = 2 it reduces to variance minus mean of the photon number.
     Raises OverflowError when a coefficient leaves the double range.
     """
     if l < 1:
@@ -120,15 +100,6 @@ def hosps_block(block: StateBlock, l: int) -> np.ndarray:
     return total
 
 
-def hosps(state: FockVector, l: int) -> float:
-    """Sub-Poissonian witness of order l.
-
-    A signed Stirling-number resummation of the antibunching excesses;
-    at l = 2 it reduces to variance minus mean of the photon number.
-    """
-    return float(hosps_block(state, l)[0])
-
-
 def _hankel3(moments: list[np.ndarray]) -> np.ndarray:
     # [[1, x1, x2], [x1, x2, x3], [x2, x3, x4]] for each row.
     x1, x2, x3, x4 = moments
@@ -137,10 +108,14 @@ def _hankel3(moments: list[np.ndarray]) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def agarwal_tara_block(block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
-    """``agarwal_tara`` of every state of the block, and the mask of the rows
-    where it is undefined: those whose denominator is at most
-    A3_SINGULAR_TOL in magnitude."""
+def agarwal_tara(block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized moment-matrix criterion of each state, built from 3x3 Hankel
+    determinants, and the mask of the states where it is undefined.
+
+    The value is det(m) / (det(mu) - det(m)) where m collects normal-ordered
+    moments and mu photon-number moments.  It is undefined (masked) where the
+    denominator is at most A3_SINGULAR_TOL in magnitude.
+    """
     m = [block.factorial_moment(n) for n in range(1, 5)]
     mu = [block.number_moment(n) for n in range(1, 5)]
     det_m = np.linalg.det(_hankel3(m))
@@ -148,26 +123,14 @@ def agarwal_tara_block(block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
     return det_m / denom, np.abs(denom) <= A3_SINGULAR_TOL
 
 
-def agarwal_tara(state: FockVector) -> float:
-    """Normalized moment-matrix criterion built from 3x3 Hankel determinants.
-
-    Returns det(m) / (det(mu) - det(m)) where m collects normal-ordered
-    moments and mu photon-number moments.  Raises SingularMomentMatrix when
-    the denominator is below A3_SINGULAR_TOL in magnitude.
-    """
-    value, singular = agarwal_tara_block(state)
-    if singular[0]:
-        raise SingularMomentMatrix("moment-matrix denominator is numerically singular")
-    return float(value[0])
-
-
 @np.errstate(all="ignore")
-def klyshko_block(block: StateBlock, levels) -> np.ndarray:
-    """``klyshko`` of every state of the block, one column per level n of ``levels``.
+def klyshko(block: StateBlock, levels) -> np.ndarray:
+    """Three-level probability test (n+2) p_n p_(n+2) - (n+1) p_(n+1)^2 of each
+    state, one column per level n of ``levels``: an (S, L) array.
 
-    A level from d on reads exactly 0, as its three probabilities do: it is
-    taken as level d, decided on the Python int, so no level meets int64 overflow.
-    A level that is not an integer raises TypeError.
+    Probabilities beyond the supported levels read as zero, so a level from d on
+    reads exactly 0: it is taken as level d, decided on the Python int, so no
+    level meets int64 overflow.  A level that is not an integer raises TypeError.
     """
     d = block.dim
     n = np.array([level if level < d else d for level in map(operator.index, levels)], dtype=int)
@@ -181,11 +144,3 @@ def klyshko_block(block: StateBlock, levels) -> np.ndarray:
 def klyshko_levels(d: int) -> range:
     """Levels 0 .. d - 3, whose three probabilities sit in the support; 0 even at d = 2."""
     return range(max(d - 2, 1))
-
-
-def klyshko(state: FockVector, n: int) -> float:
-    """Three-level probability test (n+2) p_n p_(n+2) - (n+1) p_(n+1)^2.
-
-    Probabilities beyond the supported levels read as zero.
-    """
-    return float(klyshko_block(state, [n])[0, 0])

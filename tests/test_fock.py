@@ -14,11 +14,7 @@ from quditnc import (
     fock_state,
     hoa,
     linear_qcs,
-    mean_photon,
-    normal_moment,
-    number_moment,
     nonlinear_qcs,
-    photon_probabilities,
 )
 from quditnc.fock import StateBlock, level_sum
 
@@ -79,12 +75,12 @@ def test_a_fockvector_is_a_state_block_of_one_row(state):
 
 def test_kept_probabilities_are_read_only():
     state = nonlinear_qcs(5, 1.0)
-    before = hoa(state, 1)
-    p = photon_probabilities(state)
+    before = hoa(state, 1)[0]
+    p = state.probabilities[0]
     with pytest.raises(ValueError):
         p[0] = 1.0
-    assert np.shares_memory(photon_probabilities(state), p)  # kept, not computed again
-    assert hoa(state, 1) == before
+    assert np.shares_memory(state.probabilities[0], p)  # kept, not computed again
+    assert hoa(state, 1)[0] == before
 
 
 @given(
@@ -102,18 +98,18 @@ def test_fockvector_normalized_inputs_round_trip(raw):
         arr[0] += 1.0
         norm = np.linalg.norm(arr)
     v = FockVector(arr / norm)
-    p = photon_probabilities(v)
+    p = v.probabilities[0]
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= mean_photon(v) <= v.dim - 1 + 1e-12
+    assert 0.0 <= v.mean[0] <= v.dim - 1 + 1e-12
 
 
 def test_fock_state_is_one_hot():
     v = fock_state(2)
     assert v.dim == 3
-    assert photon_probabilities(v).tolist() == [0.0, 0.0, 1.0]
+    assert v.probabilities[0].tolist() == [0.0, 0.0, 1.0]
     w = fock_state(1, dim=5)
     assert w.dim == 5
-    assert photon_probabilities(w)[1] == 1.0
+    assert w.probabilities[0][1] == 1.0
 
 
 def test_fock_state_domain():
@@ -126,52 +122,55 @@ def test_fock_state_domain():
 def test_linear_d3_unit_amplitude_probabilities():
     # Coefficients proportional to (1, 1, 1/sqrt 2), so p = (0.4, 0.4, 0.2).
     s = linear_qcs(3, 1.0)
-    p = photon_probabilities(s)
+    p = s.probabilities[0]
     assert p == pytest.approx([0.4, 0.4, 0.2], abs=1e-12)
-    assert mean_photon(s) == pytest.approx(0.8, abs=1e-12)
-    assert number_moment(s, 2) == pytest.approx(1.2, abs=1e-12)
+    assert s.mean[0] == pytest.approx(0.8, abs=1e-12)
+    assert s.number_moment(2)[0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_number_state_moment_table():
     state = fock_state(2)
-    m = tuple(normal_moment(state, n) for n in range(1, 5))
-    mu = tuple(number_moment(state, n) for n in range(1, 5))
+    m = tuple(state.factorial_moment(n)[0] for n in range(1, 5))
+    mu = tuple(state.number_moment(n)[0] for n in range(1, 5))
     assert m == pytest.approx((2.0, 2.0, 0.0, 0.0), abs=1e-12)
     assert mu == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-12)
 
 
 def test_number_moment_matches_probability_sum():
     s = linear_qcs(6, 1.7)
-    p = photon_probabilities(s)
+    p = s.probabilities[0]
     levels = np.arange(s.dim)
     for n in range(1, 5):
         direct = float(np.dot(levels**n, p))
-        assert number_moment(s, n) == pytest.approx(direct, abs=1e-12)
+        assert s.number_moment(n)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_number_moment_refuses_an_order_that_is_not_an_integer():
-    # A float order reached j**1.5: number_moment(state, 1.5) returned <N^1.5>.
-    s = linear_qcs(6, 1.7)
-    for moment in (number_moment, normal_moment):
-        with pytest.raises(TypeError):
-            moment(s, 1.5)
-    with pytest.raises(TypeError):
-        number_moment(s, 2.0)
-    assert number_moment(s, np.int64(2)) == number_moment(s, 2)
+    # A float order reached j**1.5: s.number_moment(1.5) returned <N^1.5>, and an order
+    # of -1 warned "divide by zero" on level 0.  Each state is fresh: nothing is kept yet.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for moment in ("number_moment", "factorial_moment"):
+            for bad in (1.5, 2.0):
+                with pytest.raises(TypeError):
+                    getattr(linear_qcs(6, 1.7), moment)(bad)
+            with pytest.raises(ValueError):
+                getattr(linear_qcs(6, 1.7), moment)(-1)
+        want = linear_qcs(6, 1.7).number_moment(2)
+        assert linear_qcs(6, 1.7).number_moment(np.int64(2)).tobytes() == want.tobytes()
 
 
 def test_moment_order_bounds():
+    # Every order from 0 up is a moment: <N^0> sums the probabilities, and |1> has
+    # no factorial moment past its first.
     s = fock_state(1)
-    for bad in (0, 5):
-        with pytest.raises(ValueError):
-            normal_moment(s, bad)
-        with pytest.raises(ValueError):
-            number_moment(s, bad)
+    assert s.number_moment(0)[0] == 1.0 and s.factorial_moment(0)[0] == 1.0
+    assert s.number_moment(5)[0] == 1.0 and s.factorial_moment(5)[0] == 0.0
 
 
 def test_normal_moment_first_order_is_mean():
     s = linear_qcs(4, 0.9)
-    assert normal_moment(s, 1) == pytest.approx(mean_photon(s), abs=1e-14)
+    assert s.factorial_moment(1)[0] == pytest.approx(s.mean[0], abs=1e-14)
 
 
 @pytest.mark.parametrize(

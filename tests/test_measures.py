@@ -63,30 +63,30 @@ def test_beamsplit_conserves_norm_and_total_number():
 
 def test_negativity_single_photon_both_routes():
     s = fock_state(1)
-    closed = negativity_potential_closed_form(s)
-    exact = log_negativity_exact(s)
+    closed = negativity_potential_closed_form(s)[0]
+    exact = log_negativity_exact(s)[0]
     assert closed == pytest.approx(1.0, abs=1e-9)
     assert exact == pytest.approx(1.0, abs=1e-9)
 
 
 def test_negativity_vacuum_is_zero():
     s = fock_state(0, dim=2)
-    assert negativity_potential_closed_form(s) == pytest.approx(0.0, abs=1e-12)
-    assert log_negativity_exact(s) == pytest.approx(0.0, abs=1e-12)
+    assert negativity_potential_closed_form(s)[0] == pytest.approx(0.0, abs=1e-12)
+    assert log_negativity_exact(s)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_number_states_agree_on_both_negativity_routes(n):
     s = fock_state(n)
-    closed = negativity_potential_closed_form(s)
-    exact = log_negativity_exact(s)
+    closed = negativity_potential_closed_form(s)[0]
+    exact = log_negativity_exact(s)[0]
     assert abs(closed - exact) < 1e-9
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_number_states_agree_on_both_concurrence_routes(n):
     s = fock_state(n)
-    assert abs(concurrence_closed_form(s) - concurrence_exact(s)) < 1e-9
+    assert abs(concurrence_closed_form(s)[0] - concurrence_exact(s)[0]) < 1e-9
 
 
 def test_closed_form_dominates_exact_negativity():
@@ -94,46 +94,47 @@ def test_closed_form_dominates_exact_negativity():
     for alpha in np.linspace(0.1, period(4), 7):
         states.append(nonlinear_qcs(4, alpha))
     for s in states:
-        closed = negativity_potential_closed_form(s)
-        exact = log_negativity_exact(s)
+        closed = negativity_potential_closed_form(s)[0]
+        exact = log_negativity_exact(s)[0]
         assert exact <= closed + 1e-9
 
 
 def test_superposition_routes_diverge():
     # The two routes agree on number states only; on an even superposition
     # they give visibly different numbers, and both are kept.
-    assert negativity_potential_closed_form(PLUS) == pytest.approx(1.5431, abs=1e-4)
-    assert log_negativity_exact(PLUS) == pytest.approx(math.log2(1.5), abs=1e-4)
-    assert concurrence_closed_form(PLUS) == pytest.approx(1.1180, abs=1e-4)
-    assert concurrence_exact(PLUS) == pytest.approx(0.5, abs=1e-4)
+    assert negativity_potential_closed_form(PLUS)[0] == pytest.approx(1.5431, abs=1e-4)
+    assert log_negativity_exact(PLUS)[0] == pytest.approx(math.log2(1.5), abs=1e-4)
+    assert concurrence_closed_form(PLUS)[0] == pytest.approx(1.1180, abs=1e-4)
+    assert concurrence_exact(PLUS)[0] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_concurrence_single_photon():
     s = fock_state(1)
-    assert concurrence_closed_form(s) == pytest.approx(1.0, abs=1e-9)
-    assert concurrence_exact(s) == pytest.approx(1.0, abs=1e-9)
+    assert concurrence_closed_form(s)[0] == pytest.approx(1.0, abs=1e-9)
+    assert concurrence_exact(s)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_concurrence_vacuum_is_zero():
     s = fock_state(0, dim=3)
-    assert concurrence_closed_form(s) == pytest.approx(0.0, abs=1e-9)
-    assert concurrence_exact(s) == pytest.approx(0.0, abs=1e-9)
+    assert concurrence_closed_form(s)[0] == pytest.approx(0.0, abs=1e-9)
+    assert concurrence_exact(s)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_anticlassicality_vacuum():
     vac = fock_state(0, dim=3)
-    assert anticlassicality(vac, exclude_vacuum=False) == (1.0, 0)
-    value, level = anticlassicality(vac, exclude_vacuum=True)
+    (value,), (level,) = anticlassicality(vac, exclude_vacuum=False)
+    assert (value, level) == (1.0, 0)
+    (value,), (level,) = anticlassicality(vac, exclude_vacuum=True)
     assert value == 0.0
     assert level == 1
 
 
 def test_anticlassicality_tie_takes_smaller_level():
-    value, level = anticlassicality(PLUS, exclude_vacuum=False)
+    (value,), (level,) = anticlassicality(PLUS, exclude_vacuum=False)
     assert value == pytest.approx(0.5, abs=1e-12)
     assert level == 0
     uniform = FockVector(np.full(4, 0.5, dtype=complex))
-    value, level = anticlassicality(uniform, exclude_vacuum=True)
+    (value,), (level,) = anticlassicality(uniform, exclude_vacuum=True)
     assert value == pytest.approx(0.25, abs=1e-12)
     assert level == 1
 
@@ -147,8 +148,8 @@ def test_excluded_variant_never_exceeds_full_maximum():
     for d in (2, 4, 6):
         for alpha in np.linspace(0.0, period(d), 15):
             s = nonlinear_qcs(d, alpha)
-            full, _ = anticlassicality(s, exclude_vacuum=False)
-            partial, _ = anticlassicality(s, exclude_vacuum=True)
+            (full,), _ = anticlassicality(s, exclude_vacuum=False)
+            (partial,), _ = anticlassicality(s, exclude_vacuum=True)
             assert 0.0 <= partial <= full <= 1.0
 
 
@@ -172,13 +173,13 @@ def test_measure_report_fields_and_vacuum_values():
 def test_measure_report_argmax_tracks_excluded_variant():
     s = nonlinear_qcs(4, 1.5)
     payload = report(s)["measures"]
-    _, level = anticlassicality(s, exclude_vacuum=True)
+    _, (level,) = anticlassicality(s, exclude_vacuum=True)
     assert payload["argmax_n"] == level
 
 
 def test_negativity_grows_with_level_count():
     values = [
-        negativity_potential_closed_form(nonlinear_qcs(d, 1.0)) for d in range(2, 7)
+        negativity_potential_closed_form(nonlinear_qcs(d, 1.0))[0] for d in range(2, 7)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -207,7 +208,7 @@ def test_cached_split_table_reproduces_the_per_entry_loop(d):
     states += [family(d, a) for family in (linear_qcs, nonlinear_qcs) for a in amplitudes]
     for state in states:
         assert _split(state).tobytes() == _split_by_loop(state).tobytes()
-        assert negativity_potential_closed_form(state) == _closed_form_by_loop(state)
+        assert negativity_potential_closed_form(state)[0] == _closed_form_by_loop(state)
 
 
 @pytest.mark.parametrize("d", [2, 5, 20, 60])
@@ -235,8 +236,8 @@ def test_exact_measures_are_the_definitional_route_bit_for_bit(d):
     got = measures.exact_measures(block, list(want))
     for name, values in want.items():
         assert got[name].tolist() == values, name
-    assert [log_negativity_exact(s) for s in states] == want["negativity_exact"]
-    assert [concurrence_exact(s) for s in states] == want["concurrence_exact"]
+    assert [log_negativity_exact(s)[0] for s in states] == want["negativity_exact"]
+    assert [concurrence_exact(s)[0] for s in states] == want["concurrence_exact"]
 
 
 @pytest.mark.parametrize("d", [2, 5, 20, 60, 120])
@@ -256,7 +257,7 @@ def test_negativity_exact_real_route_matches_the_complex_svd(d):
             assert two.imag.any() == label.endswith("complex")
             sigma = np.linalg.svd(two, compute_uv=False)
             want = 2.0 * math.log2(float(sigma.sum()))
-            assert abs(log_negativity_exact(state) - want) <= 1e-13, label
+            assert abs(log_negativity_exact(state)[0] - want) <= 1e-13, label
 
 
 def test_purity_proxy_past_515_levels_matches_the_exact_sum():
@@ -270,4 +271,4 @@ def test_purity_proxy_past_515_levels_matches_the_exact_sum():
     )
     got = float(measures._purity_proxy(state)[0])
     assert abs(got - float(exact)) <= 1e-13 * float(exact)
-    assert 0.0 < concurrence_closed_form(state) < math.sqrt(2.0)
+    assert 0.0 < concurrence_closed_form(state)[0] < math.sqrt(2.0)

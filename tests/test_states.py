@@ -15,10 +15,8 @@ from quditnc import (
     build_state,
     he_roots,
     linear_qcs,
-    mean_photon,
     nonlinear_qcs,
     period,
-    photon_probabilities,
 )
 from quditnc.oracle import displacement_exponential
 from quditnc import measures, states
@@ -199,7 +197,7 @@ def test_nonlinear_frozen_moduli_d3():
 def test_nonlinear_half_period_d3_populations():
     # At half the period the middle level empties out exactly.
     s = nonlinear_qcs(3, period(3) / 2.0)
-    p = photon_probabilities(s)
+    p = s.probabilities[0]
     assert p[0] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert p[1] == pytest.approx(0.0, abs=1e-12)
     assert p[2] == pytest.approx(8.0 / 9.0, abs=1e-12)
@@ -250,7 +248,7 @@ def test_linear_phases_follow_level_index():
 def test_linear_large_amplitude_is_top_heavy():
     # For |beta|^2 far above the top level the last amplitude dominates.
     s = linear_qcs(12, 40.0)
-    p = photon_probabilities(s)
+    p = s.probabilities[0]
     assert np.argmax(p) == 11
     assert np.isfinite(p).all()
 
@@ -296,7 +294,7 @@ def test_mean_photon_stays_below_top_level():
     for d in (2, 3, 4, 6):
         top = 0.0
         for alpha in np.linspace(0.0, 2.0 * period(d), 121):
-            value = mean_photon(nonlinear_qcs(d, alpha))
+            value = nonlinear_qcs(d, alpha).mean[0]
             assert value <= d - 1 + 1e-12
             top = max(top, value)
         # The sweep should come close to filling the top level.

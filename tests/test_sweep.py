@@ -246,9 +246,9 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
     # Crosses a block boundary of the batched nonlinear build.
     quantities = (("anticlassicality", None), ("klyshko", 1), ("hoa", 2))
     per_state = {
-        "anticlassicality": lambda state, _: anticlassicality(state, False)[0],
-        "klyshko": klyshko,
-        "hoa": hoa,
+        "anticlassicality": lambda state, _: anticlassicality(state, False)[0][0],
+        "klyshko": lambda state, n: klyshko(state, [n])[0, 0],
+        "hoa": lambda state, l: hoa(state, l)[0],
     }
     spec = _spec(
         state_kind="nonlinear",
@@ -393,11 +393,9 @@ def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
     # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two.
     built, calls = [], []
     state_block = sweep.state_block
-    klyshko_block = sweep.klyshko_block
+    klyshko = sweep.klyshko
     monkeypatch.setattr(sweep, "state_block", lambda *a: built.append(a) or state_block(*a))
-    monkeypatch.setattr(
-        sweep, "klyshko_block", lambda b, n: calls.append(list(n)) or klyshko_block(b, n)
-    )
+    monkeypatch.setattr(sweep, "klyshko", lambda b, n: calls.append(list(n)) or klyshko(b, n))
     spec = _spec(
         state_kind="nonlinear",
         d_list=(d,),

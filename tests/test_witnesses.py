@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from quditnc import (
     FockVector,
-    SingularMomentMatrix,
     agarwal_tara,
     fock_state,
     hm_quadrature_moment,
@@ -22,9 +21,7 @@ from quditnc import (
     hosps,
     klyshko,
     linear_qcs,
-    mean_photon,
     nonlinear_qcs,
-    number_moment,
     period,
     report,
 )
@@ -33,12 +30,19 @@ from quditnc.oracle import central_quadrature_moment
 NL_D3 = nonlinear_qcs(3, 0.7)
 
 
+def _a3(state):
+    # One state's a3, where its moment-matrix ratio must be defined (not masked).
+    (value,), (singular,) = agarwal_tara(state)
+    assert not singular
+    return value
+
+
 def test_hoa_single_photon_is_minus_one():
-    assert hoa(fock_state(1), 1) == pytest.approx(-1.0, abs=1e-14)
+    assert hoa(fock_state(1), 1)[0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_hoa_vacuum_is_zero():
-    assert hoa(fock_state(0, dim=3), 1) == 0.0
+    assert hoa(fock_state(0, dim=3), 1)[0] == 0.0
 
 
 def test_hoa_order_domain():
@@ -47,23 +51,23 @@ def test_hoa_order_domain():
 
 
 def test_hoa_frozen_values():
-    assert hoa(NL_D3, 1) == pytest.approx(-0.04274022990835247, abs=1e-12)
-    assert hoa(NL_D3, 2) == pytest.approx(-0.11036954056236412, abs=1e-12)
-    assert hoa(linear_qcs(4, 1.3), 1) == pytest.approx(-0.43809016009141755, abs=1e-12)
+    assert hoa(NL_D3, 1)[0] == pytest.approx(-0.04274022990835247, abs=1e-12)
+    assert hoa(NL_D3, 2)[0] == pytest.approx(-0.11036954056236412, abs=1e-12)
+    assert hoa(linear_qcs(4, 1.3), 1)[0] == pytest.approx(-0.43809016009141755, abs=1e-12)
 
 
 def test_hoa_near_zero_for_wide_truncation():
     # With the cutoff far above the occupied levels the state is Poissonian.
     s = linear_qcs(40, 0.5)
-    assert abs(hoa(s, 1)) < 1e-8
-    assert abs(hoa(s, 3)) < 1e-8
+    assert abs(hoa(s, 1)[0]) < 1e-8
+    assert abs(hoa(s, 3)[0]) < 1e-8
 
 
 def test_second_order_hoa_equals_variance_minus_mean():
     for s in (NL_D3, linear_qcs(5, 1.4)):
-        var = number_moment(s, 2) - mean_photon(s) ** 2
-        assert hoa(s, 1) == pytest.approx(var - mean_photon(s), abs=1e-12)
-        assert hosps(s, 2) == pytest.approx(hoa(s, 1), abs=1e-12)
+        var = s.number_moment(2)[0] - s.mean[0] ** 2
+        assert hoa(s, 1)[0] == pytest.approx(var - s.mean[0], abs=1e-12)
+        assert hosps(s, 2)[0] == pytest.approx(hoa(s, 1)[0], abs=1e-12)
 
 
 def test_quadrature_moment_against_direct_second_moment():
@@ -74,23 +78,23 @@ def test_quadrature_moment_against_direct_second_moment():
             np.conj(c[j]) * c[j + 2] * math.sqrt((j + 1) * (j + 2))
             for j in range(s.dim - 2)
         )
-        x2 = mean_photon(s) + 0.5 + float(a2.real)
+        x2 = s.mean[0] + 0.5 + float(a2.real)
         a1 = sum(np.conj(c[j]) * c[j + 1] * math.sqrt(j + 1.0) for j in range(s.dim - 1))
         x1 = math.sqrt(2.0) * float(a1.real)
-        assert hm_quadrature_moment(s, 2) == pytest.approx(x2 - x1**2, abs=1e-10)
+        assert hm_quadrature_moment(s, 2)[0] == pytest.approx(x2 - x1**2, abs=1e-10)
 
 
 def test_quadrature_moments_on_vacuum():
     vac = fock_state(0, dim=2)
-    assert hm_quadrature_moment(vac, 2) == pytest.approx(0.5, abs=1e-12)
-    assert hm_quadrature_moment(vac, 4) == pytest.approx(0.75, abs=1e-12)
-    assert hm_quadrature_moment(vac, 6) == pytest.approx(1.875, abs=1e-12)
+    assert hm_quadrature_moment(vac, 2)[0] == pytest.approx(0.5, abs=1e-12)
+    assert hm_quadrature_moment(vac, 4)[0] == pytest.approx(0.75, abs=1e-12)
+    assert hm_quadrature_moment(vac, 6)[0] == pytest.approx(1.875, abs=1e-12)
 
 
 def test_quadrature_moment_single_photon():
     s = fock_state(1)
-    assert hm_quadrature_moment(s, 2) == pytest.approx(1.5, abs=1e-12)
-    assert hos_witness(s, 2) == pytest.approx(1.0, abs=1e-12)
+    assert hm_quadrature_moment(s, 2)[0] == pytest.approx(1.5, abs=1e-12)
+    assert hos_witness(s, 2)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrature_moment_order_domain():
@@ -108,33 +112,33 @@ def test_quadrature_moment_matches_oracle_up_to_d60():
             for state in (linear_qcs(d, amp), nonlinear_qcs(d, amp)):
                 for n in range(2, 9, 2):
                     dense = central_quadrature_moment(state, n)
-                    ours = hm_quadrature_moment(state, n)
+                    ours = hm_quadrature_moment(state, n)[0]
                     assert abs(ours - dense) <= 1e-8 * max(1.0, abs(dense)), (d, amp, n)
 
 
 def test_hos_witness_frozen_value():
-    assert hos_witness(NL_D3, 2) == pytest.approx(-0.046257490686595515, abs=1e-12)
-    assert hm_quadrature_moment(NL_D3, 4) == pytest.approx(1.0503668801931092, abs=1e-12)
+    assert hos_witness(NL_D3, 2)[0] == pytest.approx(-0.046257490686595515, abs=1e-12)
+    assert hm_quadrature_moment(NL_D3, 4)[0] == pytest.approx(1.0503668801931092, abs=1e-12)
 
 
 def test_hos_witness_vanishes_in_classical_limit():
     s = linear_qcs(40, 0.5)
-    assert abs(hos_witness(s, 2)) < 1e-8
+    assert abs(hos_witness(s, 2)[0]) < 1e-8
 
 
 def test_hosps_first_order_vanishes_identically():
     for s in (NL_D3, linear_qcs(6, 2.0), fock_state(3)):
-        assert hosps(s, 1) == 0.0
+        assert hosps(s, 1)[0] == 0.0
 
 
 def test_hosps_single_photon():
     # Variance 0, mean 1, so the second-order value is -1.
-    assert hosps(fock_state(1), 2) == pytest.approx(-1.0, abs=1e-14)
+    assert hosps(fock_state(1), 2)[0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_hosps_frozen_values():
-    assert hosps(NL_D3, 2) == pytest.approx(-0.04274022990835247, abs=1e-12)
-    assert hosps(NL_D3, 3) == pytest.approx(0.17708559414057468, abs=1e-12)
+    assert hosps(NL_D3, 2)[0] == pytest.approx(-0.04274022990835247, abs=1e-12)
+    assert hosps(NL_D3, 3)[0] == pytest.approx(0.17708559414057468, abs=1e-12)
 
 
 def test_hosps_order_domain():
@@ -159,7 +163,7 @@ def test_hosps_equals_signed_central_moment_deficit():
         for l in range(2, 6):
             central = float(np.dot((levels - lam) ** l, p))
             expected = (-1.0) ** l * (central - poisson[l])
-            assert hosps(s, l) == pytest.approx(expected, abs=1e-10)
+            assert hosps(s, l)[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_hosps_alternates_sign_for_three_levels():
@@ -167,73 +171,71 @@ def test_hosps_alternates_sign_for_three_levels():
     # goes negative, over the full period of the nonlinear family.
     for alpha in np.linspace(0.0, period(3), 40):
         s = nonlinear_qcs(3, alpha)
-        assert hosps(s, 2) <= 1e-12
-        assert hosps(s, 3) >= -1e-12
-        assert hosps(s, 4) <= 1e-12
+        assert hosps(s, 2)[0] <= 1e-12
+        assert hosps(s, 3)[0] >= -1e-12
+        assert hosps(s, 4)[0] <= 1e-12
 
 
 def test_agarwal_tara_fock_two():
-    assert agarwal_tara(fock_state(2)) == pytest.approx(-1.0, abs=1e-10)
+    assert _a3(fock_state(2)) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_agarwal_tara_singular_cases():
-    with pytest.raises(SingularMomentMatrix):
-        agarwal_tara(fock_state(1))
-    with pytest.raises(SingularMomentMatrix):
-        agarwal_tara(fock_state(0, dim=4))
+    assert agarwal_tara(fock_state(1))[1][0]
+    assert agarwal_tara(fock_state(0, dim=4))[1][0]
 
 
 def test_agarwal_tara_frozen_values():
-    assert agarwal_tara(NL_D3) == pytest.approx(-0.0890696906052556, abs=1e-12)
-    assert agarwal_tara(linear_qcs(4, 1.3)) == pytest.approx(
+    assert _a3(NL_D3) == pytest.approx(-0.0890696906052556, abs=1e-12)
+    assert _a3(linear_qcs(4, 1.3)) == pytest.approx(
         -0.3256242032618231, abs=1e-12
     )
 
 
 def test_agarwal_tara_small_in_classical_limit():
-    assert abs(agarwal_tara(linear_qcs(60, 0.5))) < 1e-3
+    assert abs(_a3(linear_qcs(60, 0.5))) < 1e-3
 
 
 def test_klyshko_single_photon():
-    assert klyshko(fock_state(1), 0) == pytest.approx(-1.0, abs=1e-14)
+    assert klyshko(fock_state(1), [0])[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_klyshko_exact_cancellation():
     # p = (0.4, 0.4, 0.2) gives 2 p0 p2 = p1^2.
-    assert klyshko(linear_qcs(3, 1.0), 0) == pytest.approx(0.0, abs=1e-12)
+    assert klyshko(linear_qcs(3, 1.0), [0])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_klyshko_beyond_support_is_zero():
     s = fock_state(1)
-    assert klyshko(s, 5) == 0.0
-    assert klyshko(s, 1) == 0.0
+    assert klyshko(s, [5])[0, 0] == 0.0
+    assert klyshko(s, [1])[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 2**31, 2**63 - 2, 2**63, 2**64, 10**40])
 def test_klyshko_from_the_level_count_on_is_exactly_zero_at_any_level(n):
     # Levels past int64 (and those that wrapped in n + 2) read 0, as every
     # level from d = 3 on does: its three probabilities are 0.
-    value = klyshko(NL_D3, n)
+    value = klyshko(NL_D3, [n])[0, 0]
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_klyshko_frozen_value():
-    assert klyshko(NL_D3, 0) == pytest.approx(0.02957762381822031, abs=1e-12)
+    assert klyshko(NL_D3, [0])[0, 0] == pytest.approx(0.02957762381822031, abs=1e-12)
 
 
 def test_klyshko_order_domain():
     with pytest.raises(ValueError):
-        klyshko(NL_D3, -1)
+        klyshko(NL_D3, [-1])
 
 
 def test_klyshko_refuses_a_level_that_is_not_an_integer():
-    # A float level was cast to int: klyshko(state, 1.5) read level 1.
+    # A float level was cast to int: level 1.5 read level 1.
     for bad in (1.5, 1.0, "1"):
         with pytest.raises(TypeError):
-            klyshko(NL_D3, bad)
-    assert klyshko(NL_D3, np.int64(0)) == klyshko(NL_D3, 0)
+            klyshko(NL_D3, [bad])
+    assert klyshko(NL_D3, [np.int64(0)])[0, 0] == klyshko(NL_D3, [0])[0, 0]
     for huge in (2**63, 2**64):
-        value = klyshko(NL_D3, huge)
+        value = klyshko(NL_D3, [huge])[0, 0]
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -241,7 +243,7 @@ def test_klyshko_refuses_a_level_that_is_not_an_integer():
 @settings(max_examples=50, deadline=None)
 def test_klyshko_two_level_states_never_positive(p1):
     amps = np.array([math.sqrt(1.0 - p1), math.sqrt(p1)], dtype=complex)
-    value = klyshko(FockVector(amps), 0)
+    value = klyshko(FockVector(amps), [0])[0, 0]
     assert value == pytest.approx(-(p1**2), abs=1e-12)
     assert value <= 1e-12
 
