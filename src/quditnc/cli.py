@@ -274,8 +274,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        message = str(exc)
+    except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
+        message = str(exc) or "out of memory"  # numpy's MemoryError names the allocation
         if isinstance(exc, OSError) and exc.filename is not None:  # str(exc) shows it whole
             message = f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
         print(f"error: {message}", file=sys.stderr)

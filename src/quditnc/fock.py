@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,14 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     order it would alone; ``x @ y`` over the whole block would not.
     """
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+@lru_cache(maxsize=64)  # d entries each, for the few orders that a level count asks for
+def _falling_factorials(d: int, k: int) -> np.ndarray:
+    """j(j-1)..(j-k+1) = perm(j, k) for j = 0 .. d-1 as doubles, 0.0 below k, read-only."""
+    out = np.array([float(math.perm(j, k)) for j in range(d)])
+    out.setflags(write=False)
+    return out
 
 
 def level_sum(x: np.ndarray, weights) -> np.ndarray:
@@ -103,19 +112,16 @@ class StateBlock:
 
     def factorial_moment(self, k: int) -> np.ndarray:
         """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j, left to right."""
-        # The weights, 0.0 below k, are built on a miss only.
+        k = operator.index(k)  # 2.0 == 2: it would find order 2's weights and value
         return self.memo(("factorial_moment", k), lambda: level_sum(
-            self.probabilities, [float(math.perm(j, k)) for j in range(self.dim)]))
+            self.probabilities, _falling_factorials(self.dim, k)))
 
     def number_moment(self, n: int) -> np.ndarray:
         """<N^n> = sum_j j^n p_j, for an integer order n >= 0."""
-
-        def compute():  # the order is checked on a miss only
-            if operator.index(n) < 0:  # operator.index refuses 1.5 with TypeError
-                raise ValueError("a number moment's order must be non-negative")
-            return row_dots(self.probabilities, np.arange(self.dim, dtype=float) ** n)
-
-        return self.memo(("number_moment", n), compute)
+        if operator.index(n) < 0:  # operator.index refuses 1.5, and 2.0 before order 2's value
+            raise ValueError("a number moment's order must be non-negative")
+        return self.memo(("number_moment", n), lambda: row_dots(
+            self.probabilities, np.arange(self.dim, dtype=float) ** n))
 
 
 class FockVector(StateBlock):

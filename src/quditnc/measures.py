@@ -47,7 +47,7 @@ class _SplitTable(NamedTuple):
     scale: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # d x d: every verb works through one level count at a time
 def _split_table(d: int) -> _SplitTable:
     # The largest C(n, j) with n < d is the central one: if it leaves the double
     # range, raise the OverflowError of math.sqrt before building any row.

@@ -6,7 +6,7 @@ vacuum; its amplitudes are evaluated in the eigenbasis of the truncated
 quadrature a + a+, whose eigenvalues, the roots of the degree-d probabilists'
 Hermite polynomial, pair as +-x: the sum splits into cosine (even levels) and sine
 (odd levels) parts and is exactly real.  ``he_roots`` computes the eigenbasis
-once per d and caches it, and any d >= 2 is allowed.  ``linear_qcs`` truncates
+once per d and keeps the one in use, and any d >= 2 is allowed.  ``linear_qcs`` truncates
 the Poissonian Fock expansion and renormalizes.  Both families are built at the
 modulus r = |a| and take the amplitude's phase in ``state_block`` alone.  The two
 families behave very differently: the nonlinear state is periodic in the
@@ -61,7 +61,7 @@ def _log_factorials(d: int) -> np.ndarray:
     return out
 
 
-#: The most entries (1 GiB of float64) that one state build, or one sweep grid, may hold.
+#: The most entries one state build or sweep grid may hold: 2 GiB of complex128 amplitudes.
 MAX_ENTRIES = 2**27
 
 
@@ -78,7 +78,7 @@ class HermiteRootSet(NamedTuple):
     vectors: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # d x d: every verb works through one level count at a time
 def he_roots(d: int) -> HermiteRootSet:
     """The eigensystem, read-only, of the truncated quadrature a + a+ on d levels: the
     Jacobi matrix of He_d, with zero diagonal and off-diagonal sqrt(1) .. sqrt(d-1)."""
@@ -215,15 +215,10 @@ def build_state(kind: str, d: int, amplitude: complex) -> FockVector:
     return FockVector._of_normalized(state_block(kind, d, [amplitude]).rows)
 
 
-#: Entries (amplitudes x levels) that a sweep builds together: 256 amplitudes at
-#: d = 60.  It bounds the (block, d) arrays of a long amplitude grid.
+#: The most amplitude entries (amplitudes x levels) in one sweep block: 256 states at d = 60.
 BLOCK_ENTRIES = 256 * 60
-
-#: The fewest amplitudes in a block, whatever d: from d = 60 on, each block's
-#: loops over the levels run once per STATE_BLOCK states.
-STATE_BLOCK = 256
 
 
 def block_rows(d: int) -> int:
-    """Amplitudes per block at d levels: as many as fit in BLOCK_ENTRIES, at least STATE_BLOCK."""
-    return max(STATE_BLOCK, BLOCK_ENTRIES // max(d, 1))  # state_block refuses d < 2
+    """Amplitudes per block at d levels: as many as fit in BLOCK_ENTRIES, at least one."""
+    return max(1, BLOCK_ENTRIES // d)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import quditnc
-from quditnc import fock, measures, states, sweep
+from quditnc import cli, fock, measures, states, sweep
 from quditnc.cli import main
 from quditnc.sweep import QUANTITIES, Quantity
 
@@ -70,6 +70,41 @@ def test_unknown_quantity_is_usage_error(capsys):
     args[args.index("hoa:1,a3")] = "mandel:1"
     assert main(args) == 2
     assert "mandel" in capsys.readouterr().err
+
+
+def test_an_empty_quantity_token_is_skipped(capsys):
+    args = list(SWEEP_ARGS)
+    args[args.index("hoa:1,a3")] = "hoa:1,,a3"
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("kind,d,amplitude,hoa_1,a3\n")
+
+
+def test_a_quantity_list_of_empty_tokens_is_usage_error(capsys):
+    args = list(SWEEP_ARGS)
+    args[args.index("hoa:1,a3")] = ","
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: no quantities given\n"
+
+
+@pytest.mark.parametrize(
+    "raised,message",
+    [
+        (MemoryError("Unable to allocate 1.00 GiB for an array with shape (11585, 11585) and "
+                     "data type float64"),
+         "Unable to allocate 1.00 GiB for an array with shape (11585, 11585) and data type "
+         "float64"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_running_out_of_memory_exits_two_in_one_line(monkeypatch, capsys, raised, message):
+    # A build within the entry budget can still be more than the host gives: a usage error.
+    def handler(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "_cmd_report", handler)
+    assert main(["report", "--kind", "nonlinear", "--d", "11585", "--amplitude", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_order_is_usage_error():
@@ -679,7 +714,7 @@ HUGE_LEVEL_COUNTS = {
     "sweep-linear": (
         ["sweep", "--kind", "linear", "--d", "300000000", "--range", "0:1", "--steps", "2"]
         + ["--quantities", "hoa:1"],
-        6 * 10**8,
+        3 * 10**8,  # the first block: one amplitude, as block_rows gives from 15,361 levels
     ),
 }
 

@@ -16,6 +16,7 @@ from quditnc import (
     linear_qcs,
     nonlinear_qcs,
 )
+from quditnc import fock
 from quditnc.fock import StateBlock, level_sum
 
 
@@ -67,6 +68,7 @@ def test_an_overflowing_vector_is_a_value_error_not_a_warning():
 ], ids=["user", "number", "linear", "nonlinear", "nonlinear-complex-60"])
 def test_a_fockvector_is_a_state_block_of_one_row(state):
     assert isinstance(state, StateBlock)
+    assert repr(state) == f"FockVector(dim={state.dim})"
     assert len(state) == 1 and state.rows.shape == (1, state.dim)
     assert state.amps.ndim == 1 and not state.amps.flags.writeable
     assert state.amps.tobytes() == state.rows[0].tobytes()
@@ -147,17 +149,30 @@ def test_number_moment_matches_probability_sum():
 
 def test_number_moment_refuses_an_order_that_is_not_an_integer():
     # A float order reached j**1.5: s.number_moment(1.5) returned <N^1.5>, and an order
-    # of -1 warned "divide by zero" on level 0.  Each state is fresh: nothing is kept yet.
+    # of -1 warned "divide by zero" on level 0.  Each state is fresh: nothing is kept yet,
+    # but for `kept`: 2.0 == 2 and hash(2.0) == hash(2), so a lookup keyed by the order
+    # would hand back its order-2 value, or the cached order-2 weights to a fresh state.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for moment in ("number_moment", "factorial_moment"):
+            kept = linear_qcs(6, 1.7)
+            getattr(kept, moment)(2)
             for bad in (1.5, 2.0):
-                with pytest.raises(TypeError):
-                    getattr(linear_qcs(6, 1.7), moment)(bad)
+                for state in (kept, linear_qcs(6, 1.7)):
+                    with pytest.raises(TypeError):
+                        getattr(state, moment)(bad)
             with pytest.raises(ValueError):
                 getattr(linear_qcs(6, 1.7), moment)(-1)
         want = linear_qcs(6, 1.7).number_moment(2)
         assert linear_qcs(6, 1.7).number_moment(np.int64(2)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d,k", [(1, 0), (6, 2), (6, 9), (200, 5), (200, 120)])
+def test_falling_factorial_weights_are_kept_read_only_and_exact(d, k):
+    table = fock._falling_factorials(d, k)
+    assert table.tobytes() == np.array([float(math.perm(j, k)) for j in range(d)]).tobytes()
+    assert not table.flags.writeable
+    assert fock._falling_factorials(d, k) is table
 
 
 def test_moment_order_bounds():

@@ -29,6 +29,8 @@ def test_ladder_matrix_entries():
     assert np.array_equal(a.real, expected)
     with pytest.raises(ValueError):
         ladder_matrix(0)
+    with pytest.raises(ValueError):
+        displacement_exponential(0, 1.0)
 
 
 def test_truncated_commutator_shape():

@@ -43,6 +43,15 @@ def test_he_roots_are_the_gauss_hermite_rule(d):
     assert he_roots(d) is basis
 
 
+@pytest.mark.parametrize(
+    "d,rows", [(2, 7680), (60, 256), (61, 251), (15360, 1), (15361, 1), (10**6, 1)]
+)
+def test_a_block_holds_at_most_block_entries_amplitude_entries(d, rows):
+    # Past 60 levels a block shrinks with d, down to one amplitude from 15,361 levels.
+    assert states.BLOCK_ENTRIES == 15360
+    assert block_rows(d) == rows == max(1, states.BLOCK_ENTRIES // d)
+
+
 def test_he_roots_degree_domain():
     with pytest.raises(ValueError):
         he_roots(0)
@@ -396,8 +405,7 @@ def test_the_state_build_budget_refuses_only_what_is_over_it(monkeypatch):
 
     monkeypatch.setattr(states, "he_roots", build)
     monkeypatch.setattr(states, "_linear_coefficients", build)
-    block = [1.0] * block_rows(5000)
-    assert len(block) == 256
+    block = [1.0] * 256
     # The nonlinear family's d x d eigenproblem: 11585**2 <= 2**27 < 11586**2.
     with pytest.raises(_Built):
         states.state_block("nonlinear", 11585, block)

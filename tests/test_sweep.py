@@ -23,7 +23,7 @@ from quditnc import (
     run_sweep,
     table1_search,
 )
-from quditnc import states, sweep
+from quditnc import measures, states, sweep
 from quditnc.states import block_rows
 from quditnc.sweep import (
     SINGULAR_SENTINEL,
@@ -386,11 +386,12 @@ def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch
     assert columns() == want
 
 
-@pytest.mark.parametrize("d,blocks", [(5, 1), (60, 2)])
+@pytest.mark.parametrize("d,blocks", [(5, 1), (60, 2), (200, 6)])
 def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
     monkeypatch, d, blocks
 ):
-    # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two.
+    # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two, and at
+    # d = 200 six blocks of at most 15360 // 200 = 76 rows.
     built, calls = [], []
     state_block = sweep.state_block
     klyshko = sweep.klyshko
@@ -406,6 +407,30 @@ def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
     assert len(run_sweep(spec)) == 400
     assert len(built) == blocks
     assert calls == [[0, 1, 2]] * blocks
+
+
+def test_a_sweep_keeps_the_d_by_d_tables_of_one_level_count():
+    # Each level count's first block builds its eigenbasis and splitter table and every
+    # later block finds them, as an unbounded cache would; only the last level count's stay.
+    spec = _spec(
+        state_kind="nonlinear",
+        d_list=(61, 5, 200, 130),
+        amp_stop="Td/2",
+        steps=120,
+        quantities=(("hoa", 1), ("negativity_closed_form", None)),
+    )
+    blocks = [-(-spec.steps // block_rows(d)) for d in spec.d_list]
+    assert blocks == [1, 1, 2, 2]
+    for cached in (states.he_roots, measures._split_table):
+        cached.cache_clear()
+    assert len(run_sweep(spec)) == 4 * 120
+    for cached in (states.he_roots, measures._split_table):
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (sum(blocks) - 4, 4, 1)
+    # The grid runs in ascending d: the last level count's tables stay, the others are gone.
+    states.he_roots(200)
+    states.he_roots(61)
+    assert states.he_roots.cache_info()[:2] == (sum(blocks) - 3, 5)
 
 
 def _csv_of_cells(cells, singular=None):
