@@ -38,12 +38,15 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-@lru_cache(maxsize=64)  # d entries each, for the few orders that a level count asks for
-def _falling_factorials(d: int, k: int) -> np.ndarray:
-    """j(j-1)..(j-k+1) = perm(j, k) for j = 0 .. d-1 as doubles, 0.0 below k, read-only."""
-    out = np.array([float(math.perm(j, k)) for j in range(d)])
-    out.setflags(write=False)
-    return out
+@lru_cache(maxsize=1)  # every verb works through one level count at a time
+def _falling_factorials(d: int):
+    """k -> perm(j, k) = j(j-1)..(j-k+1) for j = 0 .. d-1, read-only doubles, kept per order."""
+    @lru_cache(maxsize=None)
+    def order(k: int) -> np.ndarray:
+        out = np.array([float(math.perm(j, k)) for j in range(d)])
+        out.setflags(write=False)
+        return out
+    return order
 
 
 def level_sum(x: np.ndarray, weights) -> np.ndarray:
@@ -114,7 +117,7 @@ class StateBlock:
         """<N(N-1)..(N-k+1)> = <a+^k a^k>: sum_j j(j-1)..(j-k+1) p_j, left to right."""
         k = operator.index(k)  # 2.0 == 2: it would find order 2's weights and value
         return self.memo(("factorial_moment", k), lambda: level_sum(
-            self.probabilities, _falling_factorials(self.dim, k)))
+            self.probabilities, _falling_factorials(self.dim)(k)))
 
     def number_moment(self, n: int) -> np.ndarray:
         """<N^n> = sum_j j^n p_j, for an integer order n >= 0."""

@@ -169,10 +169,10 @@ def test_number_moment_refuses_an_order_that_is_not_an_integer():
 
 @pytest.mark.parametrize("d,k", [(1, 0), (6, 2), (6, 9), (200, 5), (200, 120)])
 def test_falling_factorial_weights_are_kept_read_only_and_exact(d, k):
-    table = fock._falling_factorials(d, k)
+    table = fock._falling_factorials(d)(k)
     assert table.tobytes() == np.array([float(math.perm(j, k)) for j in range(d)]).tobytes()
     assert not table.flags.writeable
-    assert fock._falling_factorials(d, k) is table
+    assert fock._falling_factorials(d)(k) is table
 
 
 def test_moment_order_bounds():

@@ -23,7 +23,7 @@ from quditnc import (
     run_sweep,
     table1_search,
 )
-from quditnc import measures, states, sweep
+from quditnc import fock, measures, states, sweep
 from quditnc.states import block_rows
 from quditnc.sweep import (
     SINGULAR_SENTINEL,
@@ -431,6 +431,24 @@ def test_a_sweep_keeps_the_d_by_d_tables_of_one_level_count():
     states.he_roots(200)
     states.he_roots(61)
     assert states.he_roots.cache_info()[:2] == (sum(blocks) - 3, 5)
+
+
+def test_a_sweep_keeps_every_order_of_weights_at_one_level_count():
+    # hosps:65 asks for the falling-factorial weights of 65 orders at each level count,
+    # more than a cache of a fixed number of (d, k) tables would hold. Each order misses
+    # once per level count and every later block finds it; only the last d's tables stay.
+    spec = _spec(d_list=(150, 200), amp_stop=1.0, steps=120, quantities=(("hosps", 65),))
+    blocks = [-(-spec.steps // block_rows(d)) for d in spec.d_list]
+    assert blocks == [2, 2]
+    fock._falling_factorials.cache_clear()
+    assert len(run_sweep(spec)) == 2 * 120
+    info = fock._falling_factorials.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (65 * sum(blocks) - 2, 2, 1)
+    orders = fock._falling_factorials(200).cache_info()
+    assert (orders.hits, orders.misses, orders.currsize) == (65 * (blocks[-1] - 1), 65, 65)
+    # d = 200's weights were the ones kept; d = 150's are gone and build afresh.
+    fock._falling_factorials(150)
+    assert fock._falling_factorials.cache_info()[:2] == (info.hits + 1, 3)
 
 
 def _csv_of_cells(cells, singular=None):
