@@ -96,19 +96,20 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _purity_weights(d: int) -> tuple[float, ...]:
+@lru_cache(maxsize=1)  # every verb works through one level count at a time
+def _purity_weights(d: int) -> np.ndarray:
     # C(2n, n)/4^n for n < d: below 1, and correctly rounded as the division would be.  The
     # top 64 bits of C(2n, n), their lowest one set if any bit below them is (a sticky bit),
     # round once to a double, and ldexp scales it by 2^(s - 2n) exactly.  Each C(2n, n) comes
     # exactly from the last: C(2n + 2, n + 1) = C(2n, n) 2(2n + 1)/(n + 1).
-    weights, central = [], 1
+    weights, central = np.empty(d), 1
     for n in range(d):
         s = max(central.bit_length() - 64, 0)
         top = central >> s
-        weights.append(math.ldexp(top | (top << s != central), s - 2 * n))
+        weights[n] = math.ldexp(top | (top << s != central), s - 2 * n)
         central = central * 2 * (2 * n + 1) // (n + 1)
-    return tuple(weights)
+    weights.setflags(write=False)
+    return weights
 
 
 def _purity_proxy(block: StateBlock) -> np.ndarray:

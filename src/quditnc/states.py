@@ -42,7 +42,7 @@ _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.9365034045
              -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # every verb works through one level count at a time
 def _log_factorials(d: int) -> np.ndarray:
     """log n! for n = 0 .. d-1, read-only, bit for bit as cephes lgam(n + 1): the log of
     the exact product below 13, then (x - 1/2) log x - x + log sqrt(2 pi) + poly(1/x^2) / x."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,16 +69,6 @@ def hos_witness(block: StateBlock, n: int) -> np.ndarray:
     return hm_quadrature_moment(block, n) - math.prod(range(n - 1, 0, -2)) / 2.0 ** (0.5 * n)
 
 
-@lru_cache(maxsize=None)
-def _s2(r: int, k: int) -> int:
-    # Stirling number of the second kind: partitions of an r-set into k blocks.
-    if r == k:
-        return 1
-    if k == 0 or k > r:
-        return 0
-    return k * _s2(r - 1, k) + _s2(r - 1, k - 1)
-
-
 @np.errstate(all="ignore")
 def hosps(block: StateBlock, l: int) -> np.ndarray:
     """Sub-Poissonian witness of order l of each state.
@@ -90,13 +79,15 @@ def hosps(block: StateBlock, l: int) -> np.ndarray:
     """
     if l < 1:
         raise ValueError("order must be at least 1")
-    total, excess = np.zeros(len(block)), []
+    # s2: the Stirling numbers of the second kind S(r, 0 .. r), exact, each row from the last.
+    total, excess, s2 = np.zeros(len(block)), [], [1]
     for r in range(l + 1):
         shell = float(math.comb(l, r)) * (-1.0 if r % 2 else 1.0) * block.mean_power(l - r)
         if r:  # after the binomial: a huge order overflows before its moments are built
             excess.append(block.factorial_moment(r) - block.mean_power(r))
+            s2 = [0] + [k * a + b for k, (a, b) in enumerate(zip([*s2[1:], 0], s2), 1)]
         for k in range(1, r + 1):
-            total = total + shell * float(_s2(r, k)) * excess[k - 1]
+            total = total + shell * float(s2[k]) * excess[k - 1]
     return total
 
 

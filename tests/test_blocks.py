@@ -23,7 +23,6 @@ from quditnc.fock import FockVector, StateBlock, normalized_rows, row_dots
 from quditnc.oracle import ladder_matrix, normal_ordered_expectation
 from quditnc.states import state_block
 from quditnc.sweep import QUANTITIES, SINGULAR_SENTINEL, column_name
-from quditnc.witnesses import _s2
 from sweep_rows import sweep_rows
 
 ALL_QUANTITIES = (
@@ -33,6 +32,8 @@ ALL_QUANTITIES = (
     ("hos", 6),
     ("hosps", 2),
     ("hosps", 4),
+    ("hosps", 12),
+    ("hosps", 40),
     ("a3", None),
     ("klyshko", 0),
     ("klyshko", 3),
@@ -43,6 +44,12 @@ ALL_QUANTITIES = (
     ("anticlassicality", None),
     ("anticlassicality_excl_vacuum", None),
 )
+
+
+def _stirling2(r, k):
+    # S(r, k) from its explicit sum, in exact integers: sum_i (-1)^i C(k, i) (k - i)^r / k!.
+    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** r for i in range(k + 1))
+    return total // math.factorial(k)
 
 
 def _bits(cells):
@@ -107,7 +114,7 @@ def _per_state_cells(state):
         for r in range(l + 1):
             shell = math.comb(l, r) * (-1.0 if r % 2 else 1.0) * mean ** (l - r)
             for k in range(1, r + 1):
-                total += shell * _s2(r, k) * excess[k - 1]
+                total += shell * _stirling2(r, k) * excess[k - 1]
         return total
 
     def hm(n):
@@ -165,6 +172,8 @@ def _per_state_cells(state):
         "hos_6": hm(6),
         "hosps_2": hosps(2),
         "hosps_4": hosps(4),
+        "hosps_12": hosps(12),
+        "hosps_40": hosps(40),
         "a3": a3(),
         "klyshko_0": 2 * at(0) * at(2) - 1 * at(1) ** 2,
         "klyshko_3": 5 * at(3) * at(5) - 4 * at(4) ** 2,
@@ -347,7 +356,7 @@ def _dense_columns(state, hoa_orders, hosps_orders, klyshko_levels):
     out = {f"hoa_{l}": f[l + 1] - mean ** (l + 1) for l in hoa_orders}
     for l in hosps_orders:
         out[f"hosps_{l}"] = sum(
-            math.comb(l, r) * (-1.0) ** r * mean ** (l - r) * _s2(r, k) * (f[k] - mean**k)
+            math.comb(l, r) * (-1.0) ** r * mean ** (l - r) * _stirling2(r, k) * (f[k] - mean**k)
             for r in range(l + 1)
             for k in range(1, r + 1)
         )

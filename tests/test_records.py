@@ -83,7 +83,8 @@ def test_purity_weights_are_kept_per_d_and_keep_their_bits(d):
     assert central[-1] == math.comb(2 * d - 2, d - 1)
     truth = [c / 4**n for n, c in enumerate(central)]
     weights = measures._purity_weights(d)
-    assert weights == tuple(truth)
+    assert weights.tolist() == truth
+    assert not weights.flags.writeable
     assert measures._purity_weights(d) is weights
     # The nonlinear build's dense eigh would take tens of seconds at d = 5000.
     block = state_block("nonlinear" if d <= 1000 else "linear", d, [0.3, 2.0])

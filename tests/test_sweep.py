@@ -410,27 +410,39 @@ def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
 
 
 def test_a_sweep_keeps_the_d_by_d_tables_of_one_level_count():
-    # Each level count's first block builds its eigenbasis and splitter table and every
-    # later block finds them, as an unbounded cache would; only the last level count's stay.
-    spec = _spec(
-        state_kind="nonlinear",
-        d_list=(61, 5, 200, 130),
-        amp_stop="Td/2",
-        steps=120,
-        quantities=(("hoa", 1), ("negativity_closed_form", None)),
-    )
-    blocks = [-(-spec.steps // block_rows(d)) for d in spec.d_list]
-    assert blocks == [1, 1, 2, 2]
-    for cached in (states.he_roots, measures._split_table):
-        cached.cache_clear()
-    assert len(run_sweep(spec)) == 4 * 120
-    for cached in (states.he_roots, measures._split_table):
-        info = cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (sum(blocks) - 4, 4, 1)
-    # The grid runs in ascending d: the last level count's tables stay, the others are gone.
-    states.he_roots(200)
-    states.he_roots(61)
-    assert states.he_roots.cache_info()[:2] == (sum(blocks) - 3, 5)
+    # Each level count's first block builds its per-level tables and every later block
+    # finds them, as an unbounded cache would; only the last level count's stay.  The
+    # nonlinear spec reads the eigenbasis, the splitter table and the factorial moments'
+    # weights, the linear one the log factorials, the purity weights and the splitter table.
+    specs = {
+        (states.he_roots, measures._split_table, fock._falling_factorials): _spec(
+            state_kind="nonlinear",
+            d_list=(61, 5, 200, 130),
+            amp_stop="Td/2",
+            steps=120,
+            quantities=(("hoa", 1), ("negativity_closed_form", None)),
+        ),
+        (states._log_factorials, measures._purity_weights, measures._split_table): _spec(
+            d_list=(61, 5, 200, 130),
+            amp_stop=3.0,
+            steps=120,
+            quantities=(("concurrence_closed_form", None), ("negativity_closed_form", None)),
+        ),
+    }
+    for tables, spec in specs.items():
+        blocks = [-(-spec.steps // block_rows(d)) for d in spec.d_list]
+        assert blocks == [1, 1, 2, 2]
+        for cached in tables:
+            cached.cache_clear()
+        assert len(run_sweep(spec)) == 4 * 120
+        for cached in tables:
+            info = cached.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (sum(blocks) - 4, 4, 1), cached
+            # The grid runs in ascending d: the last level count's table stays, the others
+            # are gone and build afresh.
+            cached(200)
+            cached(61)
+            assert cached.cache_info()[:3] == (sum(blocks) - 3, 5, 1), cached
 
 
 def test_a_sweep_keeps_every_order_of_weights_at_one_level_count():

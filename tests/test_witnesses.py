@@ -26,6 +26,7 @@ from quditnc import (
     report,
 )
 from quditnc.oracle import central_quadrature_moment
+from quditnc.states import state_block
 
 NL_D3 = nonlinear_qcs(3, 0.7)
 
@@ -144,6 +145,15 @@ def test_hosps_frozen_values():
 def test_hosps_order_domain():
     with pytest.raises(ValueError):
         hosps(NL_D3, 0)
+
+
+def test_hosps_overflows_first_at_order_220():
+    # S(220, k) is the first Stirling number past the double range: order 219 returns a
+    # value per state, and order 220 raises the OverflowError of its float conversion.
+    block = state_block("linear", 4, [0.5, 1.5])
+    assert hosps(block, 219).shape == (2,)
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        hosps(block, 220)
 
 
 def _poisson_central_moments(lam, top):
