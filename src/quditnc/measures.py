@@ -22,17 +22,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import StateBlock, level_sum
+from .states import block_rows
 
 __all__ = [
     "anticlassicality", "concurrence_closed_form", "concurrence_exact", "log_negativity_exact",
     "negativity_potential_closed_form",
 ]
-
-#: Entries in one stack of two-mode amplitude matrices that the exact
-#: measures build at a time (at least one state per stack), which bounds
-#: their memory on long grids at large d.
-TWO_MODE_CHUNK = 8192
-
 
 class _SplitTable(NamedTuple):
     """The splitter's factors on d levels.
@@ -142,26 +137,17 @@ def _purities(stack: np.ndarray) -> np.ndarray:
     return rho.reshape(len(stack), -1).sum(axis=1)
 
 
-def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
-    """The exact measures of the split states among the sweep quantity ids
-    ``idents`` ("negativity_exact", "concurrence_exact"), for every row.
+def _two_mode_sums(block: StateBlock, kernel) -> np.ndarray:
+    """``kernel``'s value (``_trace_norms`` or ``_purities``) of each row's split state.
 
-    They are computed together, at most TWO_MODE_CHUNK two-mode amplitudes
-    at a time: each chunk is one product of the rows' Hankel windows with
-    the splitter's sqrt(C) matrix, and serves every measure asked for with
-    its decomposition or product and their row sums.  The closing formulas
-    run once per call.  The rows whose amplitudes have no imaginary part
-    are chunked apart from the others and split into float64 matrices, so
-    each row takes its route (eigenvalues or SVD) whatever block it sits in.
+    The two-mode matrices are built ``block_rows(d * d)`` at a time, the sweep's block
+    rule: each chunk is one product of the rows' Hankel windows with the splitter's
+    sqrt(C) matrix.  The rows whose amplitudes have no imaginary part are chunked apart
+    from the others and split into float64 matrices, so each row takes its route
+    (eigenvalues or SVD) whatever block it sits in.
     """
-    kernels = {
-        "negativity_exact": (_trace_norms, _log_negativities),
-        "concurrence_exact": (_purities, _concurrences),
-    }
-    names = [ident for ident in dict.fromkeys(idents) if ident in kernels]
     d, table = block.dim, _split_table(block.dim)
-    step = max(1, TWO_MODE_CHUNK // d**2)
-    sums = {name: np.empty(len(block)) for name in names}
+    step, sums = block_rows(d * d), np.empty(len(block))
     complex_rows = block.rows.imag.any(axis=1)
     for picked, amps in ((~complex_rows, block.rows.real), (complex_rows, block.rows)):
         index = np.flatnonzero(picked)
@@ -173,10 +159,8 @@ def exact_measures(block: StateBlock, idents) -> dict[str, np.ndarray]:
         windows = sliding_window_view(padded, d, axis=1)
         for first in range(0, len(index), step):
             chunk = slice(first, first + step)
-            stack = windows[chunk] * table.sqrt_binomial
-            for name in names:
-                sums[name][index[chunk]] = kernels[name][0](stack)
-    return {name: kernels[name][1](sums[name]) for name in names}
+            sums[index[chunk]] = kernel(windows[chunk] * table.sqrt_binomial)
+    return sums
 
 
 def log_negativity_exact(block: StateBlock) -> np.ndarray:
@@ -188,12 +172,12 @@ def log_negativity_exact(block: StateBlock) -> np.ndarray:
     amplitude matrix.  A real amplitude matrix is symmetric, and its
     singular values are the moduli of its eigenvalues.
     """
-    return exact_measures(block, ["negativity_exact"])["negativity_exact"]
+    return _log_negativities(_two_mode_sums(block, _trace_norms))
 
 
 def concurrence_exact(block: StateBlock) -> np.ndarray:
     """Concurrence of each split state from the exact reduced purity of one output mode."""
-    return exact_measures(block, ["concurrence_exact"])["concurrence_exact"]
+    return _concurrences(_two_mode_sums(block, _purities))
 
 
 def anticlassicality(block: StateBlock, exclude_vacuum: bool) -> tuple[np.ndarray, np.ndarray]:

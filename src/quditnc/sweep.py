@@ -14,7 +14,8 @@ from .fock import FockVector, StateBlock
 from .measures import (
     anticlassicality,
     concurrence_closed_form,
-    exact_measures,
+    concurrence_exact,
+    log_negativity_exact,
     negativity_potential_closed_form,
 )
 from .states import KINDS, MAX_ENTRIES, NumericalError, block_rows, period, state_block
@@ -62,21 +63,21 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 class Quantity(NamedTuple):
     """A family of sweep columns: ``check_order`` accepts its orders (``None``: it takes none),
-    and ``fn(block, pairs)`` gives one column per (id, order) pair, each the values of the
+    and ``fn(block, orders)`` gives one column per order asked for, each the values of the
     block's states as an array or a scalar that broadcasts over the block, and the mask of the
     states whose cells in every one of these columns get the singular sentinel (an array or a
-    bool).  Ids whose Quantities are equal share one ``fn`` call."""
+    bool)."""
 
     check_order: Callable[[int], bool] | None
     fn: Callable[[StateBlock, list], tuple[Sequence[np.ndarray | float], np.ndarray | bool]]
 
 
 def _each_order(kernel) -> Callable:
-    """``fn(block, pairs)`` from ``kernel(block, order)``, one call per pair."""
+    """``fn(block, orders)`` from ``kernel(block, order)``, one call per order."""
 
-    def fn(block: StateBlock, pairs: list) -> tuple[list, bool]:
+    def fn(block: StateBlock, orders: list) -> tuple[list, bool]:
         columns = []
-        for _, order in pairs:
+        for order in orders:
             try:
                 columns.append(kernel(block, order))
             except OverflowError:  # a coefficient left the double range, whatever the state
@@ -90,23 +91,13 @@ def _plain(kernel) -> Quantity:
     return Quantity(None, _each_order(lambda b, _: kernel(b)))
 
 
-def _exact(block: StateBlock, pairs: list) -> tuple[list, bool]:
-    # Both exact measures from one pass over the two-mode amplitudes.
-    idents = [ident for ident, _ in pairs]
-    try:
-        values = exact_measures(block, idents)
-    except OverflowError:  # the splitter's sqrt(C(n, j)) leaves the double range from d = 1031
-        return [math.inf] * len(pairs), False
-    return [values[ident] for ident in idents], False
-
-
 def _a3(block: StateBlock, _) -> tuple:
     value, singular = agarwal_tara(block)
     return (value,), singular
 
 
-def _klyshko(block: StateBlock, pairs: list) -> tuple:
-    return klyshko(block, [level for _, level in pairs]).T, False
+def _klyshko(block: StateBlock, levels: list) -> tuple:
+    return klyshko(block, levels).T, False
 
 
 QUANTITIES: dict[str, Quantity] = {
@@ -116,9 +107,9 @@ QUANTITIES: dict[str, Quantity] = {
     "a3": Quantity(None, _a3),
     "klyshko": Quantity(lambda o: o >= 0, _klyshko),
     "negativity_closed_form": _plain(negativity_potential_closed_form),
-    "negativity_exact": Quantity(None, _exact),
+    "negativity_exact": _plain(log_negativity_exact),
     "concurrence_closed_form": _plain(concurrence_closed_form),
-    "concurrence_exact": Quantity(None, _exact),
+    "concurrence_exact": _plain(concurrence_exact),
     "anticlassicality": _plain(lambda b: anticlassicality(b, False)[0]),
     "anticlassicality_excl_vacuum": _plain(lambda b: anticlassicality(b, True)[0]),
 }
@@ -126,16 +117,15 @@ QUANTITIES: dict[str, Quantity] = {
 
 def evaluate(block: StateBlock, quantities) -> tuple[np.ndarray, np.ndarray]:
     """The (id, order) columns of ``quantities`` on every state of the block: the (Q, S)
-    values and the (Q, S) mask of the sentinel cells.  The columns of one ``Quantity`` (the
-    two exact measures share one) are one call of its ``fn`` with their (id, order) pairs;
-    an overflow inside a quantity reads inf in its columns."""
-    groups: dict[Quantity, list[int]] = {}  # a Quantity -> its columns
+    values and the (Q, S) mask of the sentinel cells.  The columns of one id are one call of
+    its ``fn`` with their orders; an overflow inside a quantity reads inf in its columns."""
+    groups: dict[str, list[int]] = {}  # an id -> its columns
     for j, (ident, _) in enumerate(quantities):
-        groups.setdefault(QUANTITIES[ident], []).append(j)
+        groups.setdefault(ident, []).append(j)
     values = np.empty((len(quantities), len(block)))
     singular = np.zeros((len(quantities), len(block)), dtype=bool)
-    for quantity, columns in groups.items():
-        cells, singular[columns] = quantity.fn(block, [quantities[j] for j in columns])
+    for ident, columns in groups.items():
+        cells, singular[columns] = QUANTITIES[ident].fn(block, [quantities[j][1] for j in columns])
         for j, column in zip(columns, cells):
             values[j] = column
     return values, singular

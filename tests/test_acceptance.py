@@ -44,6 +44,7 @@ from quditnc.oracle import (
     normal_ordered_expectation,
 )
 from quditnc.sweep import write_rows_csv
+from truth import poisson_central_moments
 
 
 @contextmanager
@@ -82,20 +83,13 @@ def _dense_number_central_moment(state, order):
     return float(np.vdot(state.amps, powered @ state.amps).real), lam
 
 
-def _poisson_central_moments(lam, top):
-    c = [1.0, 0.0]
-    for n in range(1, top):
-        c.append(lam * sum(math.comb(n, i) * c[i] for i in range(n)))
-    return c
-
-
 def _oracle_hosps(state, l):
     # The Stirling resummation of factorial-moment excesses telescopes to a
     # parity-signed gap between the number operator's central moments and
     # those of a Poisson distribution with the same mean; the dense route
     # evaluates that gap directly.
     central, lam = _dense_number_central_moment(state, l)
-    poisson = _poisson_central_moments(lam, max(l + 1, 2))
+    poisson = poisson_central_moments(lam, max(l + 1, 2))
     return (-1.0) ** l * (central - poisson[l])
 
 

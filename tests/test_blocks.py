@@ -21,9 +21,10 @@ from quditnc import (
 from quditnc import measures
 from quditnc.fock import FockVector, StateBlock, normalized_rows, row_dots
 from quditnc.oracle import ladder_matrix, normal_ordered_expectation
-from quditnc.states import state_block
+from quditnc.states import block_rows, state_block
 from quditnc.sweep import QUANTITIES, SINGULAR_SENTINEL, column_name
 from sweep_rows import sweep_rows
+from truth import stirling2
 
 ALL_QUANTITIES = (
     ("hoa", 1),
@@ -46,19 +47,13 @@ ALL_QUANTITIES = (
 )
 
 
-def _stirling2(r, k):
-    # S(r, k) from its explicit sum, in exact integers: sum_i (-1)^i C(k, i) (k - i)^r / k!.
-    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** r for i in range(k + 1))
-    return total // math.factorial(k)
-
-
 def _bits(cells):
     return [c if c == SINGULAR_SENTINEL else float(c).hex() for c in cells]
 
 
 def _cells(block, ident, order):
     # A column as the sweep serializes it: floats, and the sentinel where masked.
-    (values,), singular = QUANTITIES[ident].fn(block, [(ident, order)])
+    (values,), singular = QUANTITIES[ident].fn(block, [order])
     singular = np.broadcast_to(singular, len(block)).tolist()
     return [SINGULAR_SENTINEL if s else v for v, s in zip(values.tolist(), singular)]
 
@@ -114,7 +109,7 @@ def _per_state_cells(state):
         for r in range(l + 1):
             shell = math.comb(l, r) * (-1.0 if r % 2 else 1.0) * mean ** (l - r)
             for k in range(1, r + 1):
-                total += shell * _stirling2(r, k) * excess[k - 1]
+                total += shell * stirling2(r, k) * excess[k - 1]
         return total
 
     def hm(n):
@@ -250,16 +245,22 @@ def test_klyshko_block_reproduces_the_per_state_formula_at_every_level():
         assert row == [(n + 2) * at[n] * at[n + 2] - (n + 1) * at[n + 1] ** 2 for n in range(10)]
 
 
+EXACT_MEASURES = {"negativity_exact": log_negativity_exact, "concurrence_exact": concurrence_exact}
+
+
+def _exact_measures(block):
+    return {name: measure(block) for name, measure in EXACT_MEASURES.items()}
+
+
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
 def test_exact_measures_are_exact_across_two_mode_chunks(kind, monkeypatch):
     d = 60
     amplitudes = np.linspace(0.2, 7.0, 7)
-    assert measures.TWO_MODE_CHUNK // d**2 not in (0, 1, len(amplitudes))
-    names = ["negativity_exact", "concurrence_exact"]
-    chunked = measures.exact_measures(state_block(kind, d, amplitudes), names)
-    monkeypatch.setattr(measures, "TWO_MODE_CHUNK", 1)
-    one_row = measures.exact_measures(state_block(kind, d, amplitudes), names)
-    for name in names:
+    assert block_rows(d * d) not in (0, 1, len(amplitudes))
+    chunked = _exact_measures(state_block(kind, d, amplitudes))
+    monkeypatch.setattr("quditnc.states.BLOCK_ENTRIES", 1)  # one two-mode matrix per chunk
+    one_row = _exact_measures(state_block(kind, d, amplitudes))
+    for name in EXACT_MEASURES:
         assert chunked[name].tobytes() == one_row[name].tobytes(), name
     states = [(nonlinear_qcs if kind == "nonlinear" else linear_qcs)(d, a) for a in amplitudes]
     negativity = [measures.log_negativity_exact(s)[0] for s in states]
@@ -279,12 +280,11 @@ def test_a_block_mixing_real_and_complex_rows_gives_each_row_its_alone_value(mon
     ]
     block = StateBlock(np.array([state.amps for state in states]))
     assert 0 < block.rows.imag.any(axis=1).sum() < len(states)
-    names = ["negativity_exact", "concurrence_exact"]
-    monkeypatch.setattr(measures, "TWO_MODE_CHUNK", 3 * d**2)
-    mixed = measures.exact_measures(block, names)
+    monkeypatch.setattr("quditnc.states.BLOCK_ENTRIES", 3 * d * d)  # three matrices per chunk
+    mixed = _exact_measures(block)
     for i, state in enumerate(states):
-        alone = measures.exact_measures(state, names)
-        for name in names:
+        alone = _exact_measures(state)
+        for name in EXACT_MEASURES:
             assert mixed[name][i].tobytes() == alone[name].tobytes(), (name, i)
 
 
@@ -356,7 +356,7 @@ def _dense_columns(state, hoa_orders, hosps_orders, klyshko_levels):
     out = {f"hoa_{l}": f[l + 1] - mean ** (l + 1) for l in hoa_orders}
     for l in hosps_orders:
         out[f"hosps_{l}"] = sum(
-            math.comb(l, r) * (-1.0) ** r * mean ** (l - r) * _stirling2(r, k) * (f[k] - mean**k)
+            math.comb(l, r) * (-1.0) ** r * mean ** (l - r) * stirling2(r, k) * (f[k] - mean**k)
             for r in range(l + 1)
             for k in range(1, r + 1)
         )

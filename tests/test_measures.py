@@ -27,7 +27,7 @@ PLUS = FockVector([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
 
 
 def _split(state):
-    # The two-mode amplitude matrix after the splitter, as exact_measures builds it: the
+    # The two-mode amplitude matrix after the splitter, as the exact measures build it: the
     # Hankel windows of the scaled amplitudes, zero-padded to 2d - 1, times sqrt(C).
     d, table = state.dim, measures._split_table(state.dim)
     padded = np.zeros(2 * d - 1, complex)
@@ -233,11 +233,30 @@ def test_exact_measures_are_the_definitional_route_bit_for_bit(d):
     assert 0 < sum(state.amps.imag.any() for state in states) < len(states)
     assert any((state.amps.real < 0).any() for state in states)
     block = StateBlock(np.array([state.amps for state in states]))
-    got = measures.exact_measures(block, list(want))
+    got = {
+        "negativity_exact": log_negativity_exact(block),
+        "concurrence_exact": concurrence_exact(block),
+    }
     for name, values in want.items():
         assert got[name].tolist() == values, name
     assert [log_negativity_exact(s)[0] for s in states] == want["negativity_exact"]
     assert [concurrence_exact(s)[0] for s in states] == want["concurrence_exact"]
+
+
+def test_each_exact_measure_runs_only_its_own_kernel(monkeypatch):
+    # One pass per measure: the concurrence takes no eigenvalues or SVD, and the
+    # negativity no purity product, on a real and a complex row alike.
+    block = StateBlock(np.array([linear_qcs(20, 1.5).amps, nonlinear_qcs(20, 1.3j).amps]))
+    negativity, concurrence = log_negativity_exact(block), concurrence_exact(block)
+
+    def refuse(stack):
+        raise AssertionError("the other measure's kernel ran")
+
+    monkeypatch.setattr(measures, "_trace_norms", refuse)
+    assert concurrence_exact(block).tobytes() == concurrence.tobytes()
+    monkeypatch.undo()
+    monkeypatch.setattr(measures, "_purities", refuse)
+    assert log_negativity_exact(block).tobytes() == negativity.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 5, 20, 60, 120])

@@ -13,14 +13,17 @@ from scipy.special import gammaln
 from quditnc import (
     FockVector,
     build_state,
+    concurrence_exact,
     he_roots,
     linear_qcs,
+    log_negativity_exact,
     nonlinear_qcs,
     period,
 )
 from quditnc.oracle import displacement_exponential
-from quditnc import measures, states
+from quditnc import states
 from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_block
+from truth import exponential_column
 
 
 def test_he_roots_small_degrees():
@@ -74,13 +77,19 @@ def test_nonlinear_state_is_exactly_real_at_a_real_nonnegative_amplitude(d):
     assert block.rows[len(amplitudes) :].imag.any(axis=1).all()
 
 
+def _exact_measures(block):
+    return {
+        "negativity_exact": log_negativity_exact(block),
+        "concurrence_exact": concurrence_exact(block),
+    }
+
+
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
 @pytest.mark.parametrize("d", [2, 8, 60])
 def test_a_real_negative_amplitude_gives_the_exactly_real_mirror_state(kind, d):
     # c_n(-a) = (-1)^n c_n(a) in both families: the real parts of the odd levels negated, bit
     # for bit, and the measures of the split state unchanged, each on its real route.
     amplitudes = [0.3, 1.0, period(d) / 4.0, period(d) / 2.0, 3.0, 11.7]
-    names = ["negativity_exact", "concurrence_exact"]
     for a in amplitudes:
         plus, minus = build_state(kind, d, a).amps, build_state(kind, d, -a).amps
         assert not minus.imag.any(), a
@@ -89,9 +98,9 @@ def test_a_real_negative_amplitude_gives_the_exactly_real_mirror_state(kind, d):
         assert minus.tobytes() == mirror.tobytes(), a
     block = states.state_block(kind, d, [*amplitudes, *(-a for a in amplitudes)])
     assert not block.rows.imag.any()
-    exact = measures.exact_measures(block, names)
+    exact = _exact_measures(block)
     half = len(amplitudes)
-    for name in names:
+    for name in exact:
         assert np.max(np.abs(exact[name][:half] - exact[name][half:])) <= 1e-12, name
 
 
@@ -123,7 +132,7 @@ def test_a_complex_amplitude_is_the_row_at_its_modulus_turned_by_its_phase(kind,
         want = plain * np.exp(1j * levels * np.arctan2(a.imag, a.real))
         assert row.tobytes() == want.tobytes(), a
     names = ["negativity_exact", "concurrence_exact"]
-    exact, plain = measures.exact_measures(turned, names), measures.exact_measures(at_r, names)
+    exact, plain = _exact_measures(turned), _exact_measures(at_r)
     assert np.max(np.abs(exact[names[0]] - plain[names[0]])) <= 1e-12
     # concurrence_exact is sqrt(2 (1 - purity)): near 0 it keeps half the purity's digits
     # (up to 2.6e-8 apart here), so the two routes are held to 1e-12 on its square.
@@ -137,32 +146,9 @@ def test_nonlinear_matches_the_dense_oracle_at_negative_and_complex_amplitudes(d
         assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - dense)) < 1e-13, alpha
 
 
-def _exponential_column(d, alpha, digits=40):
-    # exp(alpha a+ - alpha* a)|0> to `digits` digits, as mpmath numbers: the
-    # Taylor series of the tridiagonal generator applied to the vacuum.  The
-    # terms grow to about e^b, b = 2 |alpha| sqrt(d - 1) bounding the
-    # generator's norm, so the series is summed with that many more digits.
-    b = 2.0 * abs(alpha) * math.sqrt(d - 1)
-    with mpmath.workdps(digits + 10 + int(b / math.log(10.0))):
-        a = mpmath.mpc(complex(alpha))
-        up = [a * mpmath.sqrt(n) for n in range(d)]
-        down = [-mpmath.conj(a) * mpmath.sqrt(n + 1) for n in range(d)]
-        term = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (d - 1)
-        total = list(term)
-        k, tiny = 0, mpmath.mpf(10) ** -(digits + 5)
-        while k <= b or max(abs(t) for t in term) > tiny:
-            k += 1
-            term = [
-                ((up[n] * term[n - 1] if n else 0) + (down[n] * term[n + 1] if n + 1 < d else 0)) / k
-                for n in range(d)
-            ]
-            total = [s + t for s, t in zip(total, term)]
-        return total
-
-
 def test_the_exponential_series_reference_matches_mpmath_expm():
     d, alpha = 5, 2.3 - 1.1j
-    series = _exponential_column(d, alpha)
+    series = exponential_column(d, alpha)
     with mpmath.workdps(40):
         a = mpmath.mpc(alpha)
         gen = mpmath.zeros(d, d)
@@ -176,7 +162,7 @@ def test_the_exponential_series_reference_matches_mpmath_expm():
 @pytest.mark.parametrize("d", [5, 20, 60])
 def test_nonlinear_is_within_2e_15_of_a_40_digit_exponential(d):
     for alpha in (0.9, period(d) / 4.0, period(d) / 2.0, -1.7, 2.3 - 1.1j):
-        truth = np.array([complex(x) for x in _exponential_column(d, alpha)])
+        truth = np.array([complex(x) for x in exponential_column(d, alpha)])
         assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - truth)) <= 2e-15, alpha
 
 

@@ -370,8 +370,7 @@ def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch
         for first in range(0, len(amplitudes), step):
             block = sweep.state_block(kind, 7, amplitudes[first : first + step])
             for ident, orders in families.items():
-                pairs = [(ident, order) for order in orders]
-                values, singular = QUANTITIES[ident].fn(block, pairs)
+                values, singular = QUANTITIES[ident].fn(block, orders)
                 masked = np.broadcast_to(singular, len(block)).tolist()
                 for order, column in zip(orders, values):
                     cells = np.broadcast_to(column, len(block)).tolist()
@@ -384,6 +383,23 @@ def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch
     assert SINGULAR_SENTINEL in want["a3"]  # the vacuum row
     monkeypatch.setattr(sweep, "block_rows", rule)
     assert columns() == want
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("d", [5, 60])
+def test_an_ids_columns_do_not_depend_on_the_columns_beside_it(kind, d):
+    # Each id's columns, evaluated alone on a fresh block, keep the bits and the sentinel
+    # mask they have among all the others: no two ids share a pass or a Quantity.
+    assert len(set(QUANTITIES.values())) == len(QUANTITIES)
+    amplitudes = [0.0, 0.7, 2.5, -0.8, -3.1, 1.7 * np.exp(0.9j), -2.2j]
+    values, singular = sweep.evaluate(states.state_block(kind, d, amplitudes), LAYOUT_QUANTITIES)
+    assert singular.any()  # a3 on the vacuum row
+    for ident in dict.fromkeys(ident for ident, _ in LAYOUT_QUANTITIES):
+        rows = [j for j, (other, _) in enumerate(LAYOUT_QUANTITIES) if other == ident]
+        block = states.state_block(kind, d, amplitudes)
+        alone = sweep.evaluate(block, [LAYOUT_QUANTITIES[j] for j in rows])
+        assert alone[0].tobytes() == values[rows].tobytes(), ident
+        assert alone[1].tolist() == singular[rows].tolist(), ident
 
 
 @pytest.mark.parametrize("d,blocks", [(5, 1), (60, 2), (200, 6)])

@@ -27,6 +27,7 @@ from quditnc import (
 )
 from quditnc.oracle import central_quadrature_moment
 from quditnc.states import state_block
+from truth import poisson_central_moments
 
 NL_D3 = nonlinear_qcs(3, 0.7)
 
@@ -156,20 +157,13 @@ def test_hosps_overflows_first_at_order_220():
         hosps(block, 220)
 
 
-def _poisson_central_moments(lam, top):
-    c = [1.0, 0.0]
-    for n in range(1, top):
-        c.append(lam * sum(math.comb(n, i) * c[i] for i in range(n)))
-    return c
-
-
 def test_hosps_equals_signed_central_moment_deficit():
     # The combination reduces to (-1)^l (<(N - <N>)^l> - same for Poisson).
     for s in (NL_D3, linear_qcs(6, 1.3), nonlinear_qcs(5, 2.2)):
         p = np.abs(s.amps) ** 2
         levels = np.arange(s.dim, dtype=float)
         lam = float(np.dot(levels, p))
-        poisson = _poisson_central_moments(lam, 6)
+        poisson = poisson_central_moments(lam, 6)
         for l in range(2, 6):
             central = float(np.dot((levels - lam) ** l, p))
             expected = (-1.0) ** l * (central - poisson[l])
