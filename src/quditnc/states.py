@@ -1,16 +1,19 @@
 """Constructions of coherent states on a finite number of Fock levels.
 
-Two inequivalent truncations of the optical coherent state are provided.
-``nonlinear_qcs`` applies the truncated displacement exponential to the
+Two inequivalent truncations of the optical coherent state are provided, each
+selected by its kind in ``build_state`` (one state) and ``state_block`` (many).
+The nonlinear family applies the truncated displacement exponential to the
 vacuum; its amplitudes are evaluated in the eigenbasis of the truncated
 quadrature a + a+, whose eigenvalues, the roots of the degree-d probabilists'
 Hermite polynomial, pair as +-x: the sum splits into cosine (even levels) and sine
 (odd levels) parts and is exactly real.  ``he_roots`` computes the eigenbasis
-once per d and keeps the one in use, and any d >= 2 is allowed.  ``linear_qcs`` truncates
-the Poissonian Fock expansion and renormalizes.  Both families are built at the
-modulus r = |a| and take the amplitude's phase in ``state_block`` alone.  The two
-families behave very differently: the nonlinear state is periodic in the
-amplitude argument while the linear one is not.
+once per d and keeps the one in use, and any d >= 2 is allowed.  The linear family
+truncates the Poissonian Fock expansion and renormalizes, with the magnitudes
+evaluated in the log domain so a large amplitude stays well-conditioned.  Both
+families are built at the modulus r = |a| and take the amplitude's phase in
+``state_block`` alone.  The two families behave very differently: the nonlinear
+state is periodic in the amplitude argument (exactly at d = 2 and 3) while the
+linear one is not.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 from .fock import FockVector, NormError, StateBlock, normalized_rows, row_dots
 
 __all__ = [
-    "KINDS", "HermiteRootSet", "NumericalError", "build_state", "he_roots", "linear_qcs",
-    "nonlinear_qcs", "period",
+    "KINDS", "HermiteRootSet", "NumericalError", "build_state", "he_roots", "period",
 ]
 
 
@@ -134,7 +136,7 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
     family's coefficient function above it, and normalized.  Then a complex amplitude's
     row is multiplied by e^{i n phi}, and a real a < 0 negates the real parts of its odd
     levels, which is exact and leaves the row real.  Each row equals the single state
-    ``nonlinear_qcs(d, a)`` or ``linear_qcs(d, a)`` bit for bit.  A build whose largest
+    ``build_state(kind, d, a)`` bit for bit.  A build whose largest
     array would hold more than MAX_ENTRIES entries is refused before it starts, and a
     built row whose norm is off by more than ``NORM_TOL``, or not finite, raises
     NumericalError.
@@ -173,27 +175,6 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
     return StateBlock(rows)
 
 
-def nonlinear_qcs(d: int, alpha: complex) -> FockVector:
-    """Truncated-displacement coherent state on d levels.
-
-    Applies exp(alpha a+ - alpha* a), with the ladder operators cut to the
-    first d levels, to the vacuum.  At alpha = 0 this is the vacuum exactly,
-    and at any real alpha the state is exactly real; for d = 2 and d = 3 the
-    amplitude dependence is exactly periodic.
-    """
-    return build_state("nonlinear", d, alpha)
-
-
-def linear_qcs(d: int, beta: complex) -> FockVector:
-    """Renormalized truncation of the Poissonian coherent expansion.
-
-    Amplitudes are proportional to beta^n / sqrt(n!) on the surviving
-    levels.  Magnitudes are evaluated in the log domain so large |beta|
-    stays well-conditioned.
-    """
-    return build_state("linear", d, beta)
-
-
 def period(d: int) -> float:
     """Period of the nonlinear family's amplitude dependence.
 
@@ -211,7 +192,10 @@ def period(d: int) -> float:
 
 
 def build_state(kind: str, d: int, amplitude: complex) -> FockVector:
-    """One state of a family on d levels: the one-row block that ``state_block`` builds."""
+    """One state of a family on d levels: the one-row block that ``state_block`` builds.
+
+    At amplitude 0 it is the vacuum exactly, and at any real amplitude it is exactly real.
+    """
     return FockVector._of_normalized(state_block(kind, d, [amplitude]).rows)
 
 

@@ -28,10 +28,8 @@ from quditnc import (
     hosps,
     hos_witness,
     klyshko,
-    linear_qcs,
     log_negativity_exact,
     negativity_potential_closed_form,
-    nonlinear_qcs,
     period,
     run_sweep,
     table1_search,
@@ -153,14 +151,14 @@ def test_criterion_2_construction_equivalence():
     with _criterion(2, "spectral construction matches the matrix exponential"):
         for d in range(2, 9):
             for amp in np.linspace(0.0, 2.0 * period(d), 20):
-                ours = nonlinear_qcs(d, amp).amps
+                ours = build_state("nonlinear", d, amp).amps
                 dense = displacement_exponential(d, amp).amps
                 assert np.max(np.abs(np.abs(ours) - np.abs(dense))) < 1e-8
                 overlap = np.vdot(dense, ours)
                 phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
                 assert np.max(np.abs(ours - phase * dense)) < 1e-8
         for d in (2, 3, 5, 8):
-            vac = nonlinear_qcs(d, 0.0).amps
+            vac = build_state("nonlinear", d, 0.0).amps
             assert abs(vac[0] - 1.0) < 1e-10
             assert np.max(np.abs(vac[1:])) < 1e-10
 
@@ -169,15 +167,15 @@ def test_criterion_3_periodicity():
     with _criterion(3, "two- and three-level families are periodic"):
         for d, shift in ((2, math.pi), (3, 2.0 * math.pi / math.sqrt(3.0))):
             for amp in np.linspace(0.0, 2.0 * shift, 50):
-                base = np.abs(nonlinear_qcs(d, amp).amps)
-                moved = np.abs(nonlinear_qcs(d, amp + shift).amps)
+                base = np.abs(build_state("nonlinear", d, amp).amps)
+                moved = np.abs(build_state("nonlinear", d, amp + shift).amps)
                 assert np.max(np.abs(base - moved)) < 1e-8
 
 
 def test_criterion_4_classical_limit_zeros():
     with _criterion(4, "wide truncation drives every witness to zero"):
         for beta in (0.3, 0.5, 1.0):
-            state = linear_qcs(60, beta)
+            state = build_state("linear", 60, beta)
             for l in (1, 2, 3):
                 assert abs(hoa(state, l)[0]) < 1e-6
             for l in (1, 2, 3, 4, 5):
@@ -247,7 +245,7 @@ def test_criterion_7_target_population_search():
 def test_criterion_8_sign_structure():
     with _criterion(8, "three-level sign structure and negativity growth"):
         grid = np.linspace(0.0, period(3), 161)
-        states = [nonlinear_qcs(3, amp) for amp in grid]
+        states = [build_state("nonlinear", 3, amp) for amp in grid]
         for l in (1, 2, 3):
             assert min(hoa(s, l)[0] for s in states) < -1e-3
         for n in (2, 4):
@@ -267,7 +265,7 @@ def test_criterion_8_sign_structure():
             assert -1.0 - 1e-9 <= value <= 1e-9
         assert defined >= 150
         growth = [
-            negativity_potential_closed_form(nonlinear_qcs(d, 1.0))[0]
+            negativity_potential_closed_form(build_state("nonlinear", d, 1.0))[0]
             for d in range(2, 7)
         ]
         steps = np.diff(growth)

@@ -14,9 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from quditnc import (
-    SweepSpec, agarwal_tara, anticlassicality, concurrence_closed_form,
-    concurrence_exact, hoa, hos_witness, hosps, klyshko, linear_qcs, log_negativity_exact,
-    negativity_potential_closed_form, nonlinear_qcs, period, run_sweep,
+    SweepSpec, agarwal_tara, anticlassicality, build_state, concurrence_closed_form,
+    concurrence_exact, hoa, hos_witness, hosps, klyshko, log_negativity_exact,
+    negativity_potential_closed_form, period, run_sweep,
 )
 from quditnc import measures
 from quditnc.fock import FockVector, StateBlock, normalized_rows, row_dots
@@ -197,8 +197,7 @@ def _assert_block_reproduces_per_state(states):
 @pytest.mark.parametrize("d", [2, 5, 12, 60])
 def test_block_kernels_reproduce_the_per_state_arithmetic(kind, d):
     amplitudes = list(np.linspace(0.0, period(d), 9)) + [1.3 * np.exp(0.8j)]
-    family = nonlinear_qcs if kind == "nonlinear" else linear_qcs
-    _assert_block_reproduces_per_state([family(d, amp) for amp in amplitudes])
+    _assert_block_reproduces_per_state([build_state(kind, d, amp) for amp in amplitudes])
 
 
 def test_block_kernels_reproduce_the_per_state_arithmetic_on_random_states():
@@ -226,12 +225,11 @@ def test_per_state_calls_on_one_state_give_the_bits_of_fresh_states(kind, d):
     calls += [negativity_potential_closed_form, log_negativity_exact, concurrence_closed_form,
               concurrence_exact, partial(anticlassicality, exclude_vacuum=False),
               partial(anticlassicality, exclude_vacuum=True)]
-    family = nonlinear_qcs if kind == "nonlinear" else linear_qcs
     for amp in (1.0, 1.3 * np.exp(0.8j)):
-        fresh = [_per_state_value(call, family(d, amp)) for call in calls]
-        state = family(d, amp)
+        fresh = [_per_state_value(call, build_state(kind, d, amp)) for call in calls]
+        state = build_state(kind, d, amp)
         assert [_per_state_value(call, state) for call in calls] == fresh, amp
-        state = family(d, amp)
+        state = build_state(kind, d, amp)
         assert [_per_state_value(call, state) for call in reversed(calls)] == fresh[::-1], amp
 
 
@@ -262,7 +260,7 @@ def test_exact_measures_are_exact_across_two_mode_chunks(kind, monkeypatch):
     one_row = _exact_measures(state_block(kind, d, amplitudes))
     for name in EXACT_MEASURES:
         assert chunked[name].tobytes() == one_row[name].tobytes(), name
-    states = [(nonlinear_qcs if kind == "nonlinear" else linear_qcs)(d, a) for a in amplitudes]
+    states = [build_state(kind, d, a) for a in amplitudes]
     negativity = [measures.log_negativity_exact(s)[0] for s in states]
     concurrence = [measures.concurrence_exact(s)[0] for s in states]
     assert negativity == list(chunked["negativity_exact"])
@@ -274,9 +272,9 @@ def test_a_block_mixing_real_and_complex_rows_gives_each_row_its_alone_value(mon
     # and with chunks that cut across both groups, each row keeps its value.
     d = 12
     states = [
-        family(d, amp)
+        build_state(kind, d, amp)
         for amp in (0.0, 0.5, 1.1 * np.exp(0.3j), 2.0, -0.7j, 3.5, 4.4 * np.exp(2.0j))
-        for family in (linear_qcs, nonlinear_qcs)
+        for kind in ("linear", "nonlinear")
     ]
     block = StateBlock(np.array([state.amps for state in states]))
     assert 0 < block.rows.imag.any(axis=1).sum() < len(states)
@@ -340,7 +338,7 @@ def test_linear_block_matches_the_per_state_expansion_bit_for_bit(d):
     for amp, row in zip(amplitudes, block.rows):
         want = _linear_per_state(d, amp)
         assert row.tobytes() == want.tobytes(), amp
-        assert linear_qcs(d, amp).amps.tobytes() == want.tobytes(), amp
+        assert build_state("linear", d, amp).amps.tobytes() == want.tobytes(), amp
 
 
 def _rel(x, y):
@@ -383,7 +381,7 @@ def test_sweep_columns_match_the_dense_oracle_up_to_d60(kind, stop, d):
     block = state_block(kind, d, [amp for _, amp, _ in rows])
     number = ladder_matrix(d).conj().T @ ladder_matrix(d)
     for i, (_, amp, values) in enumerate(rows):
-        state = (nonlinear_qcs if kind == "nonlinear" else linear_qcs)(d, amp)
+        state = build_state(kind, d, amp)
         m, dense = _dense_columns(state, hoa_orders, hosps_orders, klyshko_levels)
         for col, want in dense.items():
             assert _rel(values[col], want) < tol, (col, amp)

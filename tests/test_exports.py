@@ -17,3 +17,9 @@ def test_the_package_exports_the_five_module_lists_in_order():
         for name in module.__all__:
             assert getattr(quditnc, name) is getattr(module, name), name
 
+
+
+def test_build_state_is_the_one_per_state_builder():
+    assert "build_state" in quditnc.__all__
+    # The family is build_state's argument, so no per-family ``*_qcs`` builder is exported.
+    assert not [name for name in {*dir(quditnc), *dir(states)} if name.endswith("_qcs")]

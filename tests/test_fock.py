@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from quditnc import (
     FockVector,
     NumericalError,
+    build_state,
     fock_state,
     hoa,
-    linear_qcs,
-    nonlinear_qcs,
 )
 from quditnc import fock
 from quditnc.fock import StateBlock, level_sum
@@ -63,8 +62,9 @@ def test_an_overflowing_vector_is_a_value_error_not_a_warning():
 
 
 @pytest.mark.parametrize("state", [
-    FockVector([0.6, 0.8j]), fock_state(2, 5), linear_qcs(5, 1.0), nonlinear_qcs(5, 1.0),
-    nonlinear_qcs(60, 1.3 - 0.4j),
+    FockVector([0.6, 0.8j]), fock_state(2, 5), build_state("linear", 5, 1.0),
+    build_state("nonlinear", 5, 1.0),
+    build_state("nonlinear", 60, 1.3 - 0.4j),
 ], ids=["user", "number", "linear", "nonlinear", "nonlinear-complex-60"])
 def test_a_fockvector_is_a_state_block_of_one_row(state):
     assert isinstance(state, StateBlock)
@@ -76,7 +76,7 @@ def test_a_fockvector_is_a_state_block_of_one_row(state):
 
 
 def test_kept_probabilities_are_read_only():
-    state = nonlinear_qcs(5, 1.0)
+    state = build_state("nonlinear", 5, 1.0)
     before = hoa(state, 1)[0]
     p = state.probabilities[0]
     with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ def test_fock_state_domain():
 
 def test_linear_d3_unit_amplitude_probabilities():
     # Coefficients proportional to (1, 1, 1/sqrt 2), so p = (0.4, 0.4, 0.2).
-    s = linear_qcs(3, 1.0)
+    s = build_state("linear", 3, 1.0)
     p = s.probabilities[0]
     assert p == pytest.approx([0.4, 0.4, 0.2], abs=1e-12)
     assert s.mean[0] == pytest.approx(0.8, abs=1e-12)
@@ -139,7 +139,7 @@ def test_number_state_moment_table():
 
 
 def test_number_moment_matches_probability_sum():
-    s = linear_qcs(6, 1.7)
+    s = build_state("linear", 6, 1.7)
     p = s.probabilities[0]
     levels = np.arange(s.dim)
     for n in range(1, 5):
@@ -155,16 +155,16 @@ def test_number_moment_refuses_an_order_that_is_not_an_integer():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for moment in ("number_moment", "factorial_moment"):
-            kept = linear_qcs(6, 1.7)
+            kept = build_state("linear", 6, 1.7)
             getattr(kept, moment)(2)
             for bad in (1.5, 2.0):
-                for state in (kept, linear_qcs(6, 1.7)):
+                for state in (kept, build_state("linear", 6, 1.7)):
                     with pytest.raises(TypeError):
                         getattr(state, moment)(bad)
             with pytest.raises(ValueError):
-                getattr(linear_qcs(6, 1.7), moment)(-1)
-        want = linear_qcs(6, 1.7).number_moment(2)
-        assert linear_qcs(6, 1.7).number_moment(np.int64(2)).tobytes() == want.tobytes()
+                getattr(build_state("linear", 6, 1.7), moment)(-1)
+        want = build_state("linear", 6, 1.7).number_moment(2)
+        assert build_state("linear", 6, 1.7).number_moment(np.int64(2)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d,k", [(1, 0), (6, 2), (6, 9), (200, 5), (200, 120)])
@@ -184,7 +184,7 @@ def test_moment_order_bounds():
 
 
 def test_normal_moment_first_order_is_mean():
-    s = linear_qcs(4, 0.9)
+    s = build_state("linear", 4, 0.9)
     assert s.factorial_moment(1)[0] == pytest.approx(s.mean[0], abs=1e-14)
 
 

@@ -10,13 +10,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from quditnc import (
     FockVector,
     anticlassicality,
+    build_state,
     concurrence_closed_form,
     concurrence_exact,
     fock_state,
-    linear_qcs,
     log_negativity_exact,
     negativity_potential_closed_form,
-    nonlinear_qcs,
     period,
     report,
 )
@@ -52,7 +51,7 @@ def test_beamsplit_two_photons():
 
 
 def test_beamsplit_conserves_norm_and_total_number():
-    s = nonlinear_qcs(5, 1.3)
+    s = build_state("nonlinear", 5, 1.3)
     two = _split(s)
     assert np.linalg.norm(two) == pytest.approx(1.0, abs=1e-12)
     for j in range(5):
@@ -90,9 +89,10 @@ def test_number_states_agree_on_both_concurrence_routes(n):
 
 
 def test_closed_form_dominates_exact_negativity():
-    states = [PLUS, linear_qcs(4, 1.3), nonlinear_qcs(6, 2.0), nonlinear_qcs(3, 0.7)]
+    states = [PLUS, build_state("linear", 4, 1.3), build_state("nonlinear", 6, 2.0),
+              build_state("nonlinear", 3, 0.7)]
     for alpha in np.linspace(0.1, period(4), 7):
-        states.append(nonlinear_qcs(4, alpha))
+        states.append(build_state("nonlinear", 4, alpha))
     for s in states:
         closed = negativity_potential_closed_form(s)[0]
         exact = log_negativity_exact(s)[0]
@@ -147,7 +147,7 @@ def test_anticlassicality_exclusion_needs_two_levels():
 def test_excluded_variant_never_exceeds_full_maximum():
     for d in (2, 4, 6):
         for alpha in np.linspace(0.0, period(d), 15):
-            s = nonlinear_qcs(d, alpha)
+            s = build_state("nonlinear", d, alpha)
             (full,), _ = anticlassicality(s, exclude_vacuum=False)
             (partial,), _ = anticlassicality(s, exclude_vacuum=True)
             assert 0.0 <= partial <= full <= 1.0
@@ -171,7 +171,7 @@ def test_measure_report_fields_and_vacuum_values():
 
 
 def test_measure_report_argmax_tracks_excluded_variant():
-    s = nonlinear_qcs(4, 1.5)
+    s = build_state("nonlinear", 4, 1.5)
     payload = report(s)["measures"]
     _, (level,) = anticlassicality(s, exclude_vacuum=True)
     assert payload["argmax_n"] == level
@@ -179,7 +179,7 @@ def test_measure_report_argmax_tracks_excluded_variant():
 
 def test_negativity_grows_with_level_count():
     values = [
-        negativity_potential_closed_form(nonlinear_qcs(d, 1.0))[0] for d in range(2, 7)
+        negativity_potential_closed_form(build_state("nonlinear", d, 1.0))[0] for d in range(2, 7)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -205,7 +205,7 @@ def _closed_form_by_loop(state):
 def test_cached_split_table_reproduces_the_per_entry_loop(d):
     amplitudes = [0.0, 0.9, 3.3, 6.0, 1.7 * np.exp(2.1j)]
     states = [fock_state(d - 1)]
-    states += [family(d, a) for family in (linear_qcs, nonlinear_qcs) for a in amplitudes]
+    states += [build_state(kind, d, a) for kind in ("linear", "nonlinear") for a in amplitudes]
     for state in states:
         assert _split(state).tobytes() == _split_by_loop(state).tobytes()
         assert negativity_potential_closed_form(state)[0] == _closed_form_by_loop(state)
@@ -217,7 +217,7 @@ def test_exact_measures_are_the_definitional_route_bit_for_bit(d):
     # (complex), A @ A^H, and the closing formulas.  The sweep's chunks and
     # the per-state functions must give exactly these bits.
     amplitudes = [0.0, 0.4, 1.7, 6.0, -0.9, -3.2, 1.3 * np.exp(0.7j), -2.5j, 4.0 * np.exp(2.4j)]
-    states = [family(d, a) for family in (linear_qcs, nonlinear_qcs) for a in amplitudes]
+    states = [build_state(kind, d, a) for kind in ("linear", "nonlinear") for a in amplitudes]
     want = {"negativity_exact": [], "concurrence_exact": []}
     for state in states:
         two = _split_by_loop(state)
@@ -246,7 +246,8 @@ def test_exact_measures_are_the_definitional_route_bit_for_bit(d):
 def test_each_exact_measure_runs_only_its_own_kernel(monkeypatch):
     # One pass per measure: the concurrence takes no eigenvalues or SVD, and the
     # negativity no purity product, on a real and a complex row alike.
-    block = StateBlock(np.array([linear_qcs(20, 1.5).amps, nonlinear_qcs(20, 1.3j).amps]))
+    block = StateBlock(np.array([build_state("linear", 20, 1.5).amps,
+                                 build_state("nonlinear", 20, 1.3j).amps]))
     negativity, concurrence = log_negativity_exact(block), concurrence_exact(block)
 
     def refuse(stack):
@@ -265,10 +266,11 @@ def test_negativity_exact_real_route_matches_the_complex_svd(d):
     # must be the complex SVD's, whichever route a state takes.  Both
     # families are exactly real at a real amplitude >= 0.
     states = {
-        "linear real": [linear_qcs(d, a) for a in (0.0, 0.4, 1.7, 3.0, 6.0, 9.5)],
-        "linear complex": [linear_qcs(d, a * np.exp(0.7j)) for a in (0.4, 1.7, 6.0)],
-        "nonlinear real": [nonlinear_qcs(d, a) for a in (0.4, 1.7, period(d) / 2)],
-        "nonlinear complex": [nonlinear_qcs(d, a * np.exp(0.7j)) for a in (0.4, 1.7, period(d) / 2)],
+        "linear real": [build_state("linear", d, a) for a in (0.0, 0.4, 1.7, 3.0, 6.0, 9.5)],
+        "linear complex": [build_state("linear", d, a * np.exp(0.7j)) for a in (0.4, 1.7, 6.0)],
+        "nonlinear real": [build_state("nonlinear", d, a) for a in (0.4, 1.7, period(d) / 2)],
+        "nonlinear complex": [build_state("nonlinear", d, a * np.exp(0.7j))
+                              for a in (0.4, 1.7, period(d) / 2)],
     }
     for label, family in states.items():
         for state in family:
@@ -282,7 +284,7 @@ def test_negativity_exact_real_route_matches_the_complex_svd(d):
 def test_purity_proxy_past_515_levels_matches_the_exact_sum():
     # C(2n, n) leaves the double range at n = 515; the weight C(2n, n)/4^n
     # does not.  Mean photon number 538: most of the mass sits above 515.
-    state = linear_qcs(600, math.sqrt(538.0))
+    state = build_state("linear", 600, math.sqrt(538.0))
     assert float(np.sum(np.abs(state.amps[516:]) ** 2)) > 0.4
     exact = sum(
         Fraction(abs(c)) ** 4 * Fraction(math.comb(2 * n, n), 4**n)

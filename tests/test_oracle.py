@@ -7,9 +7,9 @@ import pytest
 
 from quditnc import (
     FockVector,
+    build_state,
     fock_state,
     hm_quadrature_moment,
-    linear_qcs,
 )
 from quditnc.oracle import (
     central_quadrature_moment,
@@ -64,7 +64,7 @@ def test_normal_ordered_number_moments():
 
 
 def test_normal_ordered_off_diagonal_matches_index_sum():
-    s = linear_qcs(3, 1.0)
+    s = build_state("linear", 3, 1.0)
     c = s.amps
     p, q = 1, 2
     direct = sum(
@@ -78,7 +78,7 @@ def test_normal_ordered_off_diagonal_matches_index_sum():
 
 
 def test_normal_ordered_first_moment_is_mean():
-    s = linear_qcs(6, 1.4)
+    s = build_state("linear", 6, 1.4)
     assert normal_ordered_expectation(s, 1, 1).real == pytest.approx(
         s.mean[0], abs=1e-12
     )
@@ -93,7 +93,7 @@ def test_normal_ordered_order_bounds():
 
 
 def test_embedding_padding_does_not_change_values():
-    s = linear_qcs(4, 1.1)
+    s = build_state("linear", 4, 1.1)
     padded = FockVector(np.concatenate([s.amps, np.zeros(4, dtype=complex)]))
     for p, q in ((1, 1), (2, 2), (1, 2), (3, 0)):
         assert normal_ordered_expectation(s, p, q) == pytest.approx(

@@ -8,9 +8,8 @@ import pytest
 
 from quditnc import (
     SweepSpec,
+    build_state,
     klyshko_bars,
-    linear_qcs,
-    nonlinear_qcs,
     report,
 )
 from quditnc import fock, measures
@@ -37,7 +36,9 @@ def test_a_field_cannot_be_assigned(record, field):
         record.extra = 0
 
 
-@pytest.mark.parametrize("state", [nonlinear_qcs(5, 1.2), linear_qcs(3, 0.7)])
+@pytest.mark.parametrize(
+    "state", [build_state("nonlinear", 5, 1.2), build_state("linear", 3, 0.7)]
+)
 def test_report_keys_keep_their_order(state):
     battery = report(state)
     assert list(battery) == ["witnesses", "measures"]
@@ -60,7 +61,7 @@ def test_report_keys_keep_their_order(state):
 def test_report_and_klyshko_verb_show_the_same_levels(d):
     levels = list(klyshko_levels(d))
     assert levels == list(range(max(d - 2, 1)))
-    entries = report(nonlinear_qcs(d, 0.8))["witnesses"]
+    entries = report(build_state("nonlinear", d, 0.8))["witnesses"]
     assert [e["order"] for e in entries if e["name"] == "klyshko"] == levels
     bars = klyshko_bars("nonlinear", d, [0.8])["entries"][0]["bars"]
     assert [bar["n"] for bar in bars] == levels

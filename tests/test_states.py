@@ -15,9 +15,7 @@ from quditnc import (
     build_state,
     concurrence_exact,
     he_roots,
-    linear_qcs,
     log_negativity_exact,
-    nonlinear_qcs,
     period,
 )
 from quditnc.oracle import displacement_exponential
@@ -64,14 +62,14 @@ def test_he_roots_degree_domain():
 def test_nonlinear_matches_the_dense_oracle_past_sixty_levels(d):
     for alpha in (0.7, period(d) / 4.0, period(d) / 2.0, 1.3 - 2.2j, -4.0 + 0.5j):
         dense = displacement_exponential(d, alpha).amps
-        assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - dense)) < 1e-13, alpha
+        assert np.max(np.abs(build_state("nonlinear", d, alpha).amps - dense)) < 1e-13, alpha
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 60, 61, 400])
 def test_nonlinear_state_is_exactly_real_at_a_real_nonnegative_amplitude(d):
     amplitudes = [0.0, 0.3, period(d) / 4.0, period(d) / 2.0, 11.7, complex(1.5, -0.0)]
     for alpha in amplitudes:
-        assert not nonlinear_qcs(d, alpha).amps.imag.any(), alpha
+        assert not build_state("nonlinear", d, alpha).amps.imag.any(), alpha
     block = state_block("nonlinear", d, amplitudes + [1.3 - 2.2j, -0.6j])
     assert not block.rows[: len(amplitudes)].imag.any()
     assert block.rows[len(amplitudes) :].imag.any(axis=1).all()
@@ -143,7 +141,7 @@ def test_a_complex_amplitude_is_the_row_at_its_modulus_turned_by_its_phase(kind,
 def test_nonlinear_matches_the_dense_oracle_at_negative_and_complex_amplitudes(d):
     for alpha in (-0.7, -period(d) / 4.0, -period(d) / 2.0, 1.3 - 2.2j, 2.1j, -3.0 * np.exp(0.4j)):
         dense = displacement_exponential(d, alpha).amps
-        assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - dense)) < 1e-13, alpha
+        assert np.max(np.abs(build_state("nonlinear", d, alpha).amps - dense)) < 1e-13, alpha
 
 
 def test_the_exponential_series_reference_matches_mpmath_expm():
@@ -163,12 +161,12 @@ def test_the_exponential_series_reference_matches_mpmath_expm():
 def test_nonlinear_is_within_2e_15_of_a_40_digit_exponential(d):
     for alpha in (0.9, period(d) / 4.0, period(d) / 2.0, -1.7, 2.3 - 1.1j):
         truth = np.array([complex(x) for x in exponential_column(d, alpha)])
-        assert np.max(np.abs(nonlinear_qcs(d, alpha).amps - truth)) <= 2e-15, alpha
+        assert np.max(np.abs(build_state("nonlinear", d, alpha).amps - truth)) <= 2e-15, alpha
 
 
 def test_nonlinear_two_level_closed_form():
     for alpha in (0.3, 1.1, 2.5, 0.4 + 0.9j):
-        s = nonlinear_qcs(2, alpha)
+        s = build_state("nonlinear", 2, alpha)
         mod = abs(alpha)
         phase = math.atan2(alpha.imag, alpha.real) if isinstance(alpha, complex) else 0.0
         assert s.amps[0] == pytest.approx(math.cos(mod), abs=1e-12)
@@ -178,20 +176,20 @@ def test_nonlinear_two_level_closed_form():
 
 def test_nonlinear_zero_amplitude_is_vacuum():
     for d in (2, 3, 5, 9):
-        s = nonlinear_qcs(d, 0.0)
+        s = build_state("nonlinear", d, 0.0)
         assert abs(s.amps[0] - 1.0) < 1e-10
         assert np.max(np.abs(s.amps[1:])) < 1e-10
 
 
 def test_nonlinear_frozen_moduli_d3():
-    s = nonlinear_qcs(3, 0.7)
+    s = build_state("nonlinear", 3, 0.7)
     expected = [0.7835798675184041, 0.5406729545049738, 0.30606428652605494]
     assert np.abs(s.amps) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nonlinear_half_period_d3_populations():
     # At half the period the middle level empties out exactly.
-    s = nonlinear_qcs(3, period(3) / 2.0)
+    s = build_state("nonlinear", 3, period(3) / 2.0)
     p = s.probabilities[0]
     assert p[0] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert p[1] == pytest.approx(0.0, abs=1e-12)
@@ -211,8 +209,8 @@ def test_nonlinear_raw_coefficients_have_unit_norm(d, mod):
 )
 def test_nonlinear_periodicity_in_modulus(d, shift):
     for alpha in np.linspace(0.0, 2.0 * shift, 10):
-        a = np.abs(nonlinear_qcs(d, alpha).amps)
-        b = np.abs(nonlinear_qcs(d, alpha + shift).amps)
+        a = np.abs(build_state("nonlinear", d, alpha).amps)
+        b = np.abs(build_state("nonlinear", d, alpha + shift).amps)
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -226,14 +224,14 @@ def test_period_values():
 
 
 def test_linear_zero_amplitude_is_vacuum():
-    s = linear_qcs(5, 0.0)
+    s = build_state("linear", 5, 0.0)
     assert s.amps[0] == 1.0
     assert np.all(s.amps[1:] == 0.0)
 
 
 def test_linear_phases_follow_level_index():
     beta = 1.2 * np.exp(0.7j)
-    s = linear_qcs(5, beta)
+    s = build_state("linear", 5, beta)
     for n in range(5):
         assert np.angle(s.amps[n]) == pytest.approx(
             ((0.7 * n + math.pi) % (2.0 * math.pi)) - math.pi, abs=1e-12
@@ -242,14 +240,14 @@ def test_linear_phases_follow_level_index():
 
 def test_linear_large_amplitude_is_top_heavy():
     # For |beta|^2 far above the top level the last amplitude dominates.
-    s = linear_qcs(12, 40.0)
+    s = build_state("linear", 12, 40.0)
     p = s.probabilities[0]
     assert np.argmax(p) == 11
     assert np.isfinite(p).all()
 
 
 def test_linear_ratios_match_poisson_recurrence():
-    s = linear_qcs(8, 1.9)
+    s = build_state("linear", 8, 1.9)
     for n in range(7):
         ratio = abs(s.amps[n + 1]) / abs(s.amps[n])
         assert ratio == pytest.approx(1.9 / math.sqrt(n + 1.0), rel=1e-10)
@@ -257,9 +255,9 @@ def test_linear_ratios_match_poisson_recurrence():
 
 def test_dim_domain():
     with pytest.raises(ValueError):
-        nonlinear_qcs(1, 0.5)
+        build_state("nonlinear", 1, 0.5)
     with pytest.raises(ValueError):
-        linear_qcs(1, 0.5)
+        build_state("linear", 1, 0.5)
 
 
 def test_spec_coerces_kind_and_validates():
@@ -278,18 +276,19 @@ def test_spec_coerces_kind_and_validates():
 
 def test_build_state_dispatch():
     a = build_state("nonlinear", 3, 0.7)
-    b = nonlinear_qcs(3, 0.7)
-    assert np.allclose(a.amps, b.amps)
+    b = state_block("nonlinear", 3, [0.7]).rows[0]
+    assert np.allclose(a.amps, b)
     c = build_state("linear", 3, 0.7)
-    d = linear_qcs(3, 0.7)
-    assert np.allclose(c.amps, d.amps)
+    d = state_block("linear", 3, [0.7]).rows[0]
+    assert np.allclose(c.amps, d)
+    assert not np.allclose(a.amps, c.amps)
 
 
 def test_mean_photon_stays_below_top_level():
     for d in (2, 3, 4, 6):
         top = 0.0
         for alpha in np.linspace(0.0, 2.0 * period(d), 121):
-            value = nonlinear_qcs(d, alpha).mean[0]
+            value = build_state("nonlinear", d, alpha).mean[0]
             assert value <= d - 1 + 1e-12
             top = max(top, value)
         # The sweep should come close to filling the top level.
@@ -351,7 +350,7 @@ def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
     assert len(built) == len(amplitudes)
     for amp, want, got in zip(amplitudes, expected, built):
         assert _same_bits(got, want), (d, amp)
-        assert _same_bits(nonlinear_qcs(d, amp).amps, want), (d, amp)
+        assert _same_bits(build_state("nonlinear", d, amp).amps, want), (d, amp)
 
 
 def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
@@ -364,11 +363,11 @@ def test_batched_nonlinear_build_is_exact_across_a_block_boundary():
         assert _same_bits(row, _per_state(d, amp)), amp
 
 
-def test_state_blocks_linear_family_matches_linear_qcs():
+def test_state_blocks_linear_family_matches_build_state():
     amplitudes = [0.0, 0.7, 2.5 * np.exp(0.4j), 9.0]
     built = _block_rows("linear", 12, amplitudes)
     for amp, row in zip(amplitudes, built):
-        assert _same_bits(row, linear_qcs(12, amp).amps)
+        assert _same_bits(row, build_state("linear", 12, amp).amps)
 
 
 def test_state_blocks_validates_like_a_spec():

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from quditnc import (
     FockVector,
     agarwal_tara,
+    build_state,
     fock_state,
     hm_quadrature_moment,
     hoa,
     hos_witness,
     hosps,
     klyshko,
-    linear_qcs,
-    nonlinear_qcs,
     period,
     report,
 )
@@ -29,7 +28,7 @@ from quditnc.oracle import central_quadrature_moment
 from quditnc.states import state_block
 from truth import poisson_central_moments
 
-NL_D3 = nonlinear_qcs(3, 0.7)
+NL_D3 = build_state("nonlinear", 3, 0.7)
 
 
 def _a3(state):
@@ -55,25 +54,27 @@ def test_hoa_order_domain():
 def test_hoa_frozen_values():
     assert hoa(NL_D3, 1)[0] == pytest.approx(-0.04274022990835247, abs=1e-12)
     assert hoa(NL_D3, 2)[0] == pytest.approx(-0.11036954056236412, abs=1e-12)
-    assert hoa(linear_qcs(4, 1.3), 1)[0] == pytest.approx(-0.43809016009141755, abs=1e-12)
+    assert hoa(build_state("linear", 4, 1.3), 1)[0] == pytest.approx(
+        -0.43809016009141755, abs=1e-12
+    )
 
 
 def test_hoa_near_zero_for_wide_truncation():
     # With the cutoff far above the occupied levels the state is Poissonian.
-    s = linear_qcs(40, 0.5)
+    s = build_state("linear", 40, 0.5)
     assert abs(hoa(s, 1)[0]) < 1e-8
     assert abs(hoa(s, 3)[0]) < 1e-8
 
 
 def test_second_order_hoa_equals_variance_minus_mean():
-    for s in (NL_D3, linear_qcs(5, 1.4)):
+    for s in (NL_D3, build_state("linear", 5, 1.4)):
         var = s.number_moment(2)[0] - s.mean[0] ** 2
         assert hoa(s, 1)[0] == pytest.approx(var - s.mean[0], abs=1e-12)
         assert hosps(s, 2)[0] == pytest.approx(hoa(s, 1)[0], abs=1e-12)
 
 
 def test_quadrature_moment_against_direct_second_moment():
-    for s in (NL_D3, linear_qcs(5, 0.8), fock_state(2)):
+    for s in (NL_D3, build_state("linear", 5, 0.8), fock_state(2)):
         c = s.amps
         # <X^2> = <N> + 1/2 + Re <a^2> with X = (a + a+)/sqrt 2.
         a2 = sum(
@@ -111,7 +112,7 @@ def test_quadrature_moment_matches_oracle_up_to_d60():
     for d in (20, 40, 60):
         amps = set(np.linspace(0.0, period(d) / 2.0, 7).tolist()) | {1.0, 3.0, 6.0}
         for amp in sorted(amps):
-            for state in (linear_qcs(d, amp), nonlinear_qcs(d, amp)):
+            for state in (build_state("linear", d, amp), build_state("nonlinear", d, amp)):
                 for n in range(2, 9, 2):
                     dense = central_quadrature_moment(state, n)
                     ours = hm_quadrature_moment(state, n)[0]
@@ -124,12 +125,12 @@ def test_hos_witness_frozen_value():
 
 
 def test_hos_witness_vanishes_in_classical_limit():
-    s = linear_qcs(40, 0.5)
+    s = build_state("linear", 40, 0.5)
     assert abs(hos_witness(s, 2)[0]) < 1e-8
 
 
 def test_hosps_first_order_vanishes_identically():
-    for s in (NL_D3, linear_qcs(6, 2.0), fock_state(3)):
+    for s in (NL_D3, build_state("linear", 6, 2.0), fock_state(3)):
         assert hosps(s, 1)[0] == 0.0
 
 
@@ -159,7 +160,7 @@ def test_hosps_overflows_first_at_order_220():
 
 def test_hosps_equals_signed_central_moment_deficit():
     # The combination reduces to (-1)^l (<(N - <N>)^l> - same for Poisson).
-    for s in (NL_D3, linear_qcs(6, 1.3), nonlinear_qcs(5, 2.2)):
+    for s in (NL_D3, build_state("linear", 6, 1.3), build_state("nonlinear", 5, 2.2)):
         p = np.abs(s.amps) ** 2
         levels = np.arange(s.dim, dtype=float)
         lam = float(np.dot(levels, p))
@@ -174,7 +175,7 @@ def test_hosps_alternates_sign_for_three_levels():
     # For d = 3 the even orders never go positive and the odd order never
     # goes negative, over the full period of the nonlinear family.
     for alpha in np.linspace(0.0, period(3), 40):
-        s = nonlinear_qcs(3, alpha)
+        s = build_state("nonlinear", 3, alpha)
         assert hosps(s, 2)[0] <= 1e-12
         assert hosps(s, 3)[0] >= -1e-12
         assert hosps(s, 4)[0] <= 1e-12
@@ -191,13 +192,13 @@ def test_agarwal_tara_singular_cases():
 
 def test_agarwal_tara_frozen_values():
     assert _a3(NL_D3) == pytest.approx(-0.0890696906052556, abs=1e-12)
-    assert _a3(linear_qcs(4, 1.3)) == pytest.approx(
+    assert _a3(build_state("linear", 4, 1.3)) == pytest.approx(
         -0.3256242032618231, abs=1e-12
     )
 
 
 def test_agarwal_tara_small_in_classical_limit():
-    assert abs(_a3(linear_qcs(60, 0.5))) < 1e-3
+    assert abs(_a3(build_state("linear", 60, 0.5))) < 1e-3
 
 
 def test_klyshko_single_photon():
@@ -206,7 +207,7 @@ def test_klyshko_single_photon():
 
 def test_klyshko_exact_cancellation():
     # p = (0.4, 0.4, 0.2) gives 2 p0 p2 = p1^2.
-    assert klyshko(linear_qcs(3, 1.0), [0])[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert klyshko(build_state("linear", 3, 1.0), [0])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_klyshko_beyond_support_is_zero():
