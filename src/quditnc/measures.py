@@ -93,16 +93,23 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)  # every verb works through one level count at a time
 def _purity_weights(d: int) -> np.ndarray:
-    # C(2n, n)/4^n for n < d: below 1, and correctly rounded as the division would be.  The
-    # top 64 bits of C(2n, n), their lowest one set if any bit below them is (a sticky bit),
-    # round once to a double, and ldexp scales it by 2^(s - 2n) exactly.  Each C(2n, n) comes
-    # exactly from the last: C(2n + 2, n + 1) = C(2n, n) 2(2n + 1)/(n + 1).
-    weights, central = np.empty(d), 1
+    # C(2n, n)/4^n for n < d: below 1, and correctly rounded as the division would be.  It is
+    # v 2^s, v a 128-bit integer stepped from n to n + 1 by (2n + 1)/(2n + 2) and truncated,
+    # which leaves v below the exact value by less than 8(n + 1) units.  The top 64 bits of v,
+    # their lowest one set if any bit below them is (a sticky bit), round once to a double
+    # and ldexp scales it exactly; where a rounding boundary of the double lies within that
+    # bound of v, math.comb gives the entry.  Linear in d: C(2n, n) itself grows by a bit
+    # per level.
+    weights, v, s = np.empty(d), 1 << 127, -127
     for n in range(d):
-        s = max(central.bit_length() - 64, 0)
-        top = central >> s
-        weights[n] = math.ldexp(top | (top << s != central), s - 2 * n)
-        central = central * 2 * (2 * n + 1) // (n + 1)
+        if abs((v & (1 << 75) - 1) - (1 << 74)) <= 8 * (n + 1):
+            weights[n] = math.comb(2 * n, n) / 4**n
+        else:
+            top = v >> 64
+            weights[n] = math.ldexp(top | (top << 64 != v), s + 64)
+        v, s = v * (4 * n + 2) // (2 * n + 2), s - 1
+        if v >> 128:
+            v, s = v >> 1, s + 1
     weights.setflags(write=False)
     return weights
 

@@ -675,6 +675,26 @@ assert quditnc.cli.main({config_args!r}) == 0
     assert [(row["d"], row["a3"]) for row in rows][:2] == [(2, "singular"), (2, "singular")]
 
 
+def test_a_json_sweep_loads_no_json(tmp_path):
+    # The JSON writer formats every number and quotes every key itself: json is only
+    # for reading a --config and for the other verbs' output.
+    src = str(Path(quditnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = SWEEP_ARGS + ["--format", "json", "--out", str(tmp_path / "rows.json")]
+    code = f"""
+import sys
+import quditnc.cli
+assert quditnc.cli.main({args!r}) == 0
+print("json" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    text = (tmp_path / "rows.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("order", [1000000, 10000000, 10**20])
 def test_a_huge_hosps_order_exits_three_before_its_moments_are_built(monkeypatch, capsys, order):
     # C(order, r) leaves the double range within a few dozen shells: no more

@@ -74,6 +74,22 @@ def test_factorial_moment_weights_are_built_on_a_miss_only(monkeypatch):
     assert block.factorial_moment(3) is first
 
 
+def test_purity_weights_are_exact_up_to_50000_and_at_their_tie(monkeypatch):
+    # The fixed-point steps give the correctly rounded double away from rounding
+    # boundaries; n = 31 is an exact tie between two doubles (C(62, 31) has 54
+    # significant bits), so math.comb gives that entry.
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(measures.math, "comb", lambda n, k: calls.append(k) or comb(n, k))
+    measures._purity_weights.cache_clear()
+    weights = measures._purity_weights(50_001)
+    assert 31 in calls and len(calls) < 5
+    monkeypatch.undo()
+    measures._purity_weights.cache_clear()
+    for n in (31, 2999, 4096, 10_007, 33_333, 50_000):
+        assert weights[n] == math.comb(2 * n, n) / 4**n, n
+
+
 @pytest.mark.parametrize("d", [2, 7, 40, 1000, 5000])
 def test_purity_weights_are_kept_per_d_and_keep_their_bits(d):
     # C(2n, n) as exact integers, each from the last (math.comb at every n takes seconds

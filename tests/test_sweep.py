@@ -538,6 +538,62 @@ def test_csv_escape_cells_sit_beside_a_singular_cell():
     assert got.split("\n")[1] == first
 
 
+def _json_of_cells(cells, singular=None):
+    """write_rows_json of a one-level result whose rows are the rows of ``cells``, and
+    ``json.dumps(rows, indent=2)`` of the same rows with a newline."""
+    cells = np.asarray(cells, dtype=float)
+    mask = np.zeros(cells.shape, bool) if singular is None else np.asarray(singular)
+    names = tuple(f"q{j}" for j in range(1, cells.shape[1]))
+    level = (3, cells[:, 0], cells[:, 1:].T.copy(), mask[:, 1:].T.copy())
+    buf = io.StringIO()
+    write_rows_json(SweepResult("linear", names, (level,)), buf)
+    rows = [
+        {"kind": "linear", "d": 3, "amplitude": a, **dict(zip(names, vs))}
+        for a, *vs in np.where(mask, SINGULAR_SENTINEL, cells.astype(object)).tolist()
+    ]
+    return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
+
+
+def test_json_writes_what_repr_writes_for_a_million_doubles():
+    rng = np.random.default_rng(29)
+    bits = rng.integers(-(2**63), 2**63, size=1_000_000, dtype=np.int64).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [tens]
+    for _ in range(3):  # 10^k and its neighbours up to 3 ulps away
+        near += [np.nextafter(near[-1], 0.0), np.nextafter(near[-1], np.inf)]
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))  # repr's search has an uneven interval there
+    big = (2**53 + rng.integers(0, 2**62, size=20_000)).astype(float)  # integers >= 2^53
+    short = [float(f"{m}e{k}") for m, k in zip(rng.integers(1, 10**6, 20_000), rng.integers(-30, 30, 20_000))]
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-4, 1e-5,
+             9999999999999998.0, 0.00009999999999999999, 123456789012345680.0]
+    structured = np.concatenate([*near, twos, big, short, edges, np.nextafter(edges, 1.0)])
+    x = np.concatenate([bits[np.isfinite(bits)], structured, -structured])
+    x = x[: len(x) // 5 * 5].reshape(-1, 5)
+    assert x.size >= 1_000_000
+    got, want = _json_of_cells(x)
+    if got != want:
+        pairs = zip(got.split("\n"), want.split("\n"))
+        pytest.fail("first differing line: %r != %r" % next((g, w) for g, w in pairs if g != w))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_json_writes_what_repr_writes_for_any_double(values):
+    got, want = _json_of_cells(np.array(values[: len(values) // 2 * 2]).reshape(-1, 2))
+    assert got == want
+
+
+def test_json_escape_cells_sit_beside_a_singular_cell():
+    # A power of two, a value below the kernel's range, a 17th-digit tie and an exact tie
+    # with the round-trip interval's end take repr, next to the sentinel and both zeros.
+    cells = [[0.5, 1234567890123456.75, 1e-300, -0.0, 5.47117e20, 0.0, 7.0],
+             [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0]]
+    singular = [[False, False, False, False, False, False, True], [False] * 7]
+    got, want = _json_of_cells(cells, singular)
+    assert got == want
+    assert '    "q3": -0.0,\n    "q4": 5.47117e+20,\n    "q5": 0.0,\n    "q6": "singular"\n' in got
+
+
 def test_csv_round_trips_doubles():
     result = run_sweep(_spec(quantities=FULL_QUANTITIES, steps=5, amp_start=0.2))
     lines = _csv(result).strip().split("\n")
