@@ -321,7 +321,8 @@ def _digits(x: np.ndarray, singular: np.ndarray) -> tuple:
     al = a - ah
     e = np.floor(np.log10(a)).astype(np.intp)
     _first_use(int(e.min()), int(e.max()) + 1)  # + 1: repr's rounding can carry to e + 1
-    hi, hh, hl, lo = (row.take(_E + 16 - e) for row in p10)
+    k = _E + 16 - e
+    hi, hh, hl, lo = (row.take(k) for row in p10)
     p = a * hi
     q = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
     rq = np.rint(q)
@@ -405,13 +406,17 @@ def _repr(x: np.ndarray, singular: np.ndarray) -> np.ndarray:
 
 
 def _chunks(result: SweepResult, step: int):
-    """Each level count's d and its rows in chunks of ``step``, each chunk's cells (the
-    amplitude first in a row) and sentinel mask flat in row order."""
+    """Each level count's d and its rows in chunks of ``step``: each chunk's cells column by
+    column, the amplitudes first, and their sentinel mask, each a flat array."""
     for d, amps, values, singular in result.levels:
-        cells = np.vstack((amps, values)).T
-        mask = np.vstack((np.zeros_like(amps, bool), singular)).T
-        yield d, [(cells[i:i + step].ravel(), mask[i:i + step].ravel())
-                  for i in range(0, len(amps), step)]
+        chunks = []
+        for i in range(0, len(amps), step):
+            rows = slice(i, i + step)
+            cells = np.empty((len(values) + 1, len(amps[rows])))
+            mask = np.zeros(cells.shape, bool)
+            cells[0], cells[1:], mask[1:] = amps[rows], values[:, rows], singular[:, rows]
+            chunks.append((cells.ravel(), mask.ravel()))
+        yield d, chunks
 
 
 def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
@@ -422,8 +427,8 @@ def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
     for d, chunks in _chunks(result, max(1, _CSV_CELLS // (len(result.names) + 1))):
         prefix = f"{result.kind},{d},".encode()
         for cells, mask in chunks:
-            slots = _g17(cells, mask)
-            slots[5].reshape(-1, len(result.names) + 1)[:, -1] ^= np.uint64(38 << 56)  # "\n"
+            slots = _g17(cells, mask).reshape(6, len(result.names) + 1, -1)
+            slots[5, -1] ^= np.uint64(38 << 56)  # each row's last comma to "\n"
             text = slots.T.tobytes().translate(None, b"\0").replace(b"\n", b"\n" + prefix)
             stream.write((prefix + text[: -len(prefix)]).decode())
 
@@ -456,7 +461,7 @@ def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
         text.append(head)
         for cells, mask in chunks:
             count = len(cells) // cols
-            fields[:count, :, width:] = _repr(cells, mask).T.reshape(count, cols, 6)
+            fields[:count, :, width:] = _repr(cells, mask).reshape(6, cols, count).T
             fields[:count, -1, -1] ^= np.uint64(44 << 56)  # the last cell's comma
             text.append(rows[:count].tobytes().translate(None, b"\0"))
         text[-1] = text[-1][: -len(head)]  # the level's last row has no next row
