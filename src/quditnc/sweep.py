@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import reprlib
 from collections import Counter
@@ -236,17 +235,15 @@ _CSV_CELLS = 2048  #: cells per numpy pass of either writer: it bounds the tempo
 
 
 def _chunks(result: SweepResult, step: int):
-    """Each level count's d and its rows in chunks of ``step``: each chunk's cells column by
-    column, the amplitudes first, and their sentinel mask, each a flat array."""
+    """Each level count's d and its rows in chunks of ``step``, each chunk a pair of flat
+    arrays (made as the chunks are read): its cells column by column, the amplitudes first,
+    and their sentinel mask."""
     for d, amps, values, singular in result.levels:
-        chunks = []
-        for i in range(0, len(amps), step):
-            rows = slice(i, i + step)
-            cells = np.empty((len(values) + 1, len(amps[rows])))
-            mask = np.zeros(cells.shape, bool)
-            cells[0], cells[1:], mask[1:] = amps[rows], values[:, rows], singular[:, rows]
-            chunks.append((cells.ravel(), mask.ravel()))
-        yield d, chunks
+        yield d, (
+            (np.vstack((amps[i:i + step], values[:, i:i + step])).ravel(),
+             np.vstack((np.zeros(len(amps[i:i + step]), bool), singular[:, i:i + step])).ravel())
+            for i in range(0, len(amps), step)
+        )
 
 
 def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
