@@ -165,20 +165,23 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     return SweepSpec(**fields)
 
 
+def _output(out: str | None):
+    """Where a verb writes, as a ``with`` target: the ``--out`` file, or else stdout."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w")
+
+
 def _emit(payload, out: str | None) -> int:
     import json  # loaded only where JSON is read or written: a CSV sweep never needs it
     text = json.dumps(payload, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    with _output(out) as stream:
+        stream.write(text)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_sweep_spec(args)
     result = run_sweep(spec)  # before --out is opened: a failed sweep leaves no file
-    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as stream:
+    with _output(args.out) as stream:
         WRITERS[spec.output_format](result, stream)
     return 0
 

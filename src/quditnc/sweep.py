@@ -178,9 +178,10 @@ class SweepSpec(NamedTuple):
 
 
 class SweepResult:
-    """A sweep's cells as columns: ``levels`` holds, per level count in grid
-    order, (d, amplitudes, values, singular), where ``values[j]`` is column
-    j's float64 cells and ``singular[j]`` masks those that hold the sentinel."""
+    """A sweep's cells as the table it prints: ``levels`` holds, per level count in grid
+    order, (d, cells, singular), where ``cells`` is a (1 + Q, S) float64 array, the
+    amplitudes in row 0 and column j's cells in row j + 1, and ``singular`` masks those
+    that hold the sentinel."""
 
     __slots__ = ("kind", "names", "levels")
 
@@ -188,14 +189,14 @@ class SweepResult:
         self.kind, self.names, self.levels = kind, names, levels
 
     def __len__(self) -> int:
-        return sum(len(amps) for _, amps, _, _ in self.levels)
+        return sum(cells.shape[1] for _, cells, _ in self.levels)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested quantities over the grid, d then amplitude.
 
     Each d's amplitudes are cut into blocks of ``block_rows(d)``; each block is one
-    ``state_block`` that ``evaluate`` writes into that d's column arrays.  A singular
+    ``state_block`` that ``evaluate`` writes into that d's rows of cells.  A singular
     moment-matrix ratio is masked as the sentinel; any other non-finite value, or an
     overflow inside a quantity, aborts with NumericalError naming the first such cell,
     row by row and in column order within a row.
@@ -211,90 +212,82 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise ValueError("amplitude range must be finite")
         if start > stop:
             raise ValueError("amplitude range must be non-decreasing")
-        amps = np.linspace(start, stop, spec.steps)
-        values = np.empty((len(names), spec.steps))
-        singular = np.zeros((len(names), spec.steps), dtype=bool)
+        cells = np.empty((1 + len(names), spec.steps))
+        cells[0] = np.linspace(start, stop, spec.steps)
+        singular = np.zeros(cells.shape, dtype=bool)
         step = block_rows(d)
         for first in range(0, spec.steps, step):
             rows = slice(first, first + step)
-            block = state_block(kind, d, amps[rows].tolist())
-            values[:, rows], singular[:, rows] = evaluate(block, spec.quantities)
-            bad = ~(np.isfinite(values[:, rows]) | singular[:, rows])
+            block = state_block(kind, d, cells[0, rows].tolist())
+            cells[1:, rows], singular[1:, rows] = evaluate(block, spec.quantities)
+            bad = ~(np.isfinite(cells[1:, rows]) | singular[1:, rows])
             if bad.any():
                 # Flattened row by row, then in column order.
                 i, j = divmod(int(np.argmax(bad.T)), len(names))
                 raise NumericalError(
                     f"{names[j]} is non-finite at kind={kind} d={d} "
-                    f"amplitude={float(amps[first + i])!r}"
+                    f"amplitude={float(cells[0, first + i])!r}"
                 )
-        levels.append((d, amps, values, singular))
+        levels.append((d, cells, singular))
     return SweepResult(kind, names, tuple(levels))
 
 
-_CSV_CELLS = 2048  #: cells per numpy pass of either writer: it bounds the temporaries
+_CHUNK_CELLS = 2048  #: cells per numpy pass of either writer: it bounds the temporaries
 
 
-def _chunks(result: SweepResult, step: int):
-    """Each level count's d and its rows in chunks of ``step``, each chunk a pair of flat
-    arrays (made as the chunks are read): its cells column by column, the amplitudes first,
-    and their sentinel mask."""
-    for d, amps, values, singular in result.levels:
-        yield d, (
-            (np.vstack((amps[i:i + step], values[:, i:i + step])).ravel(),
-             np.vstack((np.zeros(len(amps[i:i + step]), bool), singular[:, i:i + step])).ravel())
-            for i in range(0, len(amps), step)
-        )
-
-
-def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
-    """Write the header and every row, each number as ``%.17g``: chunks of about
-    ``_CSV_CELLS`` cells go through ``digits.g17``, then lose their NULs, in one write each.
-    """
-    stream.write(",".join(("kind", "d", "amplitude", *result.names)) + "\n")
-    for d, chunks in _chunks(result, max(1, _CSV_CELLS // (len(result.names) + 1))):
-        prefix = f"{result.kind},{d},".encode()
-        for cells, mask in chunks:
-            slots = g17(cells, mask, SINGULAR_SENTINEL).reshape(6, len(result.names) + 1, -1)
-            slots[5, -1] ^= np.uint64(38 << 56)  # each row's last comma to "\n"
-            text = slots.T.tobytes().translate(None, b"\0").replace(b"\n", b"\n" + prefix)
-            stream.write((prefix + text[: -len(prefix)]).decode())
-
-
-def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
-    """Write the rows as ``json.dump(rows, indent=2)`` and a newline, a chunk per write.
-
-    Every number is ``repr``, as json writes a float: chunks of about ``_CSV_CELLS`` cells
-    go through ``digits.shortest``, each cell's 48 bytes after its key in a row of
-    fixed-width fields, and lose their NULs.  The keys, the family and the sentinel go in
-    as they are: a column name is a quantity id and an order, which json quotes unchanged.
-    """
-    keys = [f'    "{name}": '.encode() for name in ("amplitude", *result.names)]
-    keys[1:] = [b"\n" + key for key in keys[1:]]  # the field before ends with the comma
-    cols, sentinel = len(keys), f'"{SINGULAR_SENTINEL}"'
-    heads = [f'  {{\n    "kind": "{result.kind}",\n    "d": {d},\n'.encode()
-             for d, *_ in result.levels]
-    ends = [b"\n  },\n" + head for head in heads]  # a row's end, then the next row's head
+def _write_rows(result: SweepResult, stream: IO[str], digits: Callable, sentinel: str,
+                keys: list[bytes], heads: list[bytes], end: bytes, last: bytes) -> None:
+    """Write every row as a row of fixed-width fields, a chunk of about ``_CHUNK_CELLS``
+    cells per numpy pass and per write: its level count's head, then per column its key
+    and its cell as ``digits`` writes it (``sentinel`` where masked), the cells separated
+    by commas, then ``end``; ``last`` in place of the final ``end``.  Each chunk's fields
+    are padded with NULs, which one ``translate`` deletes."""
+    cols = len(keys)
+    ends = [end + head for head in heads]  # a row's end, then the next row's head
     width, tail = (-(-max(map(len, texts)) // 8) for texts in (keys, ends))  # in words
-    step = max(1, _CSV_CELLS // cols)
-    most = max(len(amps) for _, amps, _, _ in result.levels)
+    step = max(1, _CHUNK_CELLS // cols)
+    most = max(cells.shape[1] for _, cells, _ in result.levels)
     rows = np.zeros((min(step, most), cols * (width + 6) + tail), "<u8")
     fields = rows[:, :-tail].reshape(len(rows), cols, width + 6)
     fields[:, :, :width] = np.frombuffer(
         b"".join(key.ljust(8 * width, b"\0") for key in keys), "<u8"
     ).reshape(cols, width)
-    text = b"[\n"  # written once the next text is known, since the last one ends the array
-    for head, end, (_, chunks) in zip(heads, ends, _chunks(result, step)):
-        rows[:, -tail:] = np.frombuffer(end.ljust(8 * tail, b"\0"), "<u8")
+    text = b""  # written once the next text is known, since the last one ends the output
+    for head, row_end, (_, cells, singular) in zip(heads, ends, result.levels):
+        rows[:, -tail:] = np.frombuffer(row_end.ljust(8 * tail, b"\0"), "<u8")
         stream.write(text.decode())
         text = head
-        for cells, mask in chunks:
-            count = len(cells) // cols
-            fields[:count, :, width:] = shortest(cells, mask, sentinel).reshape(6, cols, count).T
+        for i in range(0, cells.shape[1], step):
+            slots = digits(cells[:, i:i + step].ravel(), singular[:, i:i + step].ravel(), sentinel)
+            count = slots.shape[1] // cols
+            fields[:count, :, width:] = slots.reshape(6, cols, count).T
             fields[:count, -1, -1] ^= np.uint64(44 << 56)  # the last cell's comma
             stream.write(text.decode())
             text = rows[:count].tobytes().translate(None, b"\0")
         text = text[: -len(head)]  # the level's last row has no next row
-    stream.write((text[:-2] + b"\n]\n").decode())
+    stream.write((text[: -len(end)] + last).decode())
+
+
+def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
+    """Write the header and every row, each number as ``'%.17g'`` writes it (``digits.g17``)."""
+    stream.write(",".join(("kind", "d", "amplitude", *result.names)) + "\n")
+    heads = [f"{result.kind},{d},".encode() for d, *_ in result.levels]
+    _write_rows(result, stream, g17, SINGULAR_SENTINEL, [b""] * (len(result.names) + 1),
+                heads, b"\n", b"\n")
+
+
+def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
+    """Write the rows as ``json.dump(rows, indent=2)`` and a newline, each number as
+    ``repr`` writes it, as json does (``digits.shortest``).  The keys, the family and the
+    sentinel go in as they are: a column name is a quantity id and an order, which json
+    quotes unchanged."""
+    keys = [f'    "{name}": '.encode() for name in ("amplitude", *result.names)]
+    keys[1:] = [b"\n" + key for key in keys[1:]]  # the field before ends with the comma
+    heads = [f'  {{\n    "kind": "{result.kind}",\n    "d": {d},\n'.encode()
+             for d, *_ in result.levels]
+    stream.write("[\n")
+    _write_rows(result, stream, shortest, f'"{SINGULAR_SENTINEL}"', keys, heads,
+                b"\n  },\n", b"\n  }\n]\n")
 
 
 #: The output formats, each with its writer.

@@ -310,12 +310,29 @@ def test_csv_equals_the_row_by_row_writer(spec):
 @WRITER_SPECS
 def test_json_equals_json_dump_of_the_rows(spec):
     result = run_sweep(spec)
-    assert any(len(amps) > block_rows(d) for d, amps, _, _ in result.levels)
+    assert any(cells.shape[1] > block_rows(d) for d, cells, _ in result.levels)
     want = reference_json(result)
     assert '"singular"' in want
     buf = io.StringIO()
     write_rows_json(result, buf)
     assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("writer", [write_rows_csv, write_rows_json], ids=["csv", "json"])
+def test_output_bytes_do_not_depend_on_the_chunk_bound(monkeypatch, writer):
+    # Three level counts, the d = 2 rows with the a3 sentinel; a bound of 1 or 7 cells
+    # gives one-row chunks, one of 100 cells chunks of 25 rows and a last one of 12.
+    quantities = (("hoa", 1), ("a3", None), ("klyshko", 0))
+    result = run_sweep(_spec(state_kind="nonlinear", d_list=(2, 5, 9), steps=37,
+                             quantities=quantities))
+    texts = []
+    for bound in (1, 7, 100, 2048):
+        monkeypatch.setattr(sweep, "_CHUNK_CELLS", bound)
+        buf = io.StringIO()
+        writer(result, buf)
+        texts.append(buf.getvalue())
+    assert SINGULAR_SENTINEL in texts[0]
+    assert texts == [texts[-1]] * len(texts)
 
 
 #: Every quantity id, several of them at more than one order and interleaved.
@@ -485,7 +502,7 @@ def _csv_of_cells(cells, singular=None):
     cells = np.asarray(cells, dtype=float)
     mask = np.zeros(cells.shape, bool) if singular is None else np.asarray(singular)
     names = tuple(f"q{j}" for j in range(1, cells.shape[1]))
-    level = (3, cells[:, 0], cells[:, 1:].T.copy(), mask[:, 1:].T.copy())
+    level = (3, cells.T, mask.T)
     return _csv(SweepResult("linear", names, (level,))), names
 
 
@@ -544,7 +561,7 @@ def _json_of_cells(cells, singular=None):
     cells = np.asarray(cells, dtype=float)
     mask = np.zeros(cells.shape, bool) if singular is None else np.asarray(singular)
     names = tuple(f"q{j}" for j in range(1, cells.shape[1]))
-    level = (3, cells[:, 0], cells[:, 1:].T.copy(), mask[:, 1:].T.copy())
+    level = (3, cells.T, mask.T)
     buf = io.StringIO()
     write_rows_json(SweepResult("linear", names, (level,)), buf)
     rows = [
