@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import re
-import shutil
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -223,20 +221,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # HelpFormatter would probe the terminal for every parser and argument (an
-    # environment lookup and an ioctl each): take its width once, by its rule.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    make = functools.partial(_Parser, formatter_class=formatter)
-    parser = make(
+    parser = _Parser(
         prog="quditnc",
         description=(
             "Finite-level coherent states: nonclassicality witness sweeps, "
             "anticlassicality searches, and per-state reports."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sweep = sub.add_parser("sweep", help="evaluate quantities over an amplitude grid")
     for setting in _SWEEP_SETTINGS:

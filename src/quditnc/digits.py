@@ -2,9 +2,9 @@
 
 The sweep writers' number formatting: one exact-digit kernel (the correctly rounded
 17-digit significand of each value and its residual), ``repr``'s shortest digits on top
-of it, and one layout of the digits into NUL-padded bytes.  Each value the kernel cannot
-place exactly is formatted by Python itself.  See README, "How a sweep evaluates its
-columns".
+of it, and one layout of the digits into NUL-padded bytes, each value's text alone.  Each
+value the kernel cannot place exactly is formatted by Python itself.  See README, "How a
+sweep evaluates its columns".
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ def _first_use(low: int, high: int) -> None:
     if new:
         powers = np.array([_power_of_ten(16 - e) for e in new])
         tables.p10[:, [_E + 16 - e for e in new]] = powers.T
-        exps = b"".join(b"e%+04d\0\0," % e for e in new)  # "e+005" loses a "0" below
+        exps = b"".join(b"e%+04d\0\0\0" % e for e in new)  # "e+005" loses a "0" below
         exps = np.frombuffer(exps.replace(b"+0", b"+\0").replace(b"-0", b"-\0"), "<u8").tolist()
         tables.tails[:, [_E + e for e in new]] = [
-            [44 << 56 if -4 <= e < top else x for e, x in zip(new, exps)] for top in (17, 16)
-        ]  # the comma alone in fixed notation
+            [0 if -4 <= e < top else x for e, x in zip(new, exps)] for top in (17, 16)
+        ]  # no tail in fixed notation
         tables.used.update(new)
 
 
@@ -88,14 +88,14 @@ def _power_of_ten(k: int) -> tuple:
     return hi, c - (c - hi), hi - (c - (c - hi)), lo
 
 
-def _significand(x: np.ndarray, mask: np.ndarray) -> tuple:
+def _significand(x: np.ndarray) -> tuple:
     """The exact-digit kernel of both formats: for each value, |x| 10^(16 - e) = n + r with
     e = floor(log10 |x|), n the correctly rounded 17-digit significand (int64) and |r| < 1/2,
     and the mask of the values it leaves to Python (n = e = r = 0 at zero); see README."""
     p10 = _tables().p10
     a = np.abs(x)
     zero = a == 0
-    escape = ~((a > 1e-280) & (a < 1e280) | zero) | mask
+    escape = ~((a > 1e-280) & (a < 1e280) | zero)
     a[escape | zero] = 1.0
     c = 134217729.0 * a  # Veltkamp's split: a = ah + al, each on 26 bits
     ah = c - (c - a)
@@ -136,12 +136,11 @@ def _shortest(x: np.ndarray, n: np.ndarray, e: np.ndarray, r: np.ndarray, escape
     return n - carry * (9 * 10**16), e + carry
 
 
-def _layout(x, mask, text, n, e, escape, short: bool) -> np.ndarray:
-    """Each value's digits n at exponent e, trailing zeros dropped, and a comma, as 48
-    NUL-padded bytes in column i of a (6, len(x)) array of 64-bit words, as ``'%.17g' % v``
-    writes them or, when ``short``, as ``repr(v)`` does: fixed notation for exponents -4 to
-    16, or to 15 with a digit after the point.  ``text`` where ``mask``, and the format
-    itself at the other escapes."""
+def _layout(x, n, e, escape, short: bool) -> np.ndarray:
+    """Each value's digits n at exponent e, trailing zeros dropped, as 48 NUL-padded bytes
+    in column i of a (6, len(x)) array of 64-bit words, as ``'%.17g' % v`` writes them or,
+    when ``short``, as ``repr(v)`` does: fixed notation for exponents -4 to 16, or to 15
+    with a digit after the point.  The format itself at the escapes."""
     tables = _tables()
     fixed = (e >= -4) & (e < 17 - short)
     groups = np.empty((4, len(n)), np.int64)  # n's last 16 digits by four
@@ -164,22 +163,19 @@ def _layout(x, mask, text, n, e, escape, short: bool) -> np.ndarray:
     todo = np.flatnonzero(escape)
     if len(todo):
         fmt = repr if short else "%.17g".__mod__
-        texts = (text if s else fmt(v) for v, s in zip(x[todo].tolist(), mask[todo]))
-        texts = "".join(t.ljust(47, "\0") + "," for t in texts).encode()
+        texts = "".join(fmt(v).ljust(48, "\0") for v in x[todo].tolist()).encode()
         out[:, todo] = np.frombuffer(texts, "<u8").reshape(-1, 6).T
     return out
 
 
-def g17(x: np.ndarray, mask: np.ndarray, text: str) -> np.ndarray:
-    """``'%.17g' % v`` of each value of the float64 array ``x``, or ``text`` where ``mask``,
-    then a comma, laid out by ``_layout``."""
-    n, e, _, escape = _significand(x, mask)
-    return _layout(x, mask, text, n, e, escape, False)
+def g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each value of the float64 array ``x``, laid out by ``_layout``."""
+    n, e, _, escape = _significand(x)
+    return _layout(x, n, e, escape, False)
 
 
-def shortest(x: np.ndarray, mask: np.ndarray, text: str) -> np.ndarray:
-    """``repr(v)`` of each value of the float64 array ``x``, or ``text`` where ``mask``,
-    then a comma, laid out by ``_layout``."""
-    n, e, r, escape = _significand(x, mask)
+def shortest(x: np.ndarray) -> np.ndarray:
+    """``repr(v)`` of each value of the float64 array ``x``, laid out by ``_layout``."""
+    n, e, r, escape = _significand(x)
     n, e = _shortest(x, n, e, r, escape)
-    return _layout(x, mask, text, n, e, escape, True)
+    return _layout(x, n, e, escape, True)

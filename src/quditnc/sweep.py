@@ -236,58 +236,56 @@ _CHUNK_CELLS = 2048  #: cells per numpy pass of either writer: it bounds the tem
 
 
 def _write_rows(result: SweepResult, stream: IO[str], digits: Callable, sentinel: str,
-                keys: list[bytes], heads: list[bytes], end: bytes, last: bytes) -> None:
-    """Write every row as a row of fixed-width fields, a chunk of about ``_CHUNK_CELLS``
-    cells per numpy pass and per write: its level count's head, then per column its key
-    and its cell as ``digits`` writes it (``sentinel`` where masked), the cells separated
-    by commas, then ``end``; ``last`` in place of the final ``end``.  Each chunk's fields
-    are padded with NULs, which one ``translate`` deletes."""
+                heads: list[bytes], keys: list[bytes], tail: bytes, skip: int) -> None:
+    """Write every row, a chunk of about ``_CHUNK_CELLS`` cells per numpy pass and per
+    write: its level count's head, then per column its key and its cell as ``digits``
+    writes it (``sentinel`` where masked), a comma after each cell but the last, then
+    ``tail``.  The output's first row leaves out its first ``skip`` bytes.  Each part is
+    padded with NULs to whole words, which one ``translate`` deletes."""
     cols = len(keys)
-    ends = [end + head for head in heads]  # a row's end, then the next row's head
-    width, tail = (-(-max(map(len, texts)) // 8) for texts in (keys, ends))  # in words
+    lead, width, end = (-(-max(map(len, texts)) // 8) for texts in (heads, keys, [tail]))
     step = max(1, _CHUNK_CELLS // cols)
     most = max(cells.shape[1] for _, cells, _ in result.levels)
-    rows = np.zeros((min(step, most), cols * (width + 6) + tail), "<u8")
-    fields = rows[:, :-tail].reshape(len(rows), cols, width + 6)
+    rows = np.zeros((min(step, most), lead + cols * (width + 6) + end), "<u8")
+    fields = rows[:, lead:-end].reshape(len(rows), cols, width + 6)
     fields[:, :, :width] = np.frombuffer(
         b"".join(key.ljust(8 * width, b"\0") for key in keys), "<u8"
     ).reshape(cols, width)
-    text = b""  # written once the next text is known, since the last one ends the output
-    for head, row_end, (_, cells, singular) in zip(heads, ends, result.levels):
-        rows[:, -tail:] = np.frombuffer(row_end.ljust(8 * tail, b"\0"), "<u8")
-        stream.write(text.decode())
-        text = head
+    rows[:, -end:] = np.frombuffer(tail.ljust(8 * end, b"\0"), "<u8")
+    blank = np.frombuffer(sentinel.encode().ljust(48, b"\0"), "<u8")[:, None]  # its slot
+    commas = np.zeros((cols, 6), "<u8")
+    commas[:-1, -1] = 44 << 56  # in the last byte of every slot but the row's last
+    for head, (_, cells, singular) in zip(heads, result.levels):
+        rows[:, :lead] = np.frombuffer(head.ljust(8 * lead, b"\0"), "<u8")
         for i in range(0, cells.shape[1], step):
-            slots = digits(cells[:, i:i + step].ravel(), singular[:, i:i + step].ravel(), sentinel)
+            slots = digits(cells[:, i:i + step].ravel())
+            slots[:, singular[:, i:i + step].ravel()] = blank
             count = slots.shape[1] // cols
-            fields[:count, :, width:] = slots.reshape(6, cols, count).T
-            fields[:count, -1, -1] ^= np.uint64(44 << 56)  # the last cell's comma
-            stream.write(text.decode())
-            text = rows[:count].tobytes().translate(None, b"\0")
-        text = text[: -len(head)]  # the level's last row has no next row
-    stream.write((text[: -len(end)] + last).decode())
+            np.bitwise_or(slots.reshape(6, cols, count).T, commas, out=fields[:count, :, width:])
+            stream.write(rows[:count].tobytes().translate(None, b"\0")[skip:].decode())
+            skip = 0
 
 
 def write_rows_csv(result: SweepResult, stream: IO[str]) -> None:
     """Write the header and every row, each number as ``'%.17g'`` writes it (``digits.g17``)."""
     stream.write(",".join(("kind", "d", "amplitude", *result.names)) + "\n")
     heads = [f"{result.kind},{d},".encode() for d, *_ in result.levels]
-    _write_rows(result, stream, g17, SINGULAR_SENTINEL, [b""] * (len(result.names) + 1),
-                heads, b"\n", b"\n")
+    _write_rows(result, stream, g17, SINGULAR_SENTINEL, heads, [b""] * (len(result.names) + 1),
+                b"\n", 0)
 
 
 def write_rows_json(result: SweepResult, stream: IO[str]) -> None:
     """Write the rows as ``json.dump(rows, indent=2)`` and a newline, each number as
     ``repr`` writes it, as json does (``digits.shortest``).  The keys, the family and the
     sentinel go in as they are: a column name is a quantity id and an order, which json
-    quotes unchanged."""
-    keys = [f'    "{name}": '.encode() for name in ("amplitude", *result.names)]
-    keys[1:] = [b"\n" + key for key in keys[1:]]  # the field before ends with the comma
-    heads = [f'  {{\n    "kind": "{result.kind}",\n    "d": {d},\n'.encode()
+    quotes unchanged.  Every row opens with the comma that follows the row before, which
+    the first row leaves out."""
+    heads = [f',\n  {{\n    "kind": "{result.kind}",\n    "d": {d},'.encode()
              for d, *_ in result.levels]
-    stream.write("[\n")
-    _write_rows(result, stream, shortest, f'"{SINGULAR_SENTINEL}"', keys, heads,
-                b"\n  },\n", b"\n  }\n]\n")
+    keys = [f'\n    "{name}": '.encode() for name in ("amplitude", *result.names)]
+    stream.write("[")
+    _write_rows(result, stream, shortest, f'"{SINGULAR_SENTINEL}"', heads, keys, b"\n  }", 1)
+    stream.write("\n]\n")
 
 
 #: The output formats, each with its writer.

@@ -4,7 +4,6 @@ import errno
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -340,15 +339,6 @@ def test_a_sweep_that_exits_three_leaves_no_output_file(monkeypatch, tmp_path):
     out = tmp_path / "rows.csv"
     assert main(SWEEP_ARGS + ["--out", str(out)]) == 3
     assert not out.exists()
-
-
-def test_main_probes_the_terminal_once(monkeypatch, tmp_path):
-    # argparse's formatter would probe it for every parser and argument.
-    calls = []
-    probe = shutil.get_terminal_size
-    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or probe(*a))
-    assert main([*SWEEP_ARGS, "--out", str(tmp_path / "rows.csv")]) == 0
-    assert len(calls) == 1
 
 
 def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys):

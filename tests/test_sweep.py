@@ -24,6 +24,7 @@ from quditnc import (
     table1_search,
 )
 from quditnc import fock, measures, states, sweep
+from quditnc.digits import g17, shortest
 from quditnc.states import block_rows
 from quditnc.sweep import (
     SINGULAR_SENTINEL,
@@ -569,6 +570,35 @@ def _json_of_cells(cells, singular=None):
         for a, *vs in np.where(mask, SINGULAR_SENTINEL, cells.astype(object)).tolist()
     ]
     return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_digits_slots_hold_each_number_alone():
+    # A slot is the value's text and NULs, its last byte NUL: the writer adds every comma.
+    edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 2.0**-1074, 0.5, 1e16,
+             9999999999999998.0, 1234567890123456.75]
+    bits = np.random.default_rng(31).integers(-(2**63), 2**63, size=4000, dtype=np.int64)
+    x = np.concatenate([edges, bits.view(np.float64)])
+    for digits, fmt in ((g17, "%.17g".__mod__), (shortest, repr)):
+        raw = np.ascontiguousarray(digits(x).T).tobytes()
+        slots = [raw[i:i + 48] for i in range(0, len(raw), 48)]
+        assert [slot.replace(b"\0", b"").decode() for slot in slots] == list(map(fmt, x.tolist()))
+        assert all(slot[47] == 0 for slot in slots)
+        assert b"," not in raw
+
+
+def test_non_finite_cells_under_the_mask_become_the_sentinel():
+    # a3 reads nan on the vacuum: the digits format such a cell, then the writer covers it.
+    cells = [[0.5, math.nan, 2.0], [1.0, math.inf, 3.0], [1.5, -math.inf, 4.0]]
+    singular = [[False, True, False]] * 3
+    csv_text, _ = _csv_of_cells(cells, singular)
+    json_text, want = _json_of_cells(cells, singular)
+    assert csv_text.split("\n")[1:4] == [
+        "linear,3,0.5,singular,2", "linear,3,1,singular,3", "linear,3,1.5,singular,4",
+    ]
+    assert json_text == want
+    for text in (csv_text, json_text):
+        assert "nan" not in text and "inf" not in text
 
 
 def test_json_writes_what_repr_writes_for_a_million_doubles():
