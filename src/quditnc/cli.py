@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -259,7 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> bool:
+    """Keep the heap one block frees mapped for the next, unless the environment sets malloc."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    malloc_vars = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_",
+                   "MALLOC_MMAP_MAX_")
+    if not glibc or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "") or any(
+        name in os.environ for name in malloc_vars
+    ):
+        return False
+    # glibc's own ceilings on 64-bit: M_MMAP_THRESHOLD (-3) 32 MiB, M_TRIM_THRESHOLD (-1) 64 MiB
+    mallopt = ctypes.CDLL(None).mallopt
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # parse_args, with the tokens shown as a repr

@@ -1,6 +1,12 @@
-"""OpenBLAS's thread count: one by default, unless the user or numpy came first."""
+"""Two process-level defaults, each left alone when the environment sets its own.
+
+OpenBLAS's thread count: one by default, unless the user or numpy came first.  glibc's
+malloc thresholds: the CLI keeps the heap one block frees mapped for the next, unless a
+malloc setting is in the environment; importing quditnc leaves the allocator alone.
+"""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +16,10 @@ import pytest
 import quditnc
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+MALLOC_VARS = (
+    "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_",
+    "GLIBC_TUNABLES",
+)
 SHOW = f"import os; print([(k, os.environ[k]) for k in {THREAD_VARS!r} if k in os.environ])"
 CRIT9 = [
     "sweep", "--kind", "nonlinear", "--d", "5", "--range", "0:Td/2", "--steps", "400",
@@ -18,14 +28,22 @@ CRIT9 = [
     "negativity_closed_form,negativity_exact,concurrence_closed_form,concurrence_exact,"
     "anticlassicality,anticlassicality_excl_vacuum",
 ]
+POPULATIONS = [
+    "sweep", "--kind", "nonlinear", "--d", "10,20,30,40,50,60", "--range", "0:Td/2",
+    "--steps", "400",
+    "--quantities", "anticlassicality,anticlassicality_excl_vacuum,klyshko:0,klyshko:1,klyshko:2",
+]
+on_glibc = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the heap policy acts on glibc's malloc alone"
+)
 
 
-def _run(args, **threads) -> str:
-    # A fresh interpreter whose environment holds no thread count but the ones given:
-    # this process may have set the default itself when it imported quditnc.
+def _run(args, **settings) -> str:
+    # A fresh interpreter whose environment holds no thread count or malloc setting but the
+    # ones given: this process may have set the thread default itself when it imported quditnc.
     src = str(Path(quditnc.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + MALLOC_VARS}
+    env.update(settings, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -62,3 +80,45 @@ def test_the_criterion_9_sweep_writes_the_same_bytes_at_any_thread_count():
     assert _run(["-m", "quditnc.cli", *CRIT9], OPENBLAS_NUM_THREADS="1") == one
     pool = str(max(2, os.cpu_count() or 1))
     assert _run(["-m", "quditnc.cli", *CRIT9], OPENBLAS_NUM_THREADS=pool) == one
+
+
+@on_glibc
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+    ],
+)
+def test_a_malloc_setting_in_the_environment_wins_over_the_heap_policy(setting):
+    check = "import quditnc.cli; print(quditnc.cli._keep_freed_heap())"
+    assert _run(["-c", check], **setting) == "False\n"
+
+
+# Records what the policy returned (as-is) or skips it (no-op), then prints the minor faults
+# taken inside main.  The no-op keeps glibc's dynamic thresholds, which a MALLOC_* setting
+# in the environment would switch off.
+FAULTS = """
+import resource, sys, quditnc.cli as cli
+policy, kept = cli._keep_freed_heap, []
+cli._keep_freed_heap = lambda: kept.append(policy()) if sys.argv[1] == "as-is" else None
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(sys.argv[2:]) == 0
+print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@on_glibc
+def test_the_cli_keeps_the_heap_one_block_frees(tmp_path):
+    # One fresh interpreter a run: the policy is process-wide and cannot be undone, and a
+    # second run in one process would find the nonlinear eigenbases cached.
+    kept, faults = {}, {}
+    for mode in ("as-is", "no-op"):
+        printed = _run(["-c", FAULTS, mode, *POPULATIONS, "--out", str(tmp_path / mode)])
+        kept[mode], count = printed.rsplit(" ", 1)
+        faults[mode] = int(count)
+    assert kept == {"as-is": "[True]", "no-op": "[]"}
+    assert faults["as-is"] <= 0.6 * faults["no-op"], faults
+    rows = (tmp_path / "as-is").read_bytes()
+    assert len(rows.splitlines()) == 2401
+    assert rows == (tmp_path / "no-op").read_bytes()
