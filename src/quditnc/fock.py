@@ -57,21 +57,25 @@ def level_sum(x: np.ndarray, weights) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a norm that overflows reads inf, refused below
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
-    """Each row of a complex (S, d) array divided by its norm, read-only.
+    """Each row of a complex (S, d) array divided in place by its norm; returns it read-only.
 
     The first row whose norm deviates from 1 by more than ``NORM_TOL``, or is not
     finite, is rejected with a ``NormError``; smaller deviations (numerical roundoff
     from upstream constructions) are silently renormalized.  The norm is
-    ``np.linalg.norm``'s, row by row.
+    ``np.linalg.norm``'s, row by row: the imaginary parts' dots are added only when
+    some part is nonzero, as adding their +0.0 is exact.
     """
-    norms = np.sqrt(row_dots(raw.real, raw.real) + row_dots(raw.imag, raw.imag))
+    dots = row_dots(raw.real, raw.real)
+    if raw.imag.any():
+        dots += row_dots(raw.imag, raw.imag)
+    norms = np.sqrt(dots)
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # a nan norm compares false
     if off.any():
         row = int(off.argmax())
         raise NormError(row, float(norms[row]))
-    out = raw / norms[:, None]
-    out.setflags(write=False)
-    return out
+    raw /= norms[:, None]
+    raw.setflags(write=False)
+    return raw
 
 
 class StateBlock:
@@ -138,7 +142,7 @@ class FockVector(StateBlock):
     __slots__ = ()
 
     def __init__(self, amps) -> None:
-        arr = np.atleast_1d(np.asarray(amps, dtype=complex))
+        arr = np.atleast_1d(np.array(amps, dtype=complex))  # a copy: it is normalized in place
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("amps must be a non-empty one-dimensional sequence")
         super().__init__(normalized_rows(arr[None, :]))

@@ -109,13 +109,18 @@ def _nonlinear_coefficients(d: int, moduli: np.ndarray) -> np.ndarray:
         c_n = (1, 1, -1, -1)[n mod 4] sum_k V[n, k] V[0, k] cs_n(x_k r).
 
     Each row is its own (2, d) @ (d, d) product: its bits do not depend on its block.
+    The rows are the cosine half of the products, the odd levels' sine sums copied over it.
     """
     basis = he_roots(d)
-    levels = np.arange(d)
     x = basis.roots * moduli[:, None]
-    sums = np.matmul(basis.vectors[0] * np.stack([np.cos(x), np.sin(x)], axis=1), basis.vectors.T)
-    sign = np.array([1.0, 1.0, -1.0, -1.0])[levels % 4]
-    return np.where(levels % 2, sums[:, 1], sums[:, 0]) * sign
+    cs = np.empty((len(moduli), 2, d))
+    np.cos(x, out=cs[:, 0])
+    np.sin(x, out=cs[:, 1])
+    cs *= basis.vectors[0]
+    sums = np.matmul(cs, basis.vectors.T)
+    sums[:, 0, 1::2] = sums[:, 1, 1::2]
+    sums[:, 0] *= np.array([1.0, 1.0, -1.0, -1.0])[np.arange(d) % 4]
+    return sums[:, 0]
 
 
 def _linear_coefficients(d: int, moduli: np.ndarray) -> np.ndarray:
@@ -145,7 +150,7 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
         raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {kind!r}")
     if d < 2:
         raise ValueError("dim must be at least 2")
-    amps = np.asarray(list(amplitudes), complex)
+    amps = np.array(amplitudes if isinstance(amplitudes, np.ndarray) else list(amplitudes), complex)
     # The largest array the build makes: the block, or the nonlinear family's d x d eigenproblem.
     entries = max(len(amps), d if kind == "nonlinear" else 0) * d
     if entries > MAX_ENTRIES:
@@ -156,10 +161,14 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
     built = r > 0
     build = _linear_coefficients if kind == "linear" else _nonlinear_coefficients
     coefficients = build(d, r[built]) if built.any() else np.empty((0, d))  # no he_roots call
-    # Complex as the rows end (real rows' norms round otherwise), made once the build is done.
+    # Complex as the rows end (real rows' norms round otherwise), made once the build is done,
+    # and normalized in place: the block is this call's own.
     raw = np.zeros((len(amps), d), complex)
-    raw[~built, 0] = 1.0
-    raw.real[built] = coefficients
+    if built.all():  # no vacuum row: a plain slice, not the mask, takes the coefficients
+        raw.real[:] = coefficients
+    else:
+        raw[~built, 0] = 1.0
+        raw.real[built] = coefficients
     try:
         rows = normalized_rows(raw)
     except NormError as exc:  # the amplitude was valid: the build lost unitarity

@@ -218,7 +218,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         step = block_rows(d)
         for first in range(0, spec.steps, step):
             rows = slice(first, first + step)
-            block = state_block(kind, d, cells[0, rows].tolist())
+            block = state_block(kind, d, cells[0, rows])
             cells[1:, rows], singular[1:, rows] = evaluate(block, spec.quantities)
             bad = ~(np.isfinite(cells[1:, rows]) | singular[1:, rows])
             if bad.any():

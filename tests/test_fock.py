@@ -17,6 +17,7 @@ from quditnc import (
 )
 from quditnc import fock
 from quditnc.fock import StateBlock, level_sum
+from quditnc.states import KINDS, state_block
 
 
 def test_fockvector_accepts_tiny_norm_drift():
@@ -51,6 +52,29 @@ def test_fockvector_amps_are_read_only():
     v = fock_state(1)
     with pytest.raises(ValueError):
         v.amps[0] = 1.0
+
+
+def test_normalizing_in_place_never_writes_the_callers_array():
+    # A drift within NORM_TOL is divided out, so a division in the caller's array would show;
+    # a vector of norm 2 is refused before any division.
+    drifted = np.array([0.6, 0.8j, 0.0]) * (1.0 + 1e-9)
+    before = drifted.tobytes()
+    state = FockVector(drifted)
+    assert drifted.tobytes() == before
+    assert not np.shares_memory(state.rows, drifted)
+    off = np.array([1.2, 1.6j, 0.0])
+    before = off.tobytes()
+    with pytest.raises(ValueError):
+        FockVector(off)
+    assert off.tobytes() == before
+    for kind in KINDS:
+        for arr in (np.array([0.0, 0.7, -1.3]), np.array([0.0, 0.7 - 0.2j, -1.3, 2j])):
+            before = arr.tobytes()
+            block = state_block(kind, 6, arr)
+            assert arr.tobytes() == before
+            assert not block.rows.flags.writeable
+            with pytest.raises(ValueError):
+                block.rows[0, 0] = 0.0
 
 
 def test_an_overflowing_vector_is_a_value_error_not_a_warning():
