@@ -150,7 +150,7 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
         raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {kind!r}")
     if d < 2:
         raise ValueError("dim must be at least 2")
-    amps = np.array(amplitudes if isinstance(amplitudes, np.ndarray) else list(amplitudes), complex)
+    amps = np.asarray(amplitudes if isinstance(amplitudes, np.ndarray) else list(amplitudes), complex)
     # The largest array the build makes: the block, or the nonlinear family's d x d eigenproblem.
     entries = max(len(amps), d if kind == "nonlinear" else 0) * d
     if entries > MAX_ENTRIES:
@@ -164,11 +164,8 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
     # Complex as the rows end (real rows' norms round otherwise), made once the build is done,
     # and normalized in place: the block is this call's own.
     raw = np.zeros((len(amps), d), complex)
-    if built.all():  # no vacuum row: a plain slice, not the mask, takes the coefficients
-        raw.real[:] = coefficients
-    else:
-        raw[~built, 0] = 1.0
-        raw.real[built] = coefficients
+    raw[~built, 0] = 1.0
+    raw.real[built] = coefficients
     try:
         rows = normalized_rows(raw)
     except NormError as exc:  # the amplitude was valid: the build lost unitarity

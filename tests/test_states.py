@@ -351,7 +351,7 @@ def test_batched_nonlinear_build_matches_per_state_sum_bit_for_bit(d):
     for amp, want, got in zip(amplitudes, expected, built):
         assert _same_bits(got, want), (d, amp)
         assert _same_bits(build_state("nonlinear", d, amp).amps, want), (d, amp)
-    # No vacuum row, and arrays as run_sweep passes them: the block takes its rows by a slice.
+    # Float and complex arrays, as run_sweep passes them, and blocks with no vacuum row.
     for amps in (np.array(real[1:]), np.array(real[1:] + cplx)):
         rows = state_block("nonlinear", d, amps).rows
         assert len(rows) == len(amps)
