@@ -136,11 +136,7 @@ def concurrence_closed_form(block: StateBlock) -> np.ndarray:
 def _purities(stack: np.ndarray) -> np.ndarray:
     # The exact reduced purity of one output mode of each matrix: the
     # squared sum of the entries of A A^H.
-    if np.iscomplexobj(stack):
-        rho = np.abs(stack @ stack.conj().transpose(0, 2, 1)) ** 2
-    else:
-        rho = stack @ stack.transpose(0, 2, 1)
-        rho *= rho
+    rho = np.abs(stack @ stack.conj().transpose(0, 2, 1)) ** 2
     return rho.reshape(len(stack), -1).sum(axis=1)
 
 

@@ -63,49 +63,29 @@ def resolve_amplitude(value: float | str, d: int) -> float:
 
 class Quantity(NamedTuple):
     """A family of sweep columns: ``check_order`` accepts its orders (``None``: it takes none),
-    and ``fn(block, orders)`` gives one column per order asked for, each the values of the
-    block's states as an array or a scalar that broadcasts over the block, and the mask of the
-    states whose cells in every one of these columns get the singular sentinel (an array or a
-    bool)."""
+    and ``fn(block, order)`` gives one column, the values of the block's states as an array
+    or a scalar that broadcasts over the block, and the mask of the states whose cells get
+    the singular sentinel (an array or a bool)."""
 
     check_order: Callable[[int], bool] | None
-    fn: Callable[[StateBlock, list], tuple[Sequence[np.ndarray | float], np.ndarray | bool]]
+    fn: Callable[[StateBlock, int | None], tuple[np.ndarray | float, np.ndarray | bool]]
 
 
-def _each_order(kernel) -> Callable:
-    """``fn(block, orders)`` from ``kernel(block, order)``, one call per order."""
-
-    def fn(block: StateBlock, orders: list) -> tuple[list, bool]:
-        columns = []
-        for order in orders:
-            try:
-                columns.append(kernel(block, order))
-            except OverflowError:  # a coefficient left the double range, whatever the state
-                columns.append(math.inf)
-        return columns, False
-
-    return fn
+def _ordered(check_order: Callable[[int], bool], kernel) -> Quantity:
+    return Quantity(check_order, lambda block, order: (kernel(block, order), False))
 
 
 def _plain(kernel) -> Quantity:
-    return Quantity(None, _each_order(lambda b, _: kernel(b)))
-
-
-def _a3(block: StateBlock, _) -> tuple:
-    value, singular = agarwal_tara(block)
-    return (value,), singular
-
-
-def _klyshko(block: StateBlock, levels: list) -> tuple:
-    return klyshko(block, levels).T, False
+    return Quantity(None, lambda block, _: (kernel(block), False))
 
 
 QUANTITIES: dict[str, Quantity] = {
-    "hoa": Quantity(lambda o: o >= 1, _each_order(hoa)),
-    "hos": Quantity(lambda o: o % 2 == 0 and 2 <= o <= 8, _each_order(hos_witness)),
-    "hosps": Quantity(lambda o: o >= 1, _each_order(hosps)),
-    "a3": Quantity(None, _a3),
-    "klyshko": Quantity(lambda o: o >= 0, _klyshko),
+    "hoa": _ordered(lambda o: o >= 1, hoa),
+    "hos": _ordered(lambda o: o % 2 == 0 and 2 <= o <= 8, hos_witness),
+    "hosps": _ordered(lambda o: o >= 1, hosps),
+    "a3": Quantity(None, lambda block, _: agarwal_tara(block)),
+    # By name at call time, as for a3 and anticlassicality: a rebound sweep.klyshko is called.
+    "klyshko": _ordered(lambda o: o >= 0, lambda block, n: klyshko(block, n)),
     "negativity_closed_form": _plain(negativity_potential_closed_form),
     "negativity_exact": _plain(log_negativity_exact),
     "concurrence_closed_form": _plain(concurrence_closed_form),
@@ -117,17 +97,15 @@ QUANTITIES: dict[str, Quantity] = {
 
 def evaluate(block: StateBlock, quantities) -> tuple[np.ndarray, np.ndarray]:
     """The (id, order) columns of ``quantities`` on every state of the block: the (Q, S)
-    values and the (Q, S) mask of the sentinel cells.  The columns of one id are one call of
-    its ``fn`` with their orders; an overflow inside a quantity reads inf in its columns."""
-    groups: dict[str, list[int]] = {}  # an id -> its columns
-    for j, (ident, _) in enumerate(quantities):
-        groups.setdefault(ident, []).append(j)
+    values and the (Q, S) mask of the sentinel cells.  Each column is one call of its id's
+    ``fn``; an overflow inside a quantity reads inf in its column."""
     values = np.empty((len(quantities), len(block)))
     singular = np.zeros((len(quantities), len(block)), dtype=bool)
-    for ident, columns in groups.items():
-        cells, singular[columns] = QUANTITIES[ident].fn(block, [quantities[j][1] for j in columns])
-        for j, column in zip(columns, cells):
-            values[j] = column
+    for j, (ident, order) in enumerate(quantities):
+        try:
+            values[j], singular[j] = QUANTITIES[ident].fn(block, order)
+        except OverflowError:  # a coefficient left the double range, whatever the state
+            values[j] = math.inf
     return values, singular
 
 
@@ -357,7 +335,8 @@ def klyshko_bars(state_kind: str, d: int, amplitudes: Sequence[float | str]) -> 
     """
     amps = [resolve_amplitude(raw, d) for raw in amplitudes]
     levels = klyshko_levels(d)
-    values = klyshko(state_block(state_kind, d, amps), levels).tolist()
+    block = state_block(state_kind, d, amps)
+    values = np.array([klyshko(block, n) for n in levels]).T.tolist()
     entries = [
         {
             "amplitude_token": str(raw),

@@ -115,21 +115,20 @@ def agarwal_tara(block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(all="ignore")
-def klyshko(block: StateBlock, levels) -> np.ndarray:
-    """Three-level probability test (n+2) p_n p_(n+2) - (n+1) p_(n+1)^2 of each
-    state, one column per level n of ``levels``: an (S, L) array.
+def klyshko(block: StateBlock, n: int) -> np.ndarray:
+    """Three-level probability test (n+2) p_n p_(n+2) - (n+1) p_(n+1)^2 of each state.
 
     Probabilities beyond the supported levels read as zero, so a level from d on
     reads exactly 0: it is taken as level d, decided on the Python int, so no
     level meets int64 overflow.  A level that is not an integer raises TypeError.
     """
     d = block.dim
-    n = np.array([level if level < d else d for level in map(operator.index, levels)], dtype=int)
-    if (n < 0).any():
+    n = min(operator.index(n), d)
+    if n < 0:
         raise ValueError("level index must be non-negative")
-    p = np.zeros((len(block), d + 3))  # the probabilities, then levels d .. d + 2 at 0
-    p[:, :d] = block.probabilities
-    return (n + 2) * p[:, n] * p[:, n + 2] - (n + 1) * np.float_power(p[:, n + 1], 2)
+    p, zero = block.probabilities, np.zeros(len(block))
+    p0, p1, p2 = (p[:, m] if m < d else zero for m in (n, n + 1, n + 2))
+    return (n + 2) * p0 * p2 - (n + 1) * np.float_power(p1, 2)
 
 
 def klyshko_levels(d: int) -> range:

@@ -182,7 +182,7 @@ def test_criterion_4_classical_limit_zeros():
                 assert abs(hosps(state, l)[0]) < 1e-6
             assert abs(_a3(state)) < 1e-3
             for n in range(6):
-                assert abs(klyshko(state, [n])[0, 0]) < 1e-6
+                assert abs(klyshko(state, n)[0]) < 1e-6
 
 
 def test_criterion_5_number_state_landmarks():

@@ -53,7 +53,7 @@ def _bits(cells):
 
 def _cells(block, ident, order):
     # A column as the sweep serializes it: floats, and the sentinel where masked.
-    (values,), singular = QUANTITIES[ident].fn(block, [order])
+    values, singular = QUANTITIES[ident].fn(block, order)
     singular = np.broadcast_to(singular, len(block)).tolist()
     return [SINGULAR_SENTINEL if s else v for v, s in zip(values.tolist(), singular)]
 
@@ -221,7 +221,7 @@ def test_per_state_calls_on_one_state_give_the_bits_of_fresh_states(kind, d):
     # function returns on it the bits it returns on a fresh state.
     calls = [partial(hoa, l=l) for l in (1, 2, 3)] + [partial(hos_witness, n=n) for n in (2, 4)]
     calls += [partial(hosps, l=l) for l in (2, 3, 4)] + [agarwal_tara]
-    calls += [partial(klyshko, levels=[n]) for n in range(d - 2)]
+    calls += [partial(klyshko, n=n) for n in range(d - 2)]
     calls += [negativity_potential_closed_form, log_negativity_exact, concurrence_closed_form,
               concurrence_exact, partial(anticlassicality, exclude_vacuum=False),
               partial(anticlassicality, exclude_vacuum=True)]
@@ -237,7 +237,7 @@ def test_klyshko_block_reproduces_the_per_state_formula_at_every_level():
     rng = np.random.default_rng(6)
     raw = rng.standard_normal((2000, 8)) + 1j * rng.standard_normal((2000, 8))
     block = StateBlock(normalized_rows(raw / np.linalg.norm(raw, axis=1)[:, None]))
-    got = klyshko(block, range(10)).tolist()
+    got = np.column_stack([klyshko(block, n) for n in range(10)]).tolist()
     for row, p in zip(got, (np.abs(block.rows) ** 2).tolist()):
         at = p + [0.0, 0.0, 0.0, 0.0]
         assert row == [(n + 2) * at[n] * at[n + 2] - (n + 1) * at[n + 1] ** 2 for n in range(10)]

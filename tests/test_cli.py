@@ -327,14 +327,14 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_non_finite_value_exits_three(monkeypatch, capsys):
-    bad = Quantity(lambda o: True, lambda block, orders: ([math.nan] * len(orders), False))
+    bad = Quantity(lambda o: True, lambda block, order: (math.nan, False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     assert main(SWEEP_ARGS) == 3
     assert "non-finite" in capsys.readouterr().err
 
 
 def test_a_sweep_that_exits_three_leaves_no_output_file(monkeypatch, tmp_path):
-    bad = Quantity(lambda o: True, lambda block, orders: ([math.nan] * len(orders), False))
+    bad = Quantity(lambda o: True, lambda block, order: (math.nan, False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     out = tmp_path / "rows.csv"
     assert main(SWEEP_ARGS + ["--out", str(out)]) == 3

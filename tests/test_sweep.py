@@ -211,17 +211,34 @@ def test_run_sweep_emits_singular_sentinel():
 
 
 def test_run_sweep_raises_on_non_finite_values(monkeypatch):
-    bad = Quantity(lambda o: True, lambda block, orders: ([math.inf] * len(orders), False))
+    bad = Quantity(lambda o: True, lambda block, order: (math.inf, False))
     monkeypatch.setitem(QUANTITIES, "hoa", bad)
     with pytest.raises(NumericalError):
         run_sweep(_spec())
 
 
+def test_evaluate_calls_fn_once_per_column_and_an_overflow_stays_in_its_column(monkeypatch):
+    orders = []
+
+    def fn(block, order):
+        orders.append(order)
+        if order == 2:
+            raise OverflowError
+        return np.full(len(block), float(order)), False
+
+    monkeypatch.setitem(QUANTITIES, "hoa", Quantity(lambda o: True, fn))
+    block = states.state_block("linear", 4, [0.5, 1.0])
+    values, singular = sweep.evaluate(block, (("hoa", 1), ("hoa", 2), ("hoa", 3)))
+    assert orders == [1, 2, 3]
+    assert values.tolist() == [[1.0, 1.0], [math.inf, math.inf], [3.0, 3.0]]
+    assert not singular.any()
+
+
 def _bad_from(row, value):
     # Non-finite from the given row of the d=4 block on, finite elsewhere.
-    def fn(block, orders):
+    def fn(block, order):
         rows = np.arange(len(block))
-        return [np.where((block.dim == 4) & (rows >= row), value, 0.0) for _ in orders], False
+        return np.where((block.dim == 4) & (rows >= row), value, 0.0), False
 
     return fn
 
@@ -248,7 +265,7 @@ def test_run_sweep_csv_equals_a_loop_over_build_state():
     quantities = (("anticlassicality", None), ("klyshko", 1), ("hoa", 2))
     per_state = {
         "anticlassicality": lambda state, _: anticlassicality(state, False)[0][0],
-        "klyshko": lambda state, n: klyshko(state, [n])[0, 0],
+        "klyshko": lambda state, n: klyshko(state, n)[0],
         "hoa": lambda state, l: hoa(state, l)[0],
     }
     spec = _spec(
@@ -378,23 +395,19 @@ def test_output_bytes_do_not_depend_on_the_block_layout(monkeypatch, kind, rule)
 @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
 def test_complex_amplitude_columns_do_not_depend_on_the_block_layout(monkeypatch, kind, rule):
     amplitudes = [*(1.7 * np.exp(1j * np.linspace(-3.0, 3.0, 23))), 0.0, -0.8, 2.5]
-    families = {}
-    for ident, order in LAYOUT_QUANTITIES:
-        families.setdefault(ident, []).append(order)
 
     def columns():
         out = {}
         step = sweep.block_rows(7)
         for first in range(0, len(amplitudes), step):
             block = sweep.state_block(kind, 7, amplitudes[first : first + step])
-            for ident, orders in families.items():
-                values, singular = QUANTITIES[ident].fn(block, orders)
+            for ident, order in LAYOUT_QUANTITIES:
+                values, singular = QUANTITIES[ident].fn(block, order)
                 masked = np.broadcast_to(singular, len(block)).tolist()
-                for order, column in zip(orders, values):
-                    cells = np.broadcast_to(column, len(block)).tolist()
-                    out.setdefault(column_name(ident, order), []).extend(
-                        SINGULAR_SENTINEL if s else float(v).hex() for v, s in zip(cells, masked)
-                    )
+                cells = np.broadcast_to(values, len(block)).tolist()
+                out.setdefault(column_name(ident, order), []).extend(
+                    SINGULAR_SENTINEL if s else float(v).hex() for v, s in zip(cells, masked)
+                )
         return out
 
     want = columns()
@@ -421,16 +434,17 @@ def test_an_ids_columns_do_not_depend_on_the_columns_beside_it(kind, d):
 
 
 @pytest.mark.parametrize("d,blocks", [(5, 1), (60, 2), (200, 6)])
-def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
+def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_level_and_block(
     monkeypatch, d, blocks
 ):
     # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two, and at
-    # d = 200 six blocks of at most 15360 // 200 = 76 rows.
+    # d = 200 six blocks of at most 15360 // 200 = 76 rows.  Each of its three klyshko
+    # columns is one call per block, in column order.
     built, calls = [], []
     state_block = sweep.state_block
     klyshko = sweep.klyshko
     monkeypatch.setattr(sweep, "state_block", lambda *a: built.append(a) or state_block(*a))
-    monkeypatch.setattr(sweep, "klyshko", lambda b, n: calls.append(list(n)) or klyshko(b, n))
+    monkeypatch.setattr(sweep, "klyshko", lambda b, n: calls.append(n) or klyshko(b, n))
     spec = _spec(
         state_kind="nonlinear",
         d_list=(d,),
@@ -440,7 +454,7 @@ def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
     )
     assert len(run_sweep(spec)) == 400
     assert len(built) == blocks
-    assert calls == [[0, 1, 2]] * blocks
+    assert calls == [0, 1, 2] * blocks
 
 
 def test_a_sweep_keeps_the_d_by_d_tables_of_one_level_count():

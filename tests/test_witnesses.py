@@ -202,45 +202,45 @@ def test_agarwal_tara_small_in_classical_limit():
 
 
 def test_klyshko_single_photon():
-    assert klyshko(fock_state(1), [0])[0, 0] == pytest.approx(-1.0, abs=1e-14)
+    assert klyshko(fock_state(1), 0)[0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_klyshko_exact_cancellation():
     # p = (0.4, 0.4, 0.2) gives 2 p0 p2 = p1^2.
-    assert klyshko(build_state("linear", 3, 1.0), [0])[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert klyshko(build_state("linear", 3, 1.0), 0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_klyshko_beyond_support_is_zero():
     s = fock_state(1)
-    assert klyshko(s, [5])[0, 0] == 0.0
-    assert klyshko(s, [1])[0, 0] == 0.0
+    assert klyshko(s, 5)[0] == 0.0
+    assert klyshko(s, 1)[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 2**31, 2**63 - 2, 2**63, 2**64, 10**40])
 def test_klyshko_from_the_level_count_on_is_exactly_zero_at_any_level(n):
     # Levels past int64 (and those that wrapped in n + 2) read 0, as every
     # level from d = 3 on does: its three probabilities are 0.
-    value = klyshko(NL_D3, [n])[0, 0]
+    value = klyshko(NL_D3, n)[0]
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_klyshko_frozen_value():
-    assert klyshko(NL_D3, [0])[0, 0] == pytest.approx(0.02957762381822031, abs=1e-12)
+    assert klyshko(NL_D3, 0)[0] == pytest.approx(0.02957762381822031, abs=1e-12)
 
 
 def test_klyshko_order_domain():
     with pytest.raises(ValueError):
-        klyshko(NL_D3, [-1])
+        klyshko(NL_D3, -1)
 
 
 def test_klyshko_refuses_a_level_that_is_not_an_integer():
     # A float level was cast to int: level 1.5 read level 1.
     for bad in (1.5, 1.0, "1"):
         with pytest.raises(TypeError):
-            klyshko(NL_D3, [bad])
-    assert klyshko(NL_D3, [np.int64(0)])[0, 0] == klyshko(NL_D3, [0])[0, 0]
+            klyshko(NL_D3, bad)
+    assert klyshko(NL_D3, np.int64(0))[0] == klyshko(NL_D3, 0)[0]
     for huge in (2**63, 2**64):
-        value = klyshko(NL_D3, [huge])[0, 0]
+        value = klyshko(NL_D3, huge)[0]
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -248,9 +248,16 @@ def test_klyshko_refuses_a_level_that_is_not_an_integer():
 @settings(max_examples=50, deadline=None)
 def test_klyshko_two_level_states_never_positive(p1):
     amps = np.array([math.sqrt(1.0 - p1), math.sqrt(p1)], dtype=complex)
-    value = klyshko(FockVector(amps), [0])[0, 0]
+    value = klyshko(FockVector(amps), 0)[0]
     assert value == pytest.approx(-(p1**2), abs=1e-12)
     assert value <= 1e-12
+
+
+@pytest.mark.parametrize("witness", [hoa, hos_witness, hosps, klyshko])
+def test_every_ordered_witness_takes_one_order_and_gives_one_value_per_state(witness):
+    block = state_block("nonlinear", 6, [0.3, 0.9, 1.4])
+    assert witness(block, 2).shape == (3,)
+    assert witness(NL_D3, 2).shape == (1,)
 
 
 def test_witness_report_structure():
