@@ -434,7 +434,7 @@ def test_an_ids_columns_do_not_depend_on_the_columns_beside_it(kind, d):
 
 
 @pytest.mark.parametrize("d,blocks", [(5, 1), (60, 2), (200, 6)])
-def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_level_and_block(
+def test_a_sweep_builds_a_block_per_block_rule_and_calls_klyshko_once_per_block(
     monkeypatch, d, blocks
 ):
     # The criterion-9 spec at d = 5 is one block; at d = 60 its 400 rows are two, and at
