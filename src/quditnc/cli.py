@@ -9,7 +9,6 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .states import KINDS, NumericalError, build_state
@@ -69,7 +68,8 @@ def _load_config(path: str | None) -> dict:
         return {}
     import json  # loaded only where JSON is read or written: a CSV sweep never needs it
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path) as file:
+            raw = json.loads(file.read())
     except (ValueError, RecursionError) as exc:  # bad text or JSON, or nested past the limit
         raise ValueError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):
@@ -112,7 +112,7 @@ class _Setting(NamedTuple):
     what each must hold and its test (JSON values have exact types, so a bool is no int:
     int() would truncate 3.9 and float(true) would sweep from 1.0); how the flag's text, or
     else the config's values, give those keys' values; and what to say when neither is
-    given, if one must be.  A flag with no config keys sets no SweepSpec field."""
+    given, if one must be.  Every key but ``format`` is a SweepSpec field."""
 
     flag: str
     options: dict
@@ -124,7 +124,7 @@ class _Setting(NamedTuple):
 
 
 #: The ``sweep`` flags in help order.  Flags win over the config; the config key ``format``
-#: is the field ``output_format``, and a sweep given no level counts has none.
+#: picks the writer, and a sweep given no level counts has none.
 _SWEEP_SETTINGS = (
     _Setting("--kind", {"choices": KINDS}, ("state_kind",), _one_of(KINDS),
              required="a state kind is required"),
@@ -149,7 +149,7 @@ _SWEEP_SETTINGS = (
 )
 
 
-def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
+def _build_sweep_spec(args: argparse.Namespace) -> tuple[SweepSpec, str]:
     cfg = _load_config(args.config)
     fields = {"d_list": ()}
     for setting in _SWEEP_SETTINGS:
@@ -160,9 +160,8 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
             fields.update(zip(setting.keys, setting.read(*map(cfg.get, setting.keys))))
         elif setting.required:
             raise ValueError(f"{setting.required} ({setting.flag} or config)")
-    if "format" in fields:
-        fields["output_format"] = fields.pop("format")
-    return SweepSpec(**fields)
+    output_format = fields.pop("format", "csv")
+    return SweepSpec(**fields), output_format
 
 
 def _output(out: str | None):
@@ -179,10 +178,10 @@ def _emit(payload, out: str | None) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_sweep_spec(args)
+    spec, output_format = _build_sweep_spec(args)
     result = run_sweep(spec)  # before --out is opened: a failed sweep leaves no file
     with _output(args.out) as stream:
-        WRITERS[spec.output_format](result, stream)
+        WRITERS[output_format](result, stream)
     return 0
 
 

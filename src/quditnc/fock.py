@@ -57,7 +57,7 @@ def level_sum(x: np.ndarray, weights) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a norm that overflows reads inf, refused below
 def normalized_rows(raw: np.ndarray) -> np.ndarray:
-    """Each row of a complex (S, d) array divided in place by its norm; returns it read-only.
+    """Each row of a complex (S, d) array divided in place by its norm; returns it.
 
     The first row whose norm deviates from 1 by more than ``NORM_TOL``, or is not
     finite, is rejected with a ``NormError``; smaller deviations (numerical roundoff
@@ -74,12 +74,11 @@ def normalized_rows(raw: np.ndarray) -> np.ndarray:
         row = int(off.argmax())
         raise NormError(row, float(norms[row]))
     raw /= norms[:, None]
-    raw.setflags(write=False)
     return raw
 
 
 class StateBlock:
-    """Normalized states on the same ``dim`` levels, one per row of ``rows``.
+    """Normalized states on the same ``dim`` levels, one per row of ``rows``, read-only.
 
     What several quantities read (the probabilities, the mean and its
     powers, the factorial and number moments) is computed once per block
@@ -91,6 +90,7 @@ class StateBlock:
     def __init__(self, rows: np.ndarray) -> None:
         # row_dots runs its BLAS dot on strided rows of any other layout, with other bits.
         self.rows = np.ascontiguousarray(rows)
+        self.rows.setflags(write=False)
         self.dim = int(rows.shape[1])
         self.kept: dict = {}
 
@@ -149,7 +149,7 @@ class FockVector(StateBlock):
 
     @classmethod
     def _of_normalized(cls, rows: np.ndarray) -> FockVector:
-        # A read-only (1, d) block that normalized_rows already produced.
+        # A (1, d) block that normalized_rows already produced.
         state = object.__new__(cls)
         StateBlock.__init__(state, rows)
         return state

@@ -162,7 +162,7 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
     build = _linear_coefficients if kind == "linear" else _nonlinear_coefficients
     coefficients = build(d, r[built]) if built.any() else np.empty((0, d))  # no he_roots call
     # Complex as the rows end (real rows' norms round otherwise), made once the build is done,
-    # and normalized in place: the block is this call's own.
+    # then normalized, turned and mirrored in place: the block is this call's own.
     raw = np.zeros((len(amps), d), complex)
     raw[~built, 0] = 1.0
     raw.real[built] = coefficients
@@ -174,10 +174,8 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
         raise NumericalError(f"the built state's {exc} at {where}") from None
     turned, mirrored = amps.imag != 0, (amps.imag == 0) & (amps.real < 0)
     if turned.any() or mirrored.any():
-        rows = rows.copy()
         rows[turned] *= np.exp(1j * np.arange(d) * np.arctan2(amps.imag, amps.real)[turned, None])
         rows.real[mirrored, 1::2] *= -1
-        rows.setflags(write=False)
     return StateBlock(rows)
 
 

@@ -46,19 +46,14 @@ def resolve_amplitude(value: float | str, d: int) -> float:
     Accepts plain reals, numeric strings, and the literals ``Td/2`` and
     ``Td/4`` (case-insensitive), which resolve through ``period(d)``.
     """
-    if isinstance(value, (int, float)):
-        return float(value)
-    token = str(value).strip()
     try:
-        return float(token)
-    except ValueError:
+        return float(value)
+    except (TypeError, ValueError):
         pass
-    lowered = token.lower().replace(" ", "")
-    if lowered == "td/2":
-        return period(d) / 2.0
-    if lowered == "td/4":
-        return period(d) / 4.0
-    raise ValueError(f"unrecognized amplitude token {echo(value)}")
+    divisor = {"td/2": 2.0, "td/4": 4.0}.get(str(value).strip().lower().replace(" ", ""))
+    if divisor is None:
+        raise ValueError(f"unrecognized amplitude token {echo(value)}")
+    return period(d) / divisor
 
 
 class Quantity(NamedTuple):
@@ -122,7 +117,6 @@ class SweepSpec(NamedTuple):
     amp_stop: float | str
     steps: int
     quantities: tuple[tuple[str, int | None], ...]
-    output_format: str = "csv"
 
     def validate(self) -> None:
         if not self.d_list:
@@ -148,8 +142,6 @@ class SweepSpec(NamedTuple):
         for name, count in Counter(names).items():  # keyed in request order
             if count > 1:
                 raise ValueError(f"quantity {echo(name)} is requested twice")
-        if self.output_format not in WRITERS:
-            raise ValueError(f"unknown format {echo(self.output_format)}")
         cells = len(set(self.d_list)) * self.steps * (len(self.quantities) + 1)
         if cells > MAX_ENTRIES:  # the state build's budget, checked before any allocation
             raise ValueError(f"the grid holds {cells} cells, more than the {MAX_ENTRIES} allowed")

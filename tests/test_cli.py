@@ -644,6 +644,19 @@ def test_cli_import_leaves_scipy_linalg_unloaded(prefix):
 
 
 
+def test_cli_import_loads_no_pathlib_in_a_bare_interpreter():
+    # -S runs no site hook, so no .pth file can preload pathlib: only quditnc's own
+    # imports and numpy's (src and numpy's site directory, on the path) are seen.
+    src = str(Path(quditnc.__file__).resolve().parents[1])
+    numpy_site = str(Path(np.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, numpy_site]))
+    code = "import sys, quditnc.cli; print('pathlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_a_csv_sweep_loads_no_dataclasses_json_or_scipy(tmp_path):
     # Every CLI call is a fresh interpreter, so what the import and a CSV sweep
     # load is paid on each call; JSON output and --config load json themselves.

@@ -60,7 +60,7 @@ def test_normalizing_in_place_never_writes_the_callers_array():
     drifted = np.array([0.6, 0.8j, 0.0]) * (1.0 + 1e-9)
     before = drifted.tobytes()
     state = FockVector(drifted)
-    assert drifted.tobytes() == before
+    assert drifted.tobytes() == before and drifted.flags.writeable
     assert not np.shares_memory(state.rows, drifted)
     off = np.array([1.2, 1.6j, 0.0])
     before = off.tobytes()

@@ -26,7 +26,7 @@ SWEEP = SweepSpec("linear", (3,), 0.5, 2.0, 4, (("hoa", 1),))
         (he_roots(3), "roots"),
         (QUANTITIES["hoa"], "fn"),
         (SWEEP, "steps"),
-        (SWEEP, "output_format"),
+        (SWEEP, "quantities"),
     ],
 )
 def test_a_field_cannot_be_assigned(record, field):

@@ -100,8 +100,13 @@ def test_resolve_amplitude_accepts_numbers_and_tokens():
     assert resolve_amplitude("Td/2", 3) == pytest.approx(period(3) / 2.0)
     assert resolve_amplitude("td/4", 7) == pytest.approx(math.sqrt(30.0) / 4.0)
     assert resolve_amplitude(" TD/2 ", 2) == pytest.approx(math.pi / 2.0)
+    assert resolve_amplitude("  tD / 4 ", 7) == math.sqrt(30.0) / 4.0
+    assert resolve_amplitude(np.float64(-1.25), 3) == -1.25
+    assert resolve_amplitude(np.int64(5), 3) == 5.0
     with pytest.raises(ValueError):
         resolve_amplitude("half", 3)
+    with pytest.raises(ValueError, match="^unrecognized amplitude token None$"):
+        resolve_amplitude(None, 3)
 
 
 def test_column_name():
@@ -139,8 +144,14 @@ def test_validate_rejects_bad_specs():
         _spec(quantities=(("hos", 3),)).validate()
     with pytest.raises(ValueError):
         _spec(quantities=(("a3", 2),)).validate()
-    with pytest.raises(ValueError):
-        _spec(output_format="yaml").validate()
+
+
+def test_a_sweep_spec_holds_the_grid_and_the_quantities_alone():
+    # The output format is the writer's choice: the CLI picks it, a library caller calls
+    # write_rows_csv or write_rows_json.
+    assert SweepSpec._fields == (
+        "state_kind", "d_list", "amp_start", "amp_stop", "steps", "quantities",
+    )
 
 
 def test_validate_rejects_a_quantity_requested_twice():
