@@ -123,8 +123,8 @@ class _Setting(NamedTuple):
     required: str | None = None
 
 
-#: The ``sweep`` flags in help order.  Flags win over the config; the config key ``format``
-#: picks the writer, and a sweep given no level counts has none.
+#: The ``sweep`` flags in help order, ``--config`` last.  Flags win over the config; its key
+#: ``format`` picks the writer, and a sweep given no level counts has none.
 _SWEEP_SETTINGS = (
     _Setting("--kind", {"choices": KINDS}, ("state_kind",), _one_of(KINDS),
              required="a state kind is required"),
@@ -145,7 +145,6 @@ _SWEEP_SETTINGS = (
              "quantities are required"),
     _Setting("--out", {"help": "output path (default: stdout)"}),
     _Setting("--format", {"choices": WRITERS}, ("format",), _one_of(WRITERS)),
-    _Setting("--config", {"help": "JSON file with SweepSpec fields; flags win"}),
 )
 
 
@@ -234,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate quantities over an amplitude grid")
     for setting in _SWEEP_SETTINGS:
         sweep.add_argument(setting.flag, **setting.options)
+    keys = ", ".join(key for setting in _SWEEP_SETTINGS for key in setting.keys)
+    sweep.add_argument("--config", help=f"JSON file with keys {keys}; flags win")
     sweep.set_defaults(handler=_cmd_sweep)
 
     table1 = sub.add_parser("table1", help="search level counts for anticlassicality targets")

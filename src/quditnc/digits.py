@@ -161,10 +161,9 @@ def _layout(x, n, e, escape, short: bool) -> np.ndarray:
     out[1:5] |= tables.words.take(groups) & tables.keep.take(shown + 18 * _GROUP)
     out[5] = tables.tails[int(short)].take(at)
     todo = np.flatnonzero(escape)
-    if len(todo):
-        fmt = repr if short else "%.17g".__mod__
-        texts = "".join(fmt(v).ljust(48, "\0") for v in x[todo].tolist()).encode()
-        out[:, todo] = np.frombuffer(texts, "<u8").reshape(-1, 6).T
+    fmt = repr if short else "%.17g".__mod__
+    texts = "".join(fmt(v).ljust(48, "\0") for v in x[todo].tolist()).encode()
+    out[:, todo] = np.frombuffer(texts, "<u8").reshape(-1, 6).T
     return out
 
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .fock import FockVector, NormError, StateBlock, normalized_rows, row_dots
 
 __all__ = [
-    "KINDS", "HermiteRootSet", "NumericalError", "build_state", "he_roots", "period",
+    "KINDS", "NumericalError", "build_state", "he_roots", "period",
 ]
 
 
@@ -71,26 +71,19 @@ MAX_ENTRIES = 2**27
 KINDS = ("linear", "nonlinear")
 
 
-class HermiteRootSet(NamedTuple):
-    """The roots x_k of He_d, ascending, and the unit eigenvectors of its
-    Jacobi matrix as columns: vectors[n, k] = +-He_n(x_k) sqrt(w_k / n!), with w_k
-    the Gauss weights (Golub and Welsch, Math. Comp. 23, 1969)."""
-
-    roots: np.ndarray
-    vectors: np.ndarray
-
-
 @lru_cache(maxsize=1)  # d x d: every verb works through one level count at a time
-def he_roots(d: int) -> HermiteRootSet:
-    """The eigensystem, read-only, of the truncated quadrature a + a+ on d levels: the
-    Jacobi matrix of He_d, with zero diagonal and off-diagonal sqrt(1) .. sqrt(d-1)."""
+def he_roots(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem, read-only, of the truncated quadrature a + a+ on d levels, the Jacobi
+    matrix of He_d (zero diagonal, off-diagonal sqrt(1) .. sqrt(d-1)): the roots x_k of He_d,
+    ascending, and the unit eigenvectors as columns, vectors[n, k] = +-He_n(x_k) sqrt(w_k / n!)
+    with w_k the Gauss weights (Golub and Welsch, Math. Comp. 23, 1969)."""
     if d < 1:
         raise ValueError("root degree must be at least 1")
     # eigh reads only the lower triangle, so the subdiagonal suffices.
     roots, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, d)), k=-1))
     roots.setflags(write=False)
     vectors.setflags(write=False)
-    return HermiteRootSet(roots, vectors)
+    return roots, vectors
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge amplitude gives nan rows, refused later
@@ -111,13 +104,13 @@ def _nonlinear_coefficients(d: int, moduli: np.ndarray) -> np.ndarray:
     Each row is its own (2, d) @ (d, d) product: its bits do not depend on its block.
     The rows are the cosine half of the products, the odd levels' sine sums copied over it.
     """
-    basis = he_roots(d)
-    x = basis.roots * moduli[:, None]
+    roots, vectors = he_roots(d)
+    x = roots * moduli[:, None]
     cs = np.empty((len(moduli), 2, d))
     np.cos(x, out=cs[:, 0])
     np.sin(x, out=cs[:, 1])
-    cs *= basis.vectors[0]
-    sums = np.matmul(cs, basis.vectors.T)
+    cs *= vectors[0]
+    sums = np.matmul(cs, vectors.T)
     sums[:, 0, 1::2] = sums[:, 1, 1::2]
     sums[:, 0] *= np.array([1.0, 1.0, -1.0, -1.0])[np.arange(d) % 4]
     return sums[:, 0]
@@ -173,9 +166,8 @@ def state_block(kind: str, d: int, amplitudes: Iterable[complex]) -> StateBlock:
         where = f"kind={kind} d={d} amplitude={a.real if a.imag == 0 else a!r}"
         raise NumericalError(f"the built state's {exc} at {where}") from None
     turned, mirrored = amps.imag != 0, (amps.imag == 0) & (amps.real < 0)
-    if turned.any() or mirrored.any():
-        rows[turned] *= np.exp(1j * np.arange(d) * np.arctan2(amps.imag, amps.real)[turned, None])
-        rows.real[mirrored, 1::2] *= -1
+    rows[turned] *= np.exp(1j * np.arange(d) * np.arctan2(amps.imag, amps.real)[turned, None])
+    rows.real[mirrored, 1::2] *= -1
     return StateBlock(rows)
 
 

@@ -264,11 +264,11 @@ WRITERS = {"csv": write_rows_csv, "json": write_rows_json}
 
 #: Anticlassicality targets searched by table1_search: amplitude token ->
 #: {family: target value}.
-TABLE1_TARGETS: tuple[tuple[str, dict[str, float]], ...] = (
-    ("Td/2", {"nonlinear": 0.473, "linear": 0.217}),
-    ("Td/4", {"nonlinear": 0.233, "linear": 0.247}),
-    ("2.5", {"nonlinear": 0.171, "linear": 0.164}),
-)
+TABLE1_TARGETS: dict[str, dict[str, float]] = {
+    "Td/2": {"nonlinear": 0.473, "linear": 0.217},
+    "Td/4": {"nonlinear": 0.233, "linear": 0.247},
+    "2.5": {"nonlinear": 0.171, "linear": 0.164},
+}
 
 TABLE1_D_RANGE = range(2, 13)
 
@@ -282,23 +282,21 @@ def table1_search(tolerance: float) -> dict:
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be finite and positive")
-    tokens = [token for token, _ in TABLE1_TARGETS]
-    points: dict[tuple[str, str], list[dict]] = {}
+    grids: dict[tuple[str, str], list[dict]] = {}
     for kind in KINDS:
         for d in TABLE1_D_RANGE:
-            amps = [resolve_amplitude(token, d) for token in tokens]
+            amps = [resolve_amplitude(token, d) for token in TABLE1_TARGETS]
             values, levels = anticlassicality(state_block(kind, d, amps), True)
-            for token, amp, value, argmax_n in zip(tokens, amps, values.tolist(), levels.tolist()):
-                points.setdefault((token, kind), []).append(
-                    {"d": d, "amplitude": amp, "value": value, "argmax_n": argmax_n}
-                )
+            points = zip(TABLE1_TARGETS.items(), amps, values.tolist(), levels.tolist())
+            for (token, targets), amp, value, argmax_n in points:
+                grids.setdefault((token, kind), []).append({
+                    "d": d, "amplitude": amp, "value": value, "argmax_n": argmax_n,
+                    "abs_error": abs(value - targets[kind]),
+                })
     cells = []
-    for token, targets in TABLE1_TARGETS:
+    for token, targets in TABLE1_TARGETS.items():
         for kind, target in targets.items():
-            grid = [
-                {**point, "abs_error": abs(point["value"] - target)}
-                for point in points[token, kind]
-            ]
+            grid = grids[token, kind]
             matches = [g for g in grid if g["abs_error"] <= tolerance]
             nearest = min(grid, key=lambda g: g["abs_error"])
             cells.append(

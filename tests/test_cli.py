@@ -172,6 +172,21 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, field):
     assert capsys.readouterr().err.startswith("error: malformed config")
 
 
+def test_the_config_help_names_every_config_key(tmp_path, capsys):
+    config = {"state_kind": "linear", "d_list": [3], "amp_start": 0.5, "amp_stop": 2.0,
+              "steps": 3, "quantities": "hoa:1", "format": "csv"}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    assert cli._load_config(str(cfg)) == config
+    assert sorted(config) == sorted(key for setting in cli._SWEEP_SETTINGS for key in setting.keys)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    # argparse wraps the help to the terminal width, and the usage line names --config first.
+    text = " ".join(capsys.readouterr().out.split()).rsplit("--config CONFIG", 1)[1]
+    assert [key for key in config if key not in text] == []
+
+
 def test_duplicate_quantity_is_usage_error(tmp_path, capsys):
     args = list(SWEEP_ARGS)
     args[args.index("hoa:1,a3")] = "hoa:1,a3,hoa:1"

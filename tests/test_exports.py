@@ -23,3 +23,9 @@ def test_build_state_is_the_one_per_state_builder():
     assert "build_state" in quditnc.__all__
     # The family is build_state's argument, so no per-family ``*_qcs`` builder is exported.
     assert not [name for name in {*dir(quditnc), *dir(states)} if name.endswith("_qcs")]
+
+
+def test_the_root_pair_is_no_record():
+    # he_roots returns numpy's (roots, vectors) pair; no record type renames it.
+    assert "HermiteRootSet" not in quditnc.__all__
+    assert not hasattr(states, "HermiteRootSet")

@@ -13,7 +13,7 @@ from quditnc import (
     report,
 )
 from quditnc import fock, measures
-from quditnc.states import he_roots, state_block
+from quditnc.states import state_block
 from quditnc.sweep import QUANTITIES
 from quditnc.witnesses import klyshko_levels
 
@@ -23,7 +23,6 @@ SWEEP = SweepSpec("linear", (3,), 0.5, 2.0, 4, (("hoa", 1),))
 @pytest.mark.parametrize(
     "record,field",
     [
-        (he_roots(3), "roots"),
         (QUANTITIES["hoa"], "fn"),
         (SWEEP, "steps"),
         (SWEEP, "quantities"),

@@ -21,13 +21,13 @@ from quditnc import (
 from quditnc.oracle import displacement_exponential
 from quditnc import states
 from quditnc.states import _log_factorials, _nonlinear_coefficients, block_rows, state_block
-from truth import exponential_column
+from truth import exponential_column, linear_column
 
 
 def test_he_roots_small_degrees():
-    r2 = he_roots(2).roots
+    r2, _ = he_roots(2)
     assert r2 == pytest.approx([-1.0, 1.0], abs=1e-12)
-    r3 = he_roots(3).roots
+    r3, _ = he_roots(3)
     assert r3 == pytest.approx([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], abs=1e-12)
 
 
@@ -37,10 +37,11 @@ def test_he_roots_are_the_gauss_hermite_rule(d):
     # components of the unit eigenvectors are the weights of the unit-mass rule.
     nodes, weights = hermegauss(d)
     basis = he_roots(d)
-    assert len(basis.roots) == d
-    assert np.max(np.abs(basis.roots - nodes)) < 1e-13
-    assert np.max(np.abs(basis.vectors[0] ** 2 - weights / math.sqrt(2.0 * math.pi))) < 1e-14
-    assert not basis.roots.flags.writeable and not basis.vectors.flags.writeable
+    roots, vectors = basis
+    assert len(roots) == d
+    assert np.max(np.abs(roots - nodes)) < 1e-13
+    assert np.max(np.abs(vectors[0] ** 2 - weights / math.sqrt(2.0 * math.pi))) < 1e-14
+    assert not roots.flags.writeable and not vectors.flags.writeable
     assert he_roots(d) is basis
 
 
@@ -251,6 +252,15 @@ def test_linear_ratios_match_poisson_recurrence():
     for n in range(7):
         ratio = abs(s.amps[n + 1]) / abs(s.amps[n])
         assert ratio == pytest.approx(1.9 / math.sqrt(n + 1.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [5, 20, 60, 256])
+def test_linear_is_within_1e_13_of_its_definition(d):
+    for beta in (0.05, 0.5, 1.3, 4.2, 10.0, 30.0):
+        truth = np.array([float(x) for x in linear_column(d, beta)])
+        amps = build_state("linear", d, beta).amps
+        assert not amps.imag.any(), beta
+        assert np.max(np.abs(amps.real - truth)) <= 1e-13, beta
 
 
 def test_dim_domain():

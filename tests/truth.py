@@ -40,3 +40,13 @@ def exponential_column(d, alpha, digits=40):
             ]
             total = [s + t for s, t in zip(total, term)]
         return total
+
+
+def linear_column(d, beta, digits=40):
+    # The truncated Poissonian column beta^n / sqrt(n!), n < d, scaled to unit norm, to
+    # `digits` digits, as mpmath numbers: the linear family's definition for a real beta.
+    with mpmath.workdps(digits + 10):
+        b = mpmath.mpf(beta)
+        terms = [b**n / mpmath.sqrt(mpmath.factorial(n)) for n in range(d)]
+        norm = mpmath.sqrt(mpmath.fsum(t * t for t in terms))
+        return [t / norm for t in terms]
