@@ -211,13 +211,47 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, and its subparsers, with each user token in a message (a repr,
-    or a bare word, as in "ambiguous option: --=...") cut as ``sweep.echo`` cuts it:
-    argparse shows the token whole."""
+    """argparse's parser, for the full tree, its subparsers and a verb's own parser alike,
+    with each user token in a message (a repr, or a bare word, as in "ambiguous option:
+    --=...") cut as ``sweep.echo`` cuts it: argparse shows the token whole."""
 
     def error(self, message: str):
         token = r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"|\S{41,}"
         super().error(re.sub(token, lambda m: cut(m[0]), message))
+
+
+#: The flags that ``klyshko`` and ``report`` share, with their ``add_argument`` options.
+_KIND = ("--kind", {"required": True, "choices": KINDS})
+_D = ("--d", {"required": True, "type": int})
+_OUT = ("--out", {})
+
+
+#: Each verb's line in the top-level help, and its flags with their ``add_argument`` options
+#: in help order.  The full tree and a verb's own parser are both built from here.
+_VERBS = {
+    "sweep": ("evaluate quantities over an amplitude grid", (
+        *((setting.flag, setting.options) for setting in _SWEEP_SETTINGS),
+        ("--config", {"help": "JSON file with keys "
+                      f"{', '.join(key for setting in _SWEEP_SETTINGS for key in setting.keys)}; "
+                      "flags win"}),
+    )),
+    "table1": ("search level counts for anticlassicality targets",
+               (("--tolerance", {"type": float, "default": 0.005}), _OUT)),
+    "klyshko": ("per-level probability bars for one family", (
+        _KIND, _D, ("--amplitudes", {"required": True,
+                                     "help": "comma-separated values or Td/2, Td/4"}), _OUT,
+    )),
+    "report": ("all witnesses and measures for one state",
+               (_KIND, _D, ("--amplitude", {"required": True}), _OUT)),
+}
+
+
+def _verb_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, options in _VERBS[name][1]:
+        parser.add_argument(flag, **options)
+    # The handler is looked up when the parser is built, so a replaced _cmd_<verb> is the one run.
+    parser.set_defaults(handler=globals()[f"_cmd_{name}"])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,35 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sweep = sub.add_parser("sweep", help="evaluate quantities over an amplitude grid")
-    for setting in _SWEEP_SETTINGS:
-        sweep.add_argument(setting.flag, **setting.options)
-    keys = ", ".join(key for setting in _SWEEP_SETTINGS for key in setting.keys)
-    sweep.add_argument("--config", help=f"JSON file with keys {keys}; flags win")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    table1 = sub.add_parser("table1", help="search level counts for anticlassicality targets")
-    table1.add_argument("--tolerance", type=float, default=0.005)
-    table1.add_argument("--out")
-    table1.set_defaults(handler=_cmd_table1)
-
-    kly = sub.add_parser("klyshko", help="per-level probability bars for one family")
-    kly.add_argument("--kind", required=True, choices=KINDS)
-    kly.add_argument("--d", required=True, type=int)
-    kly.add_argument(
-        "--amplitudes", required=True, help="comma-separated values or Td/2, Td/4"
-    )
-    kly.add_argument("--out")
-    kly.set_defaults(handler=_cmd_klyshko)
-
-    report = sub.add_parser("report", help="all witnesses and measures for one state")
-    report.add_argument("--kind", required=True, choices=KINDS)
-    report.add_argument("--d", required=True, type=int)
-    report.add_argument("--amplitude", required=True)
-    report.add_argument("--out")
-    report.set_defaults(handler=_cmd_report)
-
+    for name, (text, _) in _VERBS.items():
+        _verb_parser(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -280,10 +287,14 @@ def _keep_freed_heap() -> bool:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:  # parse_args, with the tokens shown as a repr
-        parser.error(f"unrecognized arguments: {' '.join(unknown)!r}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _VERBS:  # the parser that add_parser makes for the verb, and no other
+        parser = _verb_parser(_Parser(prog=f"quditnc {argv[0]}"), argv[0])
+        args, unknown = parser.parse_known_args(argv[1:])
+    else:  # the full tree's text: its usage, its help, or its error on the verb
+        args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # parse_args, with the tokens shown as a repr under the top-level usage
+        build_parser().error(f"unrecognized arguments: {' '.join(unknown)!r}")
     try:
         return args.handler(args)
     except NumericalError as exc:

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, config handling."""
 
+import argparse
 import errno
 import json
 import math
@@ -300,6 +301,80 @@ def test_argparse_rejects_unknown_verb():
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])
     assert info.value.code == 2
+
+
+#: Command lines that ``main`` parses with the verb's own parser (a first token that is a
+#: verb) or with the full tree (any other first token), and the ``sys.argv`` of a None argv.
+DISPATCHED = {
+    "no-args": [],
+    "-h": ["-h"],
+    "--help": ["--help"],
+    **{f"{verb}--help": [verb, "--help"] for verb in ("sweep", "table1", "klyshko", "report")},
+    "unknown-verb": ["transmogrify"],
+    "long-verb": [LONG],
+    "option-first": ["-x", *SWEEP_ARGS],
+    "unrecognized": [*SWEEP_ARGS, "--bogus"],
+    "bad-kind": [*SWEEP_ARGS, "--kind", "quantum"],
+    "abbreviated": [SWEEP_ARGS[0], "--kin", *SWEEP_ARGS[2:]],
+    "negative-range": [*SWEEP_ARGS, "--range", "-1:1"],
+    "bad-steps": [*SWEEP_ARGS, "--steps", "x"],
+    "report-bad-d": ["report", "--d", "x"],
+    "argv-none": None,
+}
+
+
+class _NoVerbs(dict):
+    """The verb table as ``build_parser`` reads it, but no first token is a verb to ``main``."""
+
+    def __contains__(self, name):
+        return False
+
+
+def _record_parsers(monkeypatch) -> list[str]:
+    """The prog of each ``_Parser`` built from here on, in order."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def record(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", record)
+    return built
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
+    return (*capsys.readouterr(), code)
+
+
+@pytest.mark.parametrize("argv", DISPATCHED.values(), ids=DISPATCHED)
+def test_a_verbs_own_parser_gives_what_the_full_parser_gives(monkeypatch, capsys, argv):
+    # The two routes are compared with each other, not with one Python's argparse wording.
+    monkeypatch.setattr(sys, "argv", ["quditnc", *SWEEP_ARGS, "--format", "json"])
+    first = (sys.argv[1:] if argv is None else argv)[:1]
+    built = _record_parsers(monkeypatch)
+    dispatched = _run_main(argv, capsys)
+    assert built[0] == ("quditnc " + first[0] if first and first[0] in cli._VERBS else "quditnc")
+    monkeypatch.setattr(cli, "_VERBS", _NoVerbs(cli._VERBS))
+    built.clear()
+    assert _run_main(argv, capsys) == dispatched
+    assert built[:5] == ["quditnc", *(f"quditnc {verb}" for verb in cli._VERBS)]
+
+
+@pytest.mark.parametrize("argv", [
+    SWEEP_ARGS,
+    ["table1", "--tolerance", "0.01"],
+    ["klyshko", "--kind", "nonlinear", "--d", "6", "--amplitudes", "0.5,Td/2"],
+    ["report", "--kind", "linear", "--d", "5", "--amplitude", "1"],
+], ids=lambda argv: argv[0])
+def test_a_verb_run_builds_one_parser(monkeypatch, capsys, argv):
+    built = _record_parsers(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert built == [f"quditnc {argv[0]}"]
 
 
 def test_config_file_supplies_the_spec(tmp_path, capsys):

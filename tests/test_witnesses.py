@@ -210,6 +210,24 @@ def test_klyshko_exact_cancellation():
     assert klyshko(build_state("linear", 3, 1.0), 0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
+#: How far linear ``klyshko`` may sit from its exact 0, in ulps of (n+2) p_n p_(n+2).  The
+#: largest over the grid below is 1256 (d = 60, beta = 0.1, n = 44): the log-domain build
+#: gives each p_n a relative error that grows with the size of n log(beta) and log(n!).
+KLYSHKO_LINEAR_ULPS = 2048
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.3, 4.0])
+@pytest.mark.parametrize("d", [5, 8, 60])
+def test_linear_klyshko_is_zero_within_its_ulp_bound_at_every_level_in_the_support(d, beta):
+    # p_n is proportional to beta^(2n) / n!, so (n+2) p_n p_(n+2) = (n+1) p_(n+1)^2 exactly
+    # at every n <= d - 3: what klyshko returns there is the roundoff of the two terms.
+    block = state_block("linear", d, [beta])
+    p = block.probabilities[0]
+    for n in range(d - 2):
+        term = (n + 2) * p[n] * p[n + 2]
+        assert abs(klyshko(block, n)[0]) <= KLYSHKO_LINEAR_ULPS * math.ulp(term), (n, term)
+
+
 def test_klyshko_beyond_support_is_zero():
     s = fock_state(1)
     assert klyshko(s, 5)[0] == 0.0
